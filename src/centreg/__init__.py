@@ -11,6 +11,7 @@ from .centrality import (
     CentralityVector,
     DiffusionParams,
     RegularizationSpec,
+    RegularizedMatrix,
     ScalingPolicy,
     degree,
     diffusion,
@@ -20,6 +21,7 @@ from .centrality import (
     regularized_eigenvector_centrality,
 )
 from .graph_model import (
+    BlockWeightedMatrix,
     Graphon,
     LatentSample,
     SparsityRule,

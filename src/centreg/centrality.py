@@ -18,15 +18,16 @@ from .errors import (
     InvalidBound,
     NoConvergence,
 )
-from .graph_model import SymmetricBinaryMatrix, SymmetricWeightedMatrix
+from .graph_model import BlockWeightedMatrix, SymmetricBinaryMatrix, SymmetricWeightedMatrix
 
-Matrix = Union[SymmetricWeightedMatrix, SymmetricBinaryMatrix]
+Matrix = Union[SymmetricWeightedMatrix, BlockWeightedMatrix, SymmetricBinaryMatrix, "RegularizedMatrix"]
 
 __all__ = [
     "DiffusionParams",
     "ScalingPolicy",
     "RegularizationSpec",
     "CentralityVector",
+    "RegularizedMatrix",
     "degree",
     "diffusion",
     "leading_eigenpair",
@@ -171,7 +172,7 @@ def diffusion(m: Matrix, params: DiffusionParams) -> CentralityVector:
 
 
 def _as_operator(m):
-    if isinstance(m, (SymmetricBinaryMatrix, SymmetricWeightedMatrix)):
+    if hasattr(m, "matvec"):
         return m.matvec, m.n, m.frobenius()
     if sp.issparse(m):
         mm = m.tocsr()
@@ -202,22 +203,22 @@ def leading_eigenpair(
     rng = np.random.default_rng(seed)
     v = rng.random(n) + 0.1
     v /= np.linalg.norm(v)
+    av = matvec(v)
     shift = 1.0
     lam = 0.0
     resid = np.inf
     for _ in range(max_iter):
-        av = matvec(v)
         w = av + shift * v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             v = rng.random(n) + 0.1
             v /= np.linalg.norm(v)
+            av = matvec(v)
             continue
-        v_new = w / nw
-        av_new = matvec(v_new)
-        lam = float(v_new @ av_new)
-        resid = float(np.linalg.norm(av_new - lam * v_new))
-        v = v_new
+        v = w / nw
+        av = matvec(v)
+        lam = float(v @ av)
+        resid = float(np.linalg.norm(av - lam * v))
         if resid <= tol * normF:
             break
     else:
@@ -252,20 +253,19 @@ def _deflated_second_eigenvalue(matvec, n, v1, lam1, normF, tol, max_iter, seed)
     if nw == 0:
         return None
     w /= nw
+    aw = matvec(w) - lam1 * (v1 @ w) * v1
     shift = abs(lam1) + 1.0  # keep the deflated spectrum positive
     lam2 = None
     for _ in range(min(max_iter, 5000)):
-        aw = matvec(w) - lam1 * (v1 @ w) * v1
         z = aw + shift * w
         z -= (z @ v1) * v1
         nz = np.linalg.norm(z)
         if nz == 0:
             return None
-        w_new = z / nz
-        aw_new = matvec(w_new) - lam1 * (v1 @ w_new) * v1
-        lam2 = float(w_new @ aw_new)
-        res = np.linalg.norm(aw_new - lam2 * w_new)
-        w = w_new
+        w = z / nz
+        aw = matvec(w) - lam1 * (v1 @ w) * v1
+        lam2 = float(w @ aw)
+        res = np.linalg.norm(aw - lam2 * w)
         if res <= max(tol, 1e-9) * normF:
             break
     return lam2
@@ -282,29 +282,62 @@ def eigenvector_centrality(m: Matrix, scaling: ScalingPolicy, **eig_kwargs) -> C
     )
 
 
-def regularize(m: SymmetricBinaryMatrix, spec: RegularizationSpec) -> SymmetricWeightedMatrix:
+class RegularizedMatrix:
+    """D^1/2 Ahat D^1/2 in CSR form, D = diag(node_weights).
+
+    Keeps the node weights and the threshold that produced them.  The dense
+    array behind ``entries`` is built only on request.
+    """
+
+    def __init__(self, weighted: sp.csr_matrix, node_weights: np.ndarray, threshold: float):
+        self.weighted = weighted
+        self.node_weights = node_weights
+        self.threshold = threshold
+        self.n = weighted.shape[0]
+        self._entries = None
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.weighted @ v
+
+    def row_sums(self) -> np.ndarray:
+        return np.asarray(self.weighted.sum(axis=1)).ravel()
+
+    def total(self) -> float:
+        return float(self.weighted.sum())
+
+    def frobenius(self) -> float:
+        data = self.weighted.data
+        return math.sqrt(float(data @ data))
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            out = self.weighted.toarray()
+            out.flags.writeable = False
+            self._entries = out
+        return self._entries
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self.entries
+
+
+def regularize(m: SymmetricBinaryMatrix, spec: RegularizationSpec) -> RegularizedMatrix:
     """Down-weight edges of high-degree vertices.
 
     lambda_i = min(tau / deg_i, 1) with lambda_i = 1 for isolated nodes;
-    output entries are sqrt(lambda_i lambda_j) * A_ij.  The guaranteed bound
-    is lambda_i * deg_i <= tau per node, not a bound on the reweighted
-    degrees themselves.
+    output entries are sqrt(lambda_i lambda_j) * A_ij, the diagonal scaling
+    D^1/2 Ahat D^1/2 of Le, Levina & Vershynin (2017), in O(n + nnz).  The
+    guaranteed bound is lambda_i * deg_i <= tau per node, not a bound on the
+    reweighted degrees themselves.
     """
     tau = spec.threshold(m)
     deg = m.row_sums()
     lam = np.ones(m.n)
     busy = deg > 0
     lam[busy] = np.minimum(tau / deg[busy], 1.0)
-    root = np.sqrt(lam)
-
-    if m.n_edges == 0:
-        out = np.zeros((m.n, m.n))
-    else:
-        out = m.toarray() * np.outer(root, root)
-    result = SymmetricWeightedMatrix(out, validate=False)
-    object.__setattr__(result, "node_weights", lam)
-    object.__setattr__(result, "threshold", tau)
-    return result
+    root = sp.diags(np.sqrt(lam))
+    return RegularizedMatrix((root @ m.full @ root).tocsr(), lam, tau)
 
 
 def regularized_eigenvector_centrality(
@@ -323,5 +356,5 @@ def regularized_eigenvector_centrality(
             "mode": spec.mode,
         },
         lambda1=lam1,
-        node_weights=getattr(reg, "node_weights", None),
+        node_weights=reg.node_weights,
     )

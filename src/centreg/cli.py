@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -164,6 +165,11 @@ def _centrality_vector(args, a_hat, seed):
     return regularized_eigenvector_centrality(a_hat, scaling, spec, seed=seed)
 
 
+def _endpoints(iv) -> list:
+    """[lo, hi] with an unbounded end written as null (JSON has no infinity)."""
+    return [x if math.isfinite(x) else None for x in (iv.lo, iv.hi)]
+
+
 def _cmd_regress(args) -> int:
     try:
         ids, y = read_outcomes(args.outcomes)
@@ -212,12 +218,13 @@ def _cmd_regress(args) -> int:
             payload["intervals"].append(
                 {
                     "alpha": a,
-                    "c0": [iv.c0.lo, iv.c0.hi],
-                    "c": [[piece.lo, piece.hi] for piece in iv.c],
-                    "c_star": [[piece.lo, piece.hi] for piece in iv.c_star],
+                    "c0": _endpoints(iv.c0),
+                    "c": [_endpoints(piece) for piece in iv.c],
+                    "c_star": [_endpoints(piece) for piece in iv.c_star],
                     "wraps": iv.wraps,
                 }
             )
+        text = json.dumps(payload, indent=1, default=float, allow_nan=False)
     except (CentregError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -225,7 +232,6 @@ def _cmd_regress(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    text = json.dumps(payload, indent=1, default=float)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -245,6 +251,11 @@ def _cmd_centrality(args) -> int:
             return EXIT_USAGE
         a_hat = SymmetricBinaryMatrix.from_edges(n, rows, cols)
         vec = _centrality_vector(args, a_hat, args.seed)
+        if args.format == "json":
+            payload = {"recipe": vec.recipe, "values": [float(v) for v in vec.values]}
+            if vec.lambda1 is not None:
+                payload["lambda1"] = vec.lambda1
+            text = json.dumps(payload, indent=1, allow_nan=False)
     except (CentregError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -253,10 +264,6 @@ def _cmd_centrality(args) -> int:
         return EXIT_USAGE
 
     if args.format == "json":
-        payload = {"recipe": vec.recipe, "values": [float(v) for v in vec.values]}
-        if vec.lambda1 is not None:
-            payload["lambda1"] = vec.lambda1
-        text = json.dumps(payload, indent=1)
         if args.out:
             Path(args.out).write_text(text)
         else:
@@ -317,7 +324,7 @@ def _cmd_derive(args) -> int:
         header = ["T", "t", "delta_power", "coefficient"]
 
     if args.format == "json":
-        text = json.dumps(rows, indent=1)
+        text = json.dumps(rows, indent=1, allow_nan=False)
         if args.out:
             Path(args.out).write_text(text)
         else:

@@ -40,6 +40,10 @@ class DegenerateSpectrum(CentregError):
     """Leading eigenvalue is not strictly positive where it must be."""
 
 
+class DegenerateVariance(CentregError):
+    """Variance estimate in a test statistic's denominator is zero."""
+
+
 class DegenerateGapWarning(UserWarning):
     """Estimated eigengap below tolerance; leading eigenvector may be unstable."""
 
@@ -82,6 +86,10 @@ class DuplicateEdge(CentregError):
     def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
+
+
+class NonFiniteOutcome(CentregError):
+    """Outcome value is NaN or infinite."""
 
 
 class IdMismatch(CentregError):

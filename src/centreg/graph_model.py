@@ -3,6 +3,11 @@
 The data-generating process has three stages: latent types U_i ~ U[0,1],
 a true weighted adjacency A_ij = p_n * f(U_i, U_j), and a noisy binary
 observation with upper-triangle entries drawn Bernoulli(A_ij).
+
+Block graphons (constant and SBM) keep A implicit as node labels plus a
+B x B matrix, and their observation is sampled edge by edge, so one draw
+costs time and memory proportional to n plus the edge count.  Other
+graphons build the dense n x n A.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +28,7 @@ __all__ = [
     "SparsityRule",
     "SymmetricWeightedMatrix",
     "SymmetricBinaryMatrix",
+    "BlockWeightedMatrix",
     "sample_latent",
     "build_true_adjacency",
     "observe",
@@ -70,6 +76,64 @@ class SymmetricWeightedMatrix:
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries))
+
+    def noise_variance_total(self) -> float:
+        """sum_{i != j} A_ij (1 - A_ij), the summed variance of the observation noise."""
+        return float(np.sum(self.entries * (1.0 - self.entries)))
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self.entries
+
+
+class BlockWeightedMatrix:
+    """Symmetric A with A_ij = q[b_i, b_j] for i != j and A_ii = 0.
+
+    The true adjacency of a block graphon, held as node labels b and the
+    B x B matrix q = p_n P.  Products, sums and norms cost O(n + B^2) from
+    the block sizes N_b; the dense array behind ``entries`` is built only on
+    request and cached read-only.
+    """
+
+    def __init__(self, labels: np.ndarray, q: np.ndarray):
+        self.labels = np.asarray(labels, dtype=np.intp)
+        self.q = np.array(q, dtype=np.float64)
+        self.q.flags.writeable = False
+        self.n = len(self.labels)
+        self.sizes = np.bincount(self.labels, minlength=len(self.q))
+        sizes = self.sizes.astype(np.float64)
+        # ordered node pairs (i, j), i != j, between each pair of blocks
+        self._pairs = np.outer(sizes, sizes)
+        np.fill_diagonal(self._pairs, sizes * (sizes - 1.0))
+        self._diag = self.q.diagonal()[self.labels]  # q[b_i, b_i], absent from row i
+        self._entries = None
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        block_sums = np.bincount(self.labels, weights=v, minlength=len(self.q))
+        return (self.q @ block_sums)[self.labels] - self._diag * v
+
+    def row_sums(self) -> np.ndarray:
+        return (self.q @ self.sizes)[self.labels] - self._diag
+
+    def total(self) -> float:
+        """iota' A iota, the sum of all entries."""
+        return float(np.sum(self._pairs * self.q))
+
+    def frobenius(self) -> float:
+        return math.sqrt(float(np.sum(self._pairs * self.q**2)))
+
+    def noise_variance_total(self) -> float:
+        """sum_{i != j} A_ij (1 - A_ij), the summed variance of the observation noise."""
+        return float(np.sum(self._pairs * self.q * (1.0 - self.q)))
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            out = self.q[self.labels[:, None], self.labels[None, :]]
+            np.fill_diagonal(out, 0.0)
+            out.flags.writeable = False
+            self._entries = out
+        return self._entries
 
     @property
     def dense(self) -> np.ndarray:
@@ -245,6 +309,18 @@ class Graphon:
     def evaluate(self, u, v) -> np.ndarray:
         return self._evaluator(u, v)
 
+    def block_form(self):
+        """(cuts, P) when f is constant on blocks of [0, 1], else None.
+
+        A latent type u lies in block ``searchsorted(cuts, u, side="right")``
+        and f takes the value P[a, b] on block pair (a, b).
+        """
+        if self.kind == "constant":
+            return np.empty(0), np.array([[self.params["c"]]])
+        if self.kind == "sbm":
+            return np.cumsum(self.params["pi"])[:-1], self.params["P"]
+        return None
+
     def to_json_dict(self) -> dict:
         if self.kind == "constant":
             return {"kind": "constant", "c": self.params["c"]}
@@ -368,10 +444,20 @@ def sample_latent(n: int, seed: int) -> LatentSample:
     return LatentSample(u=rng.random(n), seed=seed)
 
 
-def build_true_adjacency(g: Graphon, u: LatentSample, p_n: float) -> SymmetricWeightedMatrix:
-    """A_ij = p_n * f(U_i, U_j) off the diagonal, A_ii = 0."""
+def build_true_adjacency(
+    g: Graphon, u: LatentSample, p_n: float
+) -> Union[BlockWeightedMatrix, SymmetricWeightedMatrix]:
+    """A_ij = p_n * f(U_i, U_j) off the diagonal, A_ii = 0.
+
+    Block graphons (constant, SBM) give a BlockWeightedMatrix; every other
+    graphon gives a dense SymmetricWeightedMatrix.
+    """
     if not (0.0 < p_n <= 1.0):
         raise InvalidSparsity(f"p_n must lie in (0, 1], got {p_n}")
+    blocks = g.block_form()
+    if blocks is not None:
+        cuts, P = blocks
+        return BlockWeightedMatrix(np.searchsorted(cuts, u.u, side="right"), p_n * P)
     uu = u.u
     vals = p_n * np.asarray(g.evaluate(uu[:, None], uu[None, :]), dtype=np.float64)
     if vals.min() < 0.0 or vals.max() > 1.0:
@@ -383,10 +469,48 @@ def build_true_adjacency(g: Graphon, u: LatentSample, p_n: float) -> SymmetricWe
     return SymmetricWeightedMatrix(out, validate=False)
 
 
-def observe(a: SymmetricWeightedMatrix, seed: int) -> SymmetricBinaryMatrix:
+def observe(a: Union[BlockWeightedMatrix, SymmetricWeightedMatrix], seed: int) -> SymmetricBinaryMatrix:
     """Draw the noisy adjacency: upper entries i.i.d. Bernoulli(A_ij)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = a.n
+    if isinstance(a, BlockWeightedMatrix):
+        return SymmetricBinaryMatrix.from_edges(n, *_sample_block_edges(a, rng))
     draw = rng.random((n, n)) < a.entries
     upper = sp.csr_matrix(np.triu(draw, k=1).astype(np.float64))
     return SymmetricBinaryMatrix(n, upper)
+
+
+def _sample_block_edges(a: BlockWeightedMatrix, rng: np.random.Generator):
+    """Edge endpoints with each pair i < j present independently w.p. q[b_i, b_j].
+
+    Per block pair the edge count is k ~ Binomial(#pairs, q_ab), and the
+    edges are a uniform k-subset of the pairs, which is the same law as one
+    Bernoulli draw per pair (Batagelj & Brandes, Phys. Rev. E 71, 036113,
+    2005).  Cost is O(n + B^2 + m).
+    """
+    members = np.split(np.argsort(a.labels, kind="stable"), np.cumsum(a.sizes)[:-1])
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    B = len(a.q)
+    for x in range(B):
+        for y in range(x, B):
+            nx, ny = a.sizes[x], a.sizes[y]
+            n_pairs = nx * (nx - 1) // 2 if x == y else nx * ny
+            k = rng.binomial(n_pairs, a.q[x, y])
+            if k == 0:
+                continue
+            idx = rng.choice(n_pairs, size=k, replace=False, shuffle=False)
+            i, j = _pair_from_index(idx, nx) if x == y else np.divmod(idx, ny)
+            rows.append(members[x][i])
+            cols.append(members[y][j])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _pair_from_index(idx: np.ndarray, m: int):
+    """Map indices in range(m(m-1)/2) one-to-one onto the pairs {i, j} of m items.
+
+    Index d*m + i names the pair (i, (i + d + 1) mod m): offsets d + 1 up to
+    (m - 1) / 2 reach every pair once from one end.  For even m the last m/2
+    indices have d + 1 = m/2 and i < m/2, naming each antipodal pair once.
+    """
+    d, i = np.divmod(idx, m)
+    return i, (i + d + 1) % m

@@ -20,6 +20,7 @@ from .centrality import CentralityVector, DiffusionParams
 from .errors import (
     ConfigMismatch,
     DegenerateSpectrum,
+    DegenerateVariance,
     InvalidLevel,
     MissingComponents,
     NonpositiveAttenuation,
@@ -271,26 +272,33 @@ def eigen_bias_variance(
 # tests
 
 
+def _sd(fit: RegressionFit, name: str) -> float:
+    value = getattr(fit, name)
+    if value is None:
+        raise MissingComponents(f"nonzero null requires {name} (run the bias/variance estimator)")
+    if not value > 0.0:
+        raise DegenerateVariance(f"{name} = {value:g}: the test statistic has no scale")
+    return math.sqrt(value)
+
+
 def _statistic(fit: RegressionFit, beta0: float) -> Tuple[float, str]:
     mode = fit.mode
     if mode == "no-error":
-        return (fit.beta_hat - beta0) / math.sqrt(fit.V0_hat), "robust"
+        return (fit.beta_hat - beta0) / _sd(fit, "V0_hat"), "robust"
     if beta0 == 0.0:
-        return fit.beta_hat / math.sqrt(fit.V0_hat), "null-zero"
+        return fit.beta_hat / _sd(fit, "V0_hat"), "null-zero"
     if mode == "noisy-eigenvector-corollary-5":
         # with a_n = sqrt(lambda1(Ahat)) the bias is lower order; the robust
         # t applies to nonzero nulls as well
-        return (fit.beta_hat - beta0) / math.sqrt(fit.V0_hat), "corollary-5"
+        return (fit.beta_hat - beta0) / _sd(fit, "V0_hat"), "corollary-5"
     if fit.B_hat is None:
         raise MissingComponents("nonzero null requires B_hat (run the bias/variance estimator)")
     centered = fit.beta_hat - beta0 * (1.0 - fit.B_hat)
     if mode == "noisy-eigenvector-case-a":
-        return centered / math.sqrt(fit.V0_hat), "null-nonzero"
-    if fit.V_hat is None:
-        raise MissingComponents("nonzero null requires V_hat (run the bias/variance estimator)")
+        return centered / _sd(fit, "V0_hat"), "null-nonzero"
     if mode == "noisy-eigenvector-case-b":
-        return centered / math.sqrt(fit.V_hat), "null-nonzero"
-    return centered / (beta0 * math.sqrt(fit.V_hat)), "null-nonzero"
+        return centered / _sd(fit, "V_hat"), "null-nonzero"
+    return centered / (beta0 * _sd(fit, "V_hat")), "null-nonzero"
 
 
 def test_beta(

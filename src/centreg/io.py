@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DuplicateEdge, IdMismatch, InvalidGraphon
+from .errors import DuplicateEdge, IdMismatch, InvalidGraphon, NonFiniteOutcome
 from .graph_model import Graphon, SymmetricBinaryMatrix, SymmetricWeightedMatrix
 
 __all__ = [
@@ -104,7 +105,7 @@ def write_weighted_matrix(m: SymmetricWeightedMatrix, path: PathLike) -> None:
 
 
 def read_outcomes(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
-    """Read outcomes with header ``id,y``; ids must be unique."""
+    """Read outcomes with header ``id,y``; ids must be unique and y finite."""
     ids, ys = [], []
     seen = set()
     with open(path, newline="") as fh:
@@ -119,6 +120,8 @@ def read_outcomes(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
                 i, y = int(row[0]), float(row[1])
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed outcome row {row!r}") from exc
+            if not math.isfinite(y):
+                raise NonFiniteOutcome(f"{path}:{lineno}: outcome {row[1].strip()!r} is not finite")
             if i in seen:
                 raise IdMismatch(f"{path}:{lineno}: repeated outcome id {i}")
             seen.add(i)

@@ -12,6 +12,7 @@ centralities computed on A, while estimation uses Ahat.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -177,6 +178,9 @@ class CellResult:
     draws: Dict[str, Dict[str, np.ndarray]]
     failures: List[Tuple[int, str, str]]
     runtime: float = 0.0
+    # one record per failure, in the order of ``failures``: the exception
+    # message and, for NoConvergence, the last residual
+    failure_detail: List[dict] = field(default_factory=list)
 
     def ok_mask(self, label: str) -> np.ndarray:
         return ~np.isnan(self.draws[label]["beta_hat"])
@@ -201,9 +205,7 @@ class ExperimentResult:
                         label: sum(1 for _, l, _ in c.failures if l == label)
                         for label in c.estimators
                     },
-                    "failure_detail": [
-                        {"replication": r, "estimator": l, "error": e} for r, l, e in c.failures
-                    ],
+                    "failure_detail": c.failure_detail,
                     "runtime_seconds": round(c.runtime, 3),
                 }
                 for c in self.cells
@@ -239,12 +241,8 @@ def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: in
     eps = np.random.default_rng(np.random.SeedSequence(seed_eps)).standard_normal(n) * cfg.sigma
 
     out: Dict[str, Dict[str, float]] = {}
-    failures: List[Tuple[str, str]] = []
+    failures: List[Tuple[str, str, str, Optional[float]]] = []
     eig_kwargs = {"max_iter": cfg.eig_max_iter, "tol": cfg.eig_tol}
-    # conditional center of the degree noise term, available because the
-    # simulator knows A: E[iota' xi^2 iota | U] = sum_{i != j} A_ij (1 - A_ij)
-    a_entries = a_true.entries
-    oracle_center = float(np.sum(a_entries * (1.0 - a_entries)))
 
     for est in cfg.estimators:
         label = _estimator_label(est)
@@ -266,7 +264,9 @@ def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: in
                 y = cfg.beta_true * c_true.values + eps
                 fit = inference.ols(y, c_hat, mode="noisy-degree")
                 inference.degree_bias_variance(a_hat, fit)
-                rec["oracle_center"] = oracle_center
+                # conditional center of the degree noise term, available because the
+                # simulator knows A: E[iota' xi^2 iota | U] = sum_{i != j} A_ij (1 - A_ij)
+                rec["oracle_center"] = a_true.noise_variance_total()
             elif kind == "diffusion":
                 params = DiffusionParams(
                     delta=est.get("delta", 1.0),
@@ -325,7 +325,8 @@ def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: in
                 rec["beta_tilde"] = fit_t.beta_hat
                 rec["V0_tilde"] = fit_t.V0_hat
         except CentregError as exc:
-            failures.append((label, type(exc).__name__))
+            residual = _json_number(getattr(exc, "residual", None))
+            failures.append((label, type(exc).__name__, str(exc), residual))
         out[label] = rec
     return rep, out, failures
 
@@ -357,6 +358,13 @@ def _reg_spec_from(est: dict, p: float) -> RegularizationSpec:
     return RegularizationSpec(mode="plug-in", M=float(est["M"]))
 
 
+def _json_number(x):
+    """x, or None where JSON has no number for it (NaN, +-inf)."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def _as_centrality(values, lam):
     from .centrality import CentralityVector
 
@@ -379,12 +387,12 @@ def run_cell(
     reps = rep_range if rep_range is not None else range(cfg.replications)
     labels = [_estimator_label(e) for e in cfg.estimators]
     draws = {label: {k: np.full(len(reps), np.nan) for k in _DRAW_KEYS} for label in labels}
-    failures: List[Tuple[int, str, str]] = []
+    detail: List[dict] = []
 
     nthreads = threads if threads is not None else cfg.threads
     if nthreads <= 0:
         nthreads = int(os.environ.get("CENTREG_THREADS", "1"))
-    start = time.time()
+    start = time.perf_counter()
 
     def handle(result):
         rep, out, fails = result
@@ -392,8 +400,16 @@ def run_cell(
         for label, rec in out.items():
             for key, val in rec.items():
                 draws[label][key][pos] = val
-        for label, err in fails:
-            failures.append((rep, label, err))
+        for label, err, message, residual in fails:
+            detail.append(
+                {
+                    "replication": rep,
+                    "estimator": label,
+                    "error": err,
+                    "message": message,
+                    "residual": residual,
+                }
+            )
 
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
@@ -405,7 +421,7 @@ def run_cell(
         for r in reps:
             handle(_replicate(cfg, n, p, cell_index, r))
 
-    failures.sort()
+    detail.sort(key=lambda d: (d["replication"], d["estimator"]))
     return CellResult(
         n=n,
         p=p,
@@ -413,8 +429,9 @@ def run_cell(
         replications=len(reps),
         estimators=labels,
         draws=draws,
-        failures=failures,
-        runtime=time.time() - start,
+        failures=[(d["replication"], d["estimator"], d["error"]) for d in detail],
+        runtime=time.perf_counter() - start,
+        failure_detail=detail,
     )
 
 
@@ -545,7 +562,8 @@ def write_outputs(
         path = out_dir / name
         if fmt == "json":
             path = path.with_suffix(".json")
-            path.write_text(json.dumps(rows, indent=1))
+            rows = [{k: _json_number(v) for k, v in row.items()} for row in rows]
+            path.write_text(json.dumps(rows, indent=1, allow_nan=False))
         else:
             with open(path, "w", newline="") as fh:
                 writer = _csv.DictWriter(fh, fieldnames=header)
@@ -579,7 +597,7 @@ def write_outputs(
 
     manifest = result.manifest()
     manifest["resolved_p"] = {str(c.n): c.p for c in result.cells}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, allow_nan=False))
     written.append(str(out_dir / "manifest.json"))
 
     if dump_graph:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from centreg import (
     DiffusionParams,
@@ -15,7 +16,7 @@ from centreg import (
     leading_eigenpair,
     regularize,
 )
-from centreg.errors import DegenerateSpectrum, EmptyGraph, InvalidBound
+from centreg.errors import DegenerateSpectrum, EmptyGraph, InvalidBound, NoConvergence
 
 K3 = SymmetricBinaryMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
 PATH3 = SymmetricBinaryMatrix.from_edges(3, [0, 1], [1, 2])
@@ -114,6 +115,36 @@ def test_eigenpair_matches_dense_eigensolve(seed):
     assert np.linalg.norm(dense @ v - lam * v) <= 1e-10 * np.linalg.norm(dense)
 
 
+class CountingOperator:
+    """Wraps a matrix and counts its matrix-vector products."""
+
+    def __init__(self, m):
+        self.m, self.n, self.products = m, m.n, 0
+
+    def matvec(self, v):
+        self.products += 1
+        return self.m.matvec(v)
+
+    def frobenius(self):
+        return self.m.frobenius()
+
+
+def test_power_iteration_one_product_per_iteration():
+    m = random_binary(40, 0.2, seed=77)
+    op = CountingOperator(m)
+    lam, v = leading_eigenpair(op)
+    iterations = op.products - 1
+    # converged on iteration `iterations`, so one fewer must fail
+    with pytest.raises(NoConvergence):
+        leading_eigenpair(m, max_iter=iterations - 1)
+    lam_cap, v_cap = leading_eigenpair(m, max_iter=iterations)
+    assert (lam_cap, v_cap.tobytes()) == (lam, v.tobytes())
+    capped = CountingOperator(m)
+    with pytest.raises(NoConvergence):
+        leading_eigenpair(capped, tol=0.0, max_iter=5)
+    assert capped.products == 6
+
+
 def test_eigenvector_centrality_scalings():
     c = eigenvector_centrality(K3, ScalingPolicy(kind="sqrt-lambda1"))
     assert np.allclose(c.values, np.sqrt(2) / np.sqrt(3), atol=1e-9)
@@ -192,6 +223,23 @@ def test_regularize_empty_graph():
     out = regularize(empty, RegularizationSpec(mode="oracle", p_n=0.5))
     assert np.all(out.entries == 0)
     assert np.all(out.node_weights == 1.0)
+
+
+def test_regularize_sparse_matches_dense_formula():
+    m = random_binary(60, 0.3, seed=31)
+    spec = RegularizationSpec(mode="oracle", p_n=0.1)  # tau = 12 < most degrees
+    out = regularize(m, spec)
+    root = np.sqrt(out.node_weights)
+    dense = m.toarray() * np.outer(root, root)
+    assert (out.node_weights < 1.0).any()
+    assert sp.issparse(out.weighted) and out.weighted.nnz == 2 * m.n_edges
+    assert np.array_equal(out.entries, dense)
+    v = np.random.default_rng(0).standard_normal(m.n)
+    assert np.allclose(out.matvec(v), dense @ v, rtol=1e-12, atol=1e-12)
+    assert np.allclose(out.row_sums(), dense.sum(axis=1), rtol=1e-12)
+    assert out.total() == pytest.approx(dense.sum(), rel=1e-12)
+    assert out.frobenius() == pytest.approx(np.linalg.norm(dense), rel=1e-12)
+    assert out.threshold == pytest.approx(12.0)
 
 
 def test_regularize_plug_in_threshold():

@@ -60,6 +60,40 @@ def test_regress_k3_degree(tmp_path):
     assert fit["intervals"][0]["alpha"] == 0.05
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_regress_json_has_no_infinity(tmp_path):
+    # on K3 the de-biased set wraps: two half-lines whose open ends are null
+    edges, outcomes = write_k3(tmp_path)
+    out = tmp_path / "fit.json"
+    assert main(["regress", "--edges", str(edges), "--outcomes", str(outcomes), "--out", str(out)]) == 0
+    interval = _strict_json(out.read_text())["intervals"][0]
+    assert interval["wraps"]
+    assert interval["c"][0][0] is None and interval["c"][1][1] is None
+
+
+@pytest.mark.parametrize(
+    "ys,message",
+    [(["1", "nan", "3", "inf"], "y.csv:3"), (["0", "0", "0", "0"], "V0_hat")],
+    ids=["non-finite", "all-zero"],
+)
+def test_regress_degenerate_outcomes_exit_two(tmp_path, capsys, ys, message):
+    edges = tmp_path / "e.csv"
+    edges.write_text("i,j\n0,1\n1,2\n2,3\n0,3\n0,2\n")
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("id,y\n" + "".join(f"{i},{y}\n" for i, y in enumerate(ys)))
+    code = main(["regress", "--edges", str(edges), "--outcomes", str(outcomes)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_regress_diffusion_t1_matches_degree(tmp_path):
     edges, outcomes = write_k3(tmp_path)
     out_deg = tmp_path / "deg.json"

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from centreg import (
+    BlockWeightedMatrix,
     Graphon,
     SparsityRule,
     SymmetricBinaryMatrix,
+    SymmetricWeightedMatrix,
     build_true_adjacency,
+    leading_eigenpair,
     observe,
     sample_latent,
 )
 from centreg.errors import InvalidGraphon, InvalidSize, InvalidSparsity
+from centreg.graph_model import _pair_from_index
+
+SBM3 = Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]])
 
 
 def test_sample_latent_deterministic():
@@ -181,3 +187,65 @@ def test_binary_matrix_edge_arrays_upper_only():
     rows, cols = m.edge_arrays()
     assert np.all(rows < cols)
     assert m.total() == 4.0
+
+
+# ---------------------------------------------------------------------------
+# block graphons: implicit A and the edge-proportional sampler
+
+
+def _dense_reference(g, u, p):
+    """A_ij = p f(U_i, U_j) evaluated entry by entry, zero diagonal."""
+    vals = p * g.evaluate(u.u[:, None], u.u[None, :])
+    np.fill_diagonal(vals, 0.0)
+    return SymmetricWeightedMatrix(vals)
+
+
+@pytest.mark.parametrize("g", [Graphon.constant(0.7), SBM3], ids=["constant", "sbm3"])
+def test_block_matrix_matches_dense_build(g):
+    n, p = 120, 0.3
+    u = sample_latent(n, seed=17)
+    a = build_true_adjacency(g, u, p)
+    ref = _dense_reference(g, u, p)
+    assert isinstance(a, BlockWeightedMatrix)
+    assert np.array_equal(a.entries, ref.entries)
+    assert not a.entries.flags.writeable
+    v = np.random.default_rng(0).standard_normal(n)
+    assert np.allclose(a.matvec(v), ref.matvec(v), rtol=1e-12, atol=1e-12)
+    assert np.allclose(a.row_sums(), ref.row_sums(), rtol=1e-12)
+    assert a.total() == pytest.approx(ref.total(), rel=1e-12)
+    assert a.frobenius() == pytest.approx(ref.frobenius(), rel=1e-12)
+    assert a.noise_variance_total() == pytest.approx(ref.noise_variance_total(), rel=1e-12)
+    lam, vec = leading_eigenpair(a)
+    lam_ref, vec_ref = leading_eigenpair(ref)
+    assert lam == pytest.approx(lam_ref, rel=1e-10)
+    assert np.allclose(vec, vec_ref, atol=1e-8)
+
+
+def test_pair_index_is_a_bijection_onto_pairs():
+    for m in range(2, 10):
+        i, j = _pair_from_index(np.arange(m * (m - 1) // 2), m)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(i.tolist(), j.tolist())}
+        assert len(pairs) == m * (m - 1) // 2
+        assert all(a != b for a, b in pairs)
+
+
+def test_block_edge_counts_match_binomial():
+    # per block pair, the edge count over seeds has the Binomial(#pairs, q)
+    # mean and variance
+    n, p, reps = 40, 0.5, 2000
+    a = build_true_adjacency(SBM3, sample_latent(n, seed=4), p)
+    B = len(a.q)
+    counts = np.zeros((reps, B, B))
+    for r in range(reps):
+        rows, cols = observe(a, seed=r).edge_arrays()
+        x, y = a.labels[rows], a.labels[cols]
+        np.add.at(counts[r], (np.minimum(x, y), np.maximum(x, y)), 1)
+    sizes = a.sizes
+    for x in range(B):
+        for y in range(x, B):
+            pairs = sizes[x] * (sizes[x] - 1) / 2 if x == y else sizes[x] * sizes[y]
+            q = a.q[x, y]
+            mean, var = pairs * q, pairs * q * (1 - q)
+            got = counts[:, x, y]
+            assert abs(got.mean() - mean) <= 5 * np.sqrt(var / reps), (x, y)
+            assert abs(got.var(ddof=1) / var - 1.0) <= 5 * np.sqrt(2.0 / (reps - 1)), (x, y)

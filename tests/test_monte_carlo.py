@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from centreg import (
+    BlockWeightedMatrix,
     ExperimentConfig,
     Graphon,
     SparsityRule,
@@ -153,3 +154,44 @@ def test_write_outputs_files(tmp_path):
     header = (tmp_path / "size.csv").read_text().splitlines()[0]
     assert header == "n,p,estimator,beta0,alpha,reject_rate,se,failures"
     assert (tmp_path / "graphs" / "cell0_rep0.csv").exists()
+
+
+def test_failure_detail_keeps_message_and_residual(tmp_path):
+    cfg = small_config(
+        replications=3,
+        eig_max_iter=2,
+        estimators=[{"kind": "eigenvector", "scaling": "sqrt-lambda1"}],
+    )
+    write_outputs(run_experiment(cfg), tmp_path)
+    detail = json.loads((tmp_path / "manifest.json").read_text())["cells"][0]["failure_detail"]
+    assert [d["replication"] for d in detail] == [0, 1, 2]
+    for d in detail:
+        assert d["error"] == "NoConvergence"
+        assert "did not reach" in d["message"]
+        assert isinstance(d["residual"], float) and np.isfinite(d["residual"])
+
+
+def test_block_graphon_cell_never_builds_dense_a(monkeypatch):
+    def no_dense(self):
+        raise AssertionError("dense n x n A built on the block-graphon path")
+
+    monkeypatch.setattr(BlockWeightedMatrix, "entries", property(no_dense))
+    cfg = small_config(
+        graphon=Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]]),
+        n_grid=[200],
+        sparsity=SparsityRule.inverse_sqrt_n(),
+        replications=3,
+        fit_no_error=True,
+        estimators=[
+            {"kind": "degree"},
+            {"kind": "diffusion", "delta": 0.5, "T": 2},
+            {"kind": "eigenvector", "scaling": "sqrt-lambda1"},
+            {"kind": "regularized-eigenvector", "scaling": "sqrt-lambda1"},
+        ],
+    )
+    cell = run_cell(cfg, 200)
+    assert cell.failures == []
+    for label in cell.estimators:
+        assert np.isfinite(cell.draws[label]["beta_hat"]).all()
+        assert np.isfinite(cell.draws[label]["beta_tilde"]).all()
+    assert np.isfinite(cell.draws["degree"]["oracle_center"]).all()
