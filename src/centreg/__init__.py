@@ -46,6 +46,7 @@ from .inference import (
 )
 from .monte_carlo import (
     CellResult,
+    Estimator,
     ExperimentConfig,
     ExperimentResult,
     attenuation_study,

@@ -11,15 +11,15 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import inference
-from .centrality import (
-    DiffusionParams,
-    RegularizationSpec,
-    ScalingPolicy,
+# not called here but kept as names of this module: perfbench/tracing.py
+# wraps the centrality layer by these module attributes
+from .centrality import (  # noqa: F401
     degree,
     diffusion,
     eigenvector_centrality,
@@ -27,12 +27,47 @@ from .centrality import (
 )
 from .errors import BudgetExceeded, CentregError
 from .io import binary_matrix_from_files, read_outcomes
-from .monte_carlo import ConfigError, ExperimentConfig, run_experiment, write_outputs
-from .walks import DERIVE_B_CAP, derive_b, derive_g, reference_b, reference_g
+from .monte_carlo import (
+    DELTA_RULES,
+    ESTIMATOR_KINDS,
+    REG_MODES,
+    SCALINGS,
+    ConfigError,
+    Estimator,
+    ExperimentConfig,
+    run_experiment,
+    write_outputs,
+)
+from .walks import derive_b, derive_g, reference_b, reference_g
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+
+# estimator spec fields whose flag is not "--" + the field name
+_FLAGS = {"a": "--scale-a", "p_n": "--reg-p", "M": "--reg-M"}
+
+
+def _add_estimator_flags(parser: argparse.ArgumentParser, kind_flag: str) -> None:
+    """The estimator spec as flags; unset flags take the spec defaults (README)."""
+    parser.add_argument(kind_flag, dest="kind", default="degree", choices=ESTIMATOR_KINDS)
+    parser.add_argument("--delta", type=float)
+    parser.add_argument("--T", type=int)
+    parser.add_argument("--delta-rule", choices=DELTA_RULES)
+    parser.add_argument("--scaling", choices=SCALINGS)
+    parser.add_argument(_FLAGS["a"], dest="a", type=float, help="a_n for fixed scaling")
+    parser.add_argument("--reg-mode", choices=REG_MODES)
+    parser.add_argument(_FLAGS["p_n"], dest="p_n", type=float, help="oracle sparsity scale p_n")
+    parser.add_argument(_FLAGS["M"], dest="M", type=float, help="plug-in graphon mass lower bound")
+
+
+def _estimator(args) -> Estimator:
+    spec = {f.name: getattr(args, f.name, None) for f in fields(Estimator)}
+    est = Estimator.from_spec(spec, lambda name: _FLAGS.get(name, "--" + name.replace("_", "-")))
+    if est.kind == "regularized-eigenvector" and est.reg_mode == "oracle" and est.p_n is None:
+        raise ConfigError(_FLAGS["p_n"], "required for oracle regularization")
+    return est
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,20 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reg = sub.add_parser("regress", help="fit a centrality regression on user data")
     reg.add_argument("--edges", required=True, help="edge-list CSV (header i,j)")
     reg.add_argument("--outcomes", required=True, help="outcomes CSV (header id,y)")
-    reg.add_argument(
-        "--centrality",
-        default="degree",
-        choices=("degree", "diffusion", "eigenvector", "regularized-eigenvector"),
-    )
-    reg.add_argument("--delta", type=float, default=1.0)
-    reg.add_argument("--T", type=int, default=2)
-    reg.add_argument("--delta-rule", default="fixed",
-                     choices=("fixed", "inverse-lambda1", "inverse-sqrt-lambda1"))
-    reg.add_argument("--scaling", default="sqrt-lambda1", choices=("sqrt-lambda1", "sqrt-n", "fixed"))
-    reg.add_argument("--scale-a", type=float, default=None, help="a_n for fixed scaling")
-    reg.add_argument("--reg-mode", default="oracle", choices=("oracle", "plug-in"))
-    reg.add_argument("--reg-p", type=float, default=None, help="oracle sparsity scale p_n")
-    reg.add_argument("--reg-M", type=float, default=None, help="plug-in graphon mass lower bound")
+    _add_estimator_flags(reg, "--centrality")
     reg.add_argument("--mode", default=None,
                      help="inference mode override (default inferred from centrality)")
     reg.add_argument("--beta0", type=float, action="append", default=None)
@@ -78,17 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cen = sub.add_parser("centrality", help="compute a centrality vector from an edge list")
     cen.add_argument("--edges", required=True)
     cen.add_argument("--n", type=int, default=None, help="node count (default: max id + 1)")
-    cen.add_argument("--kind", default="degree",
-                     choices=("degree", "diffusion", "eigenvector", "regularized-eigenvector"))
-    cen.add_argument("--delta", type=float, default=1.0)
-    cen.add_argument("--T", type=int, default=2)
-    cen.add_argument("--delta-rule", default="fixed",
-                     choices=("fixed", "inverse-lambda1", "inverse-sqrt-lambda1"))
-    cen.add_argument("--scaling", default="sqrt-lambda1", choices=("sqrt-lambda1", "sqrt-n", "fixed"))
-    cen.add_argument("--scale-a", type=float, default=None)
-    cen.add_argument("--reg-mode", default="oracle", choices=("oracle", "plug-in"))
-    cen.add_argument("--reg-p", type=float, default=None)
-    cen.add_argument("--reg-M", type=float, default=None)
+    _add_estimator_flags(cen, "--kind")
     cen.add_argument("--out", default=None)
     cen.add_argument("--format", choices=("csv", "json"), default="csv")
     cen.add_argument("--seed", type=int, default=0)
@@ -144,25 +156,24 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _centrality_vector(args, a_hat, seed):
-    kind = args.kind if hasattr(args, "kind") else args.centrality
-    if kind == "degree":
-        return degree(a_hat)
-    if kind == "diffusion":
-        params = DiffusionParams(delta=args.delta, T=args.T, delta_rule=args.delta_rule)
-        return diffusion(a_hat, params)
-    scaling = ScalingPolicy(kind=args.scaling, a=args.scale_a)
-    if kind == "eigenvector":
-        return eigenvector_centrality(a_hat, scaling, seed=seed)
-    if args.reg_mode == "oracle":
-        if args.reg_p is None:
-            raise CentregError("--reg-p is required for oracle regularization")
-        spec = RegularizationSpec(mode="oracle", p_n=args.reg_p)
+def _emit(out, text: str) -> None:
+    """Write text to the --out file, or print it."""
+    if out:
+        Path(out).write_text(text)
     else:
-        if args.reg_M is None:
-            raise CentregError("--reg-M is required for plug-in regularization")
-        spec = RegularizationSpec(mode="plug-in", M=args.reg_M)
-    return regularized_eigenvector_centrality(a_hat, scaling, spec, seed=seed)
+        print(text)
+
+
+def _emit_csv(out, header, rows) -> None:
+    """Write a CSV table to the --out file, or to stdout."""
+    fh = open(out, "w", newline="") if out else sys.stdout
+    try:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if out:
+            fh.close()
 
 
 def _endpoints(iv) -> list:
@@ -175,31 +186,15 @@ def _cmd_regress(args) -> int:
         ids, y = read_outcomes(args.outcomes)
         order = np.argsort(ids)
         ids, y = ids[order], y[order]
+        est = _estimator(args)
         a_hat = binary_matrix_from_files(args.edges, ids)
-        c_hat = _centrality_vector(args, a_hat, args.seed)
-
-        mode = args.mode
-        if mode is None:
-            mode = {
-                "degree": "noisy-degree",
-                "diffusion": "noisy-diffusion",
-                "eigenvector": "noisy-eigenvector-corollary-5",
-                "regularized-eigenvector": "noisy-eigenvector-corollary-5",
-            }[args.centrality]
-        fit = inference.ols(y, c_hat, mode=mode)
-
-        if args.centrality == "degree":
-            inference.degree_bias_variance(a_hat, fit)
-        elif args.centrality == "diffusion":
-            params = DiffusionParams(delta=args.delta, T=args.T, delta_rule=args.delta_rule)
-            inference.diffusion_bias_variance(a_hat, params, fit)
-        else:
-            inference.eigen_bias_variance(c_hat.lambda1, c_hat, a_hat, fit)
+        c_hat = est.centrality(a_hat, seed=args.seed)
+        fit = est.fit(y, a_hat, c_hat)
 
         beta0s = args.beta0 if args.beta0 else [0.0]
         alphas = args.alpha if args.alpha else [0.05]
         payload = fit.to_json_dict()
-        payload["centrality"] = args.centrality
+        payload["centrality"] = est.kind
         payload["tests"] = []
         for b0 in beta0s:
             tr = inference.test_beta(fit, b0, alphas=alphas)
@@ -225,17 +220,10 @@ def _cmd_regress(args) -> int:
                 }
             )
         text = json.dumps(payload, indent=1, default=float, allow_nan=False)
-    except (CentregError, ValueError) as exc:
+    except (CentregError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    _emit(args.out, text)
     return EXIT_OK
 
 
@@ -244,40 +232,26 @@ def _cmd_centrality(args) -> int:
         from .io import read_edge_list
         from .graph_model import SymmetricBinaryMatrix
 
+        est = _estimator(args)
         rows, cols = read_edge_list(args.edges)
         n = args.n if args.n is not None else (int(max(rows.max(), cols.max())) + 1 if len(rows) else 0)
         if n < 2:
             print("error: need at least two nodes", file=sys.stderr)
             return EXIT_USAGE
         a_hat = SymmetricBinaryMatrix.from_edges(n, rows, cols)
-        vec = _centrality_vector(args, a_hat, args.seed)
+        vec = est.centrality(a_hat, seed=args.seed)
         if args.format == "json":
             payload = {"recipe": vec.recipe, "values": [float(v) for v in vec.values]}
             if vec.lambda1 is not None:
                 payload["lambda1"] = vec.lambda1
             text = json.dumps(payload, indent=1, allow_nan=False)
-    except (CentregError, ValueError) as exc:
+    except (CentregError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
     if args.format == "json":
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            print(text)
+        _emit(args.out, text)
     else:
-        out = sys.stdout if not args.out else open(args.out, "w", newline="")
-        try:
-            writer = csv.writer(out)
-            writer.writerow(["id", "value"])
-            for i, v in enumerate(vec.values):
-                writer.writerow([i, repr(float(v))])
-        finally:
-            if args.out:
-                out.close()
+        _emit_csv(args.out, ["id", "value"], ([i, repr(float(v))] for i, v in enumerate(vec.values)))
     return EXIT_OK
 
 
@@ -324,20 +298,9 @@ def _cmd_derive(args) -> int:
         header = ["T", "t", "delta_power", "coefficient"]
 
     if args.format == "json":
-        text = json.dumps(rows, indent=1, allow_nan=False)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            print(text)
+        _emit(args.out, json.dumps(rows, indent=1, allow_nan=False))
     else:
-        out = sys.stdout if not args.out else open(args.out, "w", newline="")
-        try:
-            writer = csv.DictWriter(out, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
-        finally:
-            if args.out:
-                out.close()
+        _emit_csv(args.out, header, ([row[k] for k in header] for row in rows))
 
     if mismatches:
         print(f"verification FAILED for {what} at {mismatches}", file=sys.stderr)

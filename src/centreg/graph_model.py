@@ -143,31 +143,34 @@ class BlockWeightedMatrix:
 class SymmetricBinaryMatrix:
     """Observed adjacency: CSR over the upper triangle, entries implicitly 1.
 
+    Build it with ``from_edges`` or ``from_dense``, the one path that brings
+    ``upper`` to canonical form (strictly upper, sorted, no repeats, data 1).
     The symmetrized CSR (used by matrix-vector products) is built lazily and
     cached; both representations are immutable once constructed.
     """
 
     def __init__(self, n: int, upper: sp.csr_matrix):
-        upper = sp.triu(upper, k=1).tocsr().astype(np.float64)
-        upper.data[:] = 1.0
-        upper.eliminate_zeros()
         self.n = int(n)
         self.upper = upper
         self._full = None
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymmetricBinaryMatrix":
+        """Every nonzero above the diagonal is an edge."""
         dense = np.asarray(dense)
-        return cls(dense.shape[0], sp.csr_matrix(np.triu(dense, k=1)))
+        return cls.from_edges(dense.shape[0], *np.nonzero(np.triu(dense, k=1)))
 
     @classmethod
     def from_edges(cls, n: int, rows: Sequence[int], cols: Sequence[int]) -> "SymmetricBinaryMatrix":
+        """Edges in either orientation; self-loops are dropped and repeats merged."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        data = np.ones(len(lo))
-        upper = sp.csr_matrix((data, (lo, hi)), shape=(n, n))
+        if (lo == hi).any():
+            lo, hi = lo[lo != hi], hi[lo != hi]
+        upper = sp.csr_matrix((np.ones(len(lo)), (lo, hi)), shape=(n, n))
         upper.sum_duplicates()
+        upper.data[:] = 1.0
         return cls(n, upper)
 
     @property
@@ -475,9 +478,7 @@ def observe(a: Union[BlockWeightedMatrix, SymmetricWeightedMatrix], seed: int) -
     n = a.n
     if isinstance(a, BlockWeightedMatrix):
         return SymmetricBinaryMatrix.from_edges(n, *_sample_block_edges(a, rng))
-    draw = rng.random((n, n)) < a.entries
-    upper = sp.csr_matrix(np.triu(draw, k=1).astype(np.float64))
-    return SymmetricBinaryMatrix(n, upper)
+    return SymmetricBinaryMatrix.from_dense(rng.random((n, n)) < a.entries)
 
 
 def _sample_block_edges(a: BlockWeightedMatrix, rng: np.random.Generator):

@@ -38,6 +38,7 @@ __all__ = [
     "degree_bias_variance",
     "diffusion_bias_variance",
     "eigen_bias_variance",
+    "statistic",
     "test_beta",
     "confidence",
     "bias_correct",
@@ -174,16 +175,6 @@ def ols(
     )
 
 
-def _edge_moments(a_hat: SymmetricBinaryMatrix, max_power: int) -> list:
-    """moments[r] = iota' Ahat^r iota for r = 0..max_power, via mat-vecs."""
-    v = np.ones(a_hat.n)
-    moments = [float(a_hat.n)]
-    for _ in range(max_power):
-        v = a_hat.matvec(v)
-        moments.append(float(v.sum()))
-    return moments
-
-
 def degree_bias_variance(a_hat: SymmetricBinaryMatrix, fit: RegressionFit) -> Tuple[float, float]:
     """Theorem-level estimators for the degree regression.
 
@@ -272,33 +263,41 @@ def eigen_bias_variance(
 # tests
 
 
-def _sd(fit: RegressionFit, name: str) -> float:
-    value = getattr(fit, name)
+def _sd(value, name: str):
+    """Square root of a variance component.
+
+    One fit's component must be present and positive; arrays of Monte Carlo
+    draws pass NaN through.
+    """
     if value is None:
         raise MissingComponents(f"nonzero null requires {name} (run the bias/variance estimator)")
-    if not value > 0.0:
+    if np.ndim(value) == 0 and not value > 0.0:
         raise DegenerateVariance(f"{name} = {value:g}: the test statistic has no scale")
-    return math.sqrt(value)
+    return np.sqrt(value)
 
 
-def _statistic(fit: RegressionFit, beta0: float) -> Tuple[float, str]:
-    mode = fit.mode
+def statistic(mode: str, beta0: float, beta_hat, V0_hat, B_hat=None, V_hat=None):
+    """The statistic for H0: beta = beta0 in ``mode``, and the branch taken.
+
+    Components are one fit's scalars or equal-length arrays of Monte Carlo
+    draws; ``test_beta`` and the simulation tables both call this.
+    """
     if mode == "no-error":
-        return (fit.beta_hat - beta0) / _sd(fit, "V0_hat"), "robust"
+        return (beta_hat - beta0) / _sd(V0_hat, "V0_hat"), "robust"
     if beta0 == 0.0:
-        return fit.beta_hat / _sd(fit, "V0_hat"), "null-zero"
+        return beta_hat / _sd(V0_hat, "V0_hat"), "null-zero"
     if mode == "noisy-eigenvector-corollary-5":
         # with a_n = sqrt(lambda1(Ahat)) the bias is lower order; the robust
         # t applies to nonzero nulls as well
-        return (fit.beta_hat - beta0) / _sd(fit, "V0_hat"), "corollary-5"
-    if fit.B_hat is None:
+        return (beta_hat - beta0) / _sd(V0_hat, "V0_hat"), "corollary-5"
+    if B_hat is None:
         raise MissingComponents("nonzero null requires B_hat (run the bias/variance estimator)")
-    centered = fit.beta_hat - beta0 * (1.0 - fit.B_hat)
+    centered = beta_hat - beta0 * (1.0 - B_hat)
     if mode == "noisy-eigenvector-case-a":
-        return centered / _sd(fit, "V0_hat"), "null-nonzero"
+        return centered / _sd(V0_hat, "V0_hat"), "null-nonzero"
     if mode == "noisy-eigenvector-case-b":
-        return centered / _sd(fit, "V_hat"), "null-nonzero"
-    return centered / (beta0 * _sd(fit, "V_hat")), "null-nonzero"
+        return centered / _sd(V_hat, "V_hat"), "null-nonzero"
+    return centered / (beta0 * _sd(V_hat, "V_hat")), "null-nonzero"
 
 
 def test_beta(
@@ -316,7 +315,7 @@ def test_beta(
     """
     if sided not in ("two", "left", "right"):
         raise ConfigMismatch(f"sided must be two|left|right, got {sided!r}")
-    stat, branch = _statistic(fit, beta0)
+    stat, branch = statistic(fit.mode, beta0, fit.beta_hat, fit.V0_hat, fit.B_hat, fit.V_hat)
     if sided == "two":
         p = 2.0 * (1.0 - ndtr(abs(stat)))
     elif sided == "right":

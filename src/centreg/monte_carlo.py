@@ -18,12 +18,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import inference
-from .centrality import (
+# ``regularize`` is not called here but stays a name of this module:
+# perfbench/tracing.py wraps the centrality layer by these module attributes
+from .centrality import (  # noqa: F401
+    CentralityVector,
     DiffusionParams,
     RegularizationSpec,
     ScalingPolicy,
@@ -32,13 +35,15 @@ from .centrality import (
     eigenvector_centrality,
     leading_eigenpair,
     regularize,
+    regularized_eigenvector_centrality,
 )
-from .errors import CentregError, ConfigMismatch
+from .errors import CentregError
 from .graph_model import Graphon, SparsityRule, build_true_adjacency, observe, sample_latent
 from .io import write_edge_list
 from .walks import reference_b
 
 __all__ = [
+    "Estimator",
     "ExperimentConfig",
     "CellResult",
     "ExperimentResult",
@@ -50,7 +55,10 @@ __all__ = [
     "write_outputs",
 ]
 
-_ESTIMATOR_KINDS = ("degree", "diffusion", "eigenvector", "regularized-eigenvector")
+ESTIMATOR_KINDS = ("degree", "diffusion", "eigenvector", "regularized-eigenvector")
+DELTA_RULES = ("fixed", "inverse-lambda1", "inverse-sqrt-lambda1")
+SCALINGS = ("sqrt-lambda1", "sqrt-n", "fixed")
+REG_MODES = ("oracle", "plug-in")
 
 
 class ConfigError(ValueError):
@@ -61,6 +69,113 @@ class ConfigError(ValueError):
         self.pointer = pointer
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# field -> (accepts, expectation) for the optional spec fields
+_SPEC_CHECKS = {
+    "delta": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "T": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an integer >= 1"),
+    "delta_rule": (lambda v: v in DELTA_RULES, f"one of {DELTA_RULES}"),
+    "scaling": (lambda v: v in SCALINGS, f"one of {SCALINGS}"),
+    "a": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "reg_mode": (lambda v: v in REG_MODES, f"one of {REG_MODES}"),
+    "p_n": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "M": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "mode": (lambda v: v in inference.MODES, f"one of {inference.MODES}"),
+}
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator: its centrality, inference mode and bias/variance estimator.
+
+    The fields are those of an ``estimators`` entry in the experiment JSON
+    and of the ``regress``/``centrality`` flags.  ``mode`` defaults by kind;
+    for both eigenvector kinds it is ``noisy-eigenvector-corollary-5`` under
+    sqrt-lambda1 scaling and ``noisy-eigenvector-case-a`` otherwise.  An
+    oracle regularization without ``p_n`` uses the cell's sparsity scale.
+    """
+
+    kind: str = "degree"
+    delta: float = 1.0
+    T: int = 2
+    delta_rule: str = "fixed"
+    scaling: str = "sqrt-lambda1"
+    a: Optional[float] = None
+    reg_mode: str = "oracle"
+    p_n: Optional[float] = None
+    M: Optional[float] = None
+    mode: Optional[str] = None
+
+    def __post_init__(self):
+        if self.mode is None:
+            mode = {"degree": "noisy-degree", "diffusion": "noisy-diffusion"}.get(self.kind)
+            if mode is None:
+                mode = "noisy-eigenvector-" + ("corollary-5" if self.scaling == "sqrt-lambda1" else "case-a")
+            object.__setattr__(self, "mode", mode)
+
+    @classmethod
+    def from_spec(cls, spec, where: Callable[[str], str]) -> "Estimator":
+        """Validate a spec mapping; ``where(field)`` names a bad field in the error."""
+        if not isinstance(spec, dict) or spec.get("kind") not in ESTIMATOR_KINDS:
+            raise ConfigError(where("kind"), f"expected one of {ESTIMATOR_KINDS}")
+        given = {k: v for k, v in spec.items() if k in _SPEC_CHECKS and v is not None}
+        for name, value in given.items():
+            accepts, expected = _SPEC_CHECKS[name]
+            if not accepts(value):
+                raise ConfigError(where(name), f"expected {expected}, got {value!r}")
+        est = cls(kind=spec["kind"], **given)
+        if est.spectral and est.scaling == "fixed" and est.a is None:
+            raise ConfigError(where("a"), "fixed scaling needs a")
+        if est.kind == "regularized-eigenvector" and est.reg_mode == "plug-in" and est.M is None:
+            raise ConfigError(where("M"), "plug-in regularization needs M")
+        return est
+
+    @property
+    def label(self) -> str:
+        if self.kind == "diffusion":
+            return f"diffusion(delta={self.delta},T={self.T})"
+        if self.spectral:
+            return f"{self.kind}({self.scaling})"
+        return self.kind
+
+    @property
+    def spectral(self) -> bool:
+        return self.kind in ("eigenvector", "regularized-eigenvector")
+
+    @property
+    def scaling_policy(self) -> ScalingPolicy:
+        return ScalingPolicy(kind=self.scaling, a=self.a)
+
+    @property
+    def diffusion_params(self) -> DiffusionParams:
+        return DiffusionParams(delta=self.delta, T=self.T, delta_rule=self.delta_rule)
+
+    def centrality(self, m, p: Optional[float] = None, **eig_kwargs) -> CentralityVector:
+        """This estimator's centrality of ``m``; ``p`` stands in for a missing oracle p_n."""
+        if self.kind == "degree":
+            return degree(m)
+        if self.kind == "diffusion":
+            return diffusion(m, self.diffusion_params)
+        if self.kind == "eigenvector":
+            return eigenvector_centrality(m, self.scaling_policy, **eig_kwargs)
+        spec = RegularizationSpec(self.reg_mode, p_n=self.p_n if self.p_n is not None else p, M=self.M)
+        return regularized_eigenvector_centrality(m, self.scaling_policy, spec, **eig_kwargs)
+
+    def fit(self, y, a_hat, c_hat: CentralityVector) -> inference.RegressionFit:
+        """OLS of y on c_hat in this estimator's mode, with B_hat and V_hat filled in."""
+        fit = inference.ols(y, c_hat, mode=self.mode)
+        if self.kind == "degree":
+            inference.degree_bias_variance(a_hat, fit)
+        elif self.kind == "diffusion":
+            inference.diffusion_bias_variance(a_hat, self.diffusion_params, fit, reference_b(self.T))
+        else:
+            inference.eigen_bias_variance(c_hat.lambda1, c_hat, a_hat, fit)
+        return fit
+
+
 @dataclass
 class ExperimentConfig:
     graphon: Graphon
@@ -69,7 +184,8 @@ class ExperimentConfig:
     beta_true: float = 1.0
     beta0_grid: List[float] = field(default_factory=lambda: [0.0, 1.0])
     alpha_grid: List[float] = field(default_factory=lambda: [0.05])
-    estimators: List[dict] = field(default_factory=lambda: [{"kind": "degree"}])
+    # Estimator objects; spec dicts are validated into Estimators on construction
+    estimators: List[Estimator] = field(default_factory=lambda: [Estimator()])
     sigma: float = 1.0
     replications: int = 1000
     master_seed: int = 0
@@ -79,14 +195,24 @@ class ExperimentConfig:
     eig_max_iter: int = 50_000
     eig_tol: float = 1e-10
 
+    def __post_init__(self):
+        if not isinstance(self.estimators, list) or not self.estimators:
+            raise ConfigError("/estimators", "must be a nonempty list")
+        self.estimators = [
+            e if isinstance(e, Estimator) else Estimator.from_spec(e, lambda name: f"/estimators/{k}/{name}")
+            for k, e in enumerate(self.estimators)
+        ]
+        labels = [e.label for e in self.estimators]
+        for k, label in enumerate(labels):
+            if labels.index(label) < k:
+                raise ConfigError(f"/estimators/{k}", f"duplicate label {label!r}, as /estimators/{labels.index(label)}")
+
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         def need(key, typ, pointer):
             if key not in d:
                 raise ConfigError(pointer, "missing required field")
             val = d[key]
-            if typ is float and isinstance(val, int):
-                val = float(val)
             if not isinstance(val, typ):
                 raise ConfigError(pointer, f"expected {typ.__name__}, got {type(val).__name__}")
             return val
@@ -110,13 +236,6 @@ class ExperimentConfig:
         except CentregError as exc:
             raise ConfigError("/sparsity", str(exc)) from exc
 
-        estimators = d.get("estimators", [{"kind": "degree"}])
-        if not isinstance(estimators, list) or not estimators:
-            raise ConfigError("/estimators", "must be a nonempty list")
-        for k, est in enumerate(estimators):
-            if not isinstance(est, dict) or est.get("kind") not in _ESTIMATOR_KINDS:
-                raise ConfigError(f"/estimators/{k}/kind", f"expected one of {_ESTIMATOR_KINDS}")
-
         reps = d.get("replications", 1000)
         if not isinstance(reps, int) or reps < 1:
             raise ConfigError("/replications", f"expected integer >= 1, got {reps!r}")
@@ -135,7 +254,7 @@ class ExperimentConfig:
             beta_true=float(d.get("beta_true", 1.0)),
             beta0_grid=[float(b) for b in d.get("beta0_grid", [0.0, 1.0])],
             alpha_grid=[float(a) for a in d.get("alpha_grid", [0.05])],
-            estimators=estimators,
+            estimators=d.get("estimators", [{"kind": "degree"}]),
             sigma=sigma,
             replications=reps,
             master_seed=int(d.get("master_seed", 0)),
@@ -155,17 +274,6 @@ class ExperimentConfig:
             return cls.from_json_dict(json.load(fh))
 
 
-def _estimator_label(est: dict) -> str:
-    kind = est["kind"]
-    if kind == "diffusion":
-        return f"diffusion(delta={est.get('delta', 1.0)},T={est.get('T', 2)})"
-    if kind == "eigenvector":
-        return f"eigenvector({est.get('scaling', 'sqrt-lambda1')})"
-    if kind == "regularized-eigenvector":
-        return f"regularized-eigenvector({est.get('scaling', 'sqrt-lambda1')})"
-    return kind
-
-
 @dataclass
 class CellResult:
     """Per-replication draws for one (n, p) cell, shared across estimators."""
@@ -181,6 +289,8 @@ class CellResult:
     # one record per failure, in the order of ``failures``: the exception
     # message and, for NoConvergence, the last residual
     failure_detail: List[dict] = field(default_factory=list)
+    # label -> inference mode, the key of the "ours" statistic
+    modes: Dict[str, str] = field(default_factory=dict)
 
     def ok_mask(self, label: str) -> np.ndarray:
         return ~np.isnan(self.draws[label]["beta_hat"])
@@ -201,6 +311,7 @@ class ExperimentResult:
                     "n": c.n,
                     "p": c.p,
                     "estimators": c.estimators,
+                    "modes": c.modes,
                     "failures": {
                         label: sum(1 for _, l, _ in c.failures if l == label)
                         for label in c.estimators
@@ -231,131 +342,58 @@ _DRAW_KEYS = (
 )
 
 
-def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: int):
+def _draw(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: int, noisy: bool = True):
+    """Replication rep's true A, observed Ahat (None unless noisy) and outcome noise."""
     ss = np.random.SeedSequence(entropy=(cfg.master_seed, cell_index, rep))
     seed_latent, seed_obs, seed_eps = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
-
-    u = sample_latent(n, seed_latent)
-    a_true = build_true_adjacency(cfg.graphon, u, p)
-    a_hat = observe(a_true, seed_obs) if cfg.fit_noisy else None
+    a_true = build_true_adjacency(cfg.graphon, sample_latent(n, seed_latent), p)
+    a_hat = observe(a_true, seed_obs) if noisy else None
     eps = np.random.default_rng(np.random.SeedSequence(seed_eps)).standard_normal(n) * cfg.sigma
+    return a_true, a_hat, eps
 
+
+def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: int):
+    a_true, a_hat, eps = _draw(cfg, n, p, cell_index, rep, cfg.fit_noisy)
     out: Dict[str, Dict[str, float]] = {}
-    failures: List[Tuple[str, str, str, Optional[float]]] = []
+    failures: List[dict] = []  # manifest failure records, less the replication
     eig_kwargs = {"max_iter": cfg.eig_max_iter, "tol": cfg.eig_tol}
+    true_pair = []  # leading eigenpair of A, solved once for every eigenvector-type estimator
 
     for est in cfg.estimators:
-        label = _estimator_label(est)
-        rec: Dict[str, float] = {k: np.nan for k in _DRAW_KEYS}
+        rec: Dict[str, float] = dict.fromkeys(_DRAW_KEYS, np.nan)
         try:
-            kind = est["kind"]
-            if a_hat is None:
-                # no-error benchmark only: fit on the true adjacency
-                c_true = _true_centrality(cfg, est, a_true, n, eig_kwargs)
-                y = cfg.beta_true * c_true.values + eps
+            c_hat = None if a_hat is None else est.centrality(a_hat, p, **eig_kwargs)
+            # outcomes come from the centrality on A; with Ahat observed, the
+            # eigenvector kinds scale v1(A) by the a_n resolved on Ahat
+            if est.spectral:
+                if not true_pair:
+                    true_pair.append(leading_eigenpair(a_true, **eig_kwargs))
+                lam_true, v_true = true_pair[0]
+                a_n = est.scaling_policy.resolve(n, lam_true if c_hat is None else c_hat.lambda1)
+                c_true, y = a_n * v_true, cfg.beta_true * a_n * v_true + eps
+            else:
+                c_true = est.centrality(a_true, p).values
+                y = cfg.beta_true * c_true + eps
+
+            if c_hat is not None:
+                fit = est.fit(y, a_hat, c_hat)
+                rec.update(beta_hat=fit.beta_hat, B_hat=fit.B_hat, V_hat=fit.V_hat, V0_hat=fit.V0_hat,
+                           ssq=fit.ssq_c, beta_check=np.nan if fit.beta_check is None else fit.beta_check)
+                if est.kind == "degree":
+                    # conditional center of the degree noise term, available because the
+                    # simulator knows A: E[iota' xi^2 iota | U] = sum_{i != j} A_ij (1 - A_ij)
+                    rec["oracle_center"] = a_true.noise_variance_total()
+                if est.spectral:
+                    rec["lambda1"] = c_hat.lambda1
+            if a_hat is None or cfg.fit_no_error:
                 fit_t = inference.ols(y, c_true, mode="no-error")
                 rec["beta_tilde"] = fit_t.beta_hat
                 rec["V0_tilde"] = fit_t.V0_hat
-                out[label] = rec
-                continue
-            if kind == "degree":
-                c_true = degree(a_true)
-                c_hat = degree(a_hat)
-                y = cfg.beta_true * c_true.values + eps
-                fit = inference.ols(y, c_hat, mode="noisy-degree")
-                inference.degree_bias_variance(a_hat, fit)
-                # conditional center of the degree noise term, available because the
-                # simulator knows A: E[iota' xi^2 iota | U] = sum_{i != j} A_ij (1 - A_ij)
-                rec["oracle_center"] = a_true.noise_variance_total()
-            elif kind == "diffusion":
-                params = DiffusionParams(
-                    delta=est.get("delta", 1.0),
-                    T=est.get("T", 2),
-                    delta_rule=est.get("delta_rule", "fixed"),
-                )
-                c_true = diffusion(a_true, params)
-                c_hat = diffusion(a_hat, params)
-                y = cfg.beta_true * c_true.values + eps
-                fit = inference.ols(y, c_hat, mode="noisy-diffusion")
-                inference.diffusion_bias_variance(a_hat, params, fit, reference_b(params.T))
-            elif kind == "eigenvector":
-                scaling = _scaling_from(est)
-                lam_hat, v_hat = leading_eigenpair(a_hat, **eig_kwargs)
-                a_n = scaling.resolve(n, lam_hat)
-                _, v_true = leading_eigenpair(a_true, **eig_kwargs)
-                y = cfg.beta_true * a_n * v_true + eps
-                mode = est.get("mode")
-                if mode is None:
-                    mode = (
-                        "noisy-eigenvector-corollary-5"
-                        if scaling.kind == "sqrt-lambda1"
-                        else "noisy-eigenvector-case-a"
-                    )
-                fit = inference.ols(y, a_n * v_hat, mode=mode)
-                fit.lambda1 = lam_hat
-                c_hat_vec = _as_centrality(a_n * v_hat, lam_hat)
-                inference.eigen_bias_variance(lam_hat, c_hat_vec, a_hat, fit)
-                rec["lambda1"] = lam_hat
-            elif kind == "regularized-eigenvector":
-                scaling = _scaling_from(est)
-                spec = _reg_spec_from(est, p)
-                reg = regularize(a_hat, spec)
-                lam_hat, v_hat = leading_eigenpair(reg, **eig_kwargs)
-                a_n = scaling.resolve(n, lam_hat)
-                _, v_true = leading_eigenpair(a_true, **eig_kwargs)
-                y = cfg.beta_true * a_n * v_true + eps
-                fit = inference.ols(y, a_n * v_hat, mode="noisy-eigenvector-corollary-5")
-                fit.lambda1 = lam_hat
-                c_hat_vec = _as_centrality(a_n * v_hat, lam_hat)
-                inference.eigen_bias_variance(lam_hat, c_hat_vec, a_hat, fit)
-                rec["lambda1"] = lam_hat
-            else:  # pragma: no cover - validated at config time
-                raise ConfigMismatch(f"unknown estimator kind {kind!r}")
-
-            rec["beta_hat"] = fit.beta_hat
-            rec["B_hat"] = np.nan if fit.B_hat is None else fit.B_hat
-            rec["V_hat"] = np.nan if fit.V_hat is None else fit.V_hat
-            rec["V0_hat"] = fit.V0_hat
-            rec["ssq"] = fit.ssq_c
-            bc = fit.beta_check
-            rec["beta_check"] = np.nan if bc is None else bc
-
-            if cfg.fit_no_error:
-                fit_t = inference.ols(cfg.beta_true * c_true.values + eps, c_true, mode="no-error")
-                rec["beta_tilde"] = fit_t.beta_hat
-                rec["V0_tilde"] = fit_t.V0_hat
         except CentregError as exc:
-            residual = _json_number(getattr(exc, "residual", None))
-            failures.append((label, type(exc).__name__, str(exc), residual))
-        out[label] = rec
+            failures.append({"estimator": est.label, "error": type(exc).__name__, "message": str(exc),
+                             "residual": _json_number(getattr(exc, "residual", None))})
+        out[est.label] = rec
     return rep, out, failures
-
-
-def _true_centrality(cfg, est, a_true, n, eig_kwargs):
-    kind = est["kind"]
-    if kind == "degree":
-        return degree(a_true)
-    if kind == "diffusion":
-        params = DiffusionParams(
-            delta=est.get("delta", 1.0), T=est.get("T", 2), delta_rule=est.get("delta_rule", "fixed")
-        )
-        return diffusion(a_true, params)
-    scaling = _scaling_from(est)
-    return eigenvector_centrality(a_true, scaling, **eig_kwargs)
-
-
-def _scaling_from(est: dict) -> ScalingPolicy:
-    kind = est.get("scaling", "sqrt-lambda1")
-    if kind == "fixed":
-        return ScalingPolicy(kind="fixed", a=float(est["a"]))
-    return ScalingPolicy(kind=kind)
-
-
-def _reg_spec_from(est: dict, p: float) -> RegularizationSpec:
-    mode = est.get("reg_mode", "oracle")
-    if mode == "oracle":
-        return RegularizationSpec(mode="oracle", p_n=float(est.get("p_n", p)))
-    return RegularizationSpec(mode="plug-in", M=float(est["M"]))
 
 
 def _json_number(x):
@@ -363,12 +401,6 @@ def _json_number(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
-
-
-def _as_centrality(values, lam):
-    from .centrality import CentralityVector
-
-    return CentralityVector(values=values, recipe={"kind": "eigenvector"}, lambda1=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +417,7 @@ def run_cell(
     """Run all replications of one (n, p) cell; failures never abort the cell."""
     p = cfg.sparsity.resolve(n)
     reps = rep_range if rep_range is not None else range(cfg.replications)
-    labels = [_estimator_label(e) for e in cfg.estimators]
+    labels = [e.label for e in cfg.estimators]
     draws = {label: {k: np.full(len(reps), np.nan) for k in _DRAW_KEYS} for label in labels}
     detail: List[dict] = []
 
@@ -400,16 +432,7 @@ def run_cell(
         for label, rec in out.items():
             for key, val in rec.items():
                 draws[label][key][pos] = val
-        for label, err, message, residual in fails:
-            detail.append(
-                {
-                    "replication": rep,
-                    "estimator": label,
-                    "error": err,
-                    "message": message,
-                    "residual": residual,
-                }
-            )
+        detail.extend({"replication": rep, **f} for f in fails)
 
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
@@ -432,6 +455,7 @@ def run_cell(
         failures=[(d["replication"], d["estimator"], d["error"]) for d in detail],
         runtime=time.perf_counter() - start,
         failure_detail=detail,
+        modes={e.label: e.mode for e in cfg.estimators},
     )
 
 
@@ -446,25 +470,16 @@ def run_experiment(cfg: ExperimentConfig, threads: Optional[int] = None) -> Expe
 # post-hoc statistics (deterministic functions of the stored draws)
 
 
-def _statistics_for(label: str, d: Dict[str, np.ndarray], beta0: float):
-    """(ours, robust) statistic arrays for testing H0: beta = beta0."""
-    beta = d["beta_hat"]
-    robust = (beta - beta0) / np.sqrt(d["V0_hat"])
-    if beta0 == 0.0:
-        return robust, robust
-    if label.startswith("eigenvector") or label.startswith("regularized"):
-        ours = robust  # corollary-5 regime: robust t is the proposed statistic
-    else:
-        ours = (beta - beta0 * (1.0 - d["B_hat"])) / (beta0 * np.sqrt(d["V_hat"]))
-    return ours, robust
-
-
 def rejection_table(
     cell: CellResult,
     beta0_grid: Sequence[float],
     alpha_grid: Sequence[float],
 ) -> List[dict]:
-    """Rejection frequencies per (estimator, statistic, beta0, alpha)."""
+    """Rejection frequencies per (estimator, statistic, beta0, alpha).
+
+    "ours" is ``inference.statistic`` in the estimator's mode, the statistic
+    ``test_beta`` computes; "robust" is the robust t (the no-error mode).
+    """
     from scipy.special import ndtri
 
     rows = []
@@ -472,12 +487,13 @@ def rejection_table(
         d = cell.draws[label]
         ok = cell.ok_mask(label)
         n_ok = int(ok.sum())
+        parts = {key: d[key][ok] for key in ("beta_hat", "V0_hat", "B_hat", "V_hat")}
         for beta0 in beta0_grid:
-            ours, robust = _statistics_for(label, d, beta0)
-            for stat_name, stat in (("ours", ours), ("robust", robust)):
+            for stat_name, mode in (("ours", cell.modes[label]), ("robust", "no-error")):
+                stat, _ = inference.statistic(mode, beta0, **parts)
                 for alpha in alpha_grid:
                     z = ndtri(1.0 - alpha / 2.0)
-                    rej = np.abs(stat[ok]) >= z
+                    rej = np.abs(stat) >= z
                     rate = float(rej.mean()) if n_ok else float("nan")
                     se = float(np.sqrt(rate * (1 - rate) / n_ok)) if n_ok else float("nan")
                     rows.append(
@@ -535,6 +551,8 @@ def attenuation_study(cfg: ExperimentConfig, threads: Optional[int] = None) -> L
 # ---------------------------------------------------------------------------
 # file outputs
 
+_DIST_KEYS = ("beta_hat", "beta_check", "B_hat", "V_hat", "V0_hat")
+
 
 def write_outputs(
     result: ExperimentResult,
@@ -581,18 +599,9 @@ def write_outputs(
             path = out_dir / f"dist_{safe}_n{cell.n}.csv"
             with open(path, "w", newline="") as fh:
                 writer = _csv.writer(fh)
-                writer.writerow(["replication", "beta_hat", "beta_check", "B_hat", "V_hat", "V0_hat"])
+                writer.writerow(["replication", *_DIST_KEYS])
                 for r in range(cell.replications):
-                    writer.writerow(
-                        [
-                            r,
-                            d["beta_hat"][r],
-                            d["beta_check"][r],
-                            d["B_hat"][r],
-                            d["V_hat"][r],
-                            d["V0_hat"][r],
-                        ]
-                    )
+                    writer.writerow([r, *(d[key][r] for key in _DIST_KEYS)])
             written.append(str(path))
 
     manifest = result.manifest()
@@ -605,11 +614,7 @@ def write_outputs(
         gdir.mkdir(exist_ok=True)
         for cell in result.cells:
             p = cell.p
-            ss = np.random.SeedSequence(entropy=(cfg.master_seed, cell.cell_index, 0))
-            seed_latent, seed_obs, _ = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
-            u = sample_latent(cell.n, seed_latent)
-            a_true = build_true_adjacency(cfg.graphon, u, p)
-            a_hat = observe(a_true, seed_obs)
+            _, a_hat, _ = _draw(cfg, cell.n, cell.p, cell.cell_index, 0)
             path = gdir / f"cell{cell.cell_index}_rep0.csv"
             write_edge_list(a_hat, path)
             written.append(str(path))

@@ -220,3 +220,79 @@ def test_seed_reproducibility(tmp_path):
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "123"]) == 0
         outs.append((out_dir / "size.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _simulate_with(tmp_path, estimators):
+    cfg = {
+        "graphon": {"kind": "constant", "c": 1.0},
+        "n_grid": [60],
+        "sparsity": {"kind": "constant", "p": 0.2},
+        "replications": 3,
+        "master_seed": 5,
+        "estimators": estimators,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    return main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]), out_dir
+
+
+@pytest.mark.parametrize(
+    "estimators,pointer",
+    [
+        ([{"kind": "eigenvector", "scaling": "bogus"}], "/estimators/0/scaling"),
+        ([{"kind": "diffusion", "delta": 5}], "/estimators/0/delta"),
+        ([{"kind": "diffusion", "T": 1.5}], "/estimators/0/T"),
+        ([{"kind": "regularized-eigenvector", "reg_mode": "plug-in"}], "/estimators/0/M"),
+        ([{"kind": "eigenvector", "scaling": "fixed"}], "/estimators/0/a"),
+        ([{"kind": "degree"}, {"kind": "degree", "mode": "noisy-sideways"}], "/estimators/1/mode"),
+        (
+            [{"kind": "eigenvector", "scaling": "fixed", "a": 2}, {"kind": "eigenvector", "scaling": "fixed", "a": 5}],
+            "/estimators/1: duplicate label 'eigenvector(fixed)'",
+        ),
+    ],
+    ids=["scaling", "delta", "T", "plug-in-M", "fixed-a", "mode", "duplicate"],
+)
+def test_simulate_bad_estimator_spec_exit_two(tmp_path, capsys, estimators, pointer):
+    code, out_dir = _simulate_with(tmp_path, estimators)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert pointer in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,flag",
+    [
+        (["--kind", "eigenvector", "--scaling", "fixed"], "--scale-a"),
+        (["--kind", "regularized-eigenvector"], "--reg-p"),
+        (["--kind", "regularized-eigenvector", "--reg-mode", "plug-in"], "--reg-M"),
+        (["--kind", "diffusion", "--delta", "2"], "--delta"),
+    ],
+)
+def test_centrality_bad_estimator_flags_exit_two(tmp_path, capsys, flags, flag):
+    edges, _ = write_k3(tmp_path)
+    code = main(["centrality", "--edges", str(edges), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert flag in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "scaling,mode",
+    [("sqrt-n", "noisy-eigenvector-case-a"), ("sqrt-lambda1", "noisy-eigenvector-corollary-5")],
+)
+def test_regress_reports_the_mode_simulate_uses(tmp_path, scaling, mode):
+    edges, outcomes = write_k3(tmp_path)
+    out = tmp_path / "fit.json"
+    assert main(["regress", "--edges", str(edges), "--outcomes", str(outcomes),
+                 "--centrality", "eigenvector", "--scaling", scaling, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mode"] == mode
+
+    code, out_dir = _simulate_with(tmp_path, [{"kind": "eigenvector", "scaling": scaling}])
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["cells"][0]["modes"] == {f"eigenvector({scaling})": mode}

@@ -249,3 +249,21 @@ def test_block_edge_counts_match_binomial():
             got = counts[:, x, y]
             assert abs(got.mean() - mean) <= 5 * np.sqrt(var / reps), (x, y)
             assert abs(got.var(ddof=1) / var - 1.0) <= 5 * np.sqrt(2.0 / (reps - 1)), (x, y)
+
+
+def test_from_edges_normalizes_like_from_dense():
+    # reversed pairs, repeats and self-loops reduce to the same canonical CSR
+    rng = np.random.default_rng(7)
+    n = 30
+    dense = np.triu(rng.random((n, n)) < 0.2, k=1)
+    dense = dense | dense.T
+    lo, hi = np.nonzero(np.triu(dense, k=1))
+    flip = rng.random(len(lo)) < 0.5
+    rows = np.concatenate([np.where(flip, hi, lo), hi[:10], [3, 3, 17]])
+    cols = np.concatenate([np.where(flip, lo, hi), lo[:10], [3, 3, 17]])
+    got = SymmetricBinaryMatrix.from_edges(n, rows, cols)
+    want = SymmetricBinaryMatrix.from_dense(dense)
+    for attr in ("indices", "indptr", "data"):
+        assert np.array_equal(getattr(got.upper, attr), getattr(want.upper, attr)), attr
+    assert got.upper.has_canonical_format and np.all(got.upper.data == 1.0)
+    assert np.array_equal(got.toarray(), dense.astype(np.float64))

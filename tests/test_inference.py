@@ -375,3 +375,68 @@ def test_fit_serialization_fields():
     }
     assert d["attenuation"] == pytest.approx(0.5)
     assert d["beta_check"] == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# properties: C inverts the test, C_star is a sorted disjoint union
+
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
+
+from centreg.inference import MODES, Interval, _merge, statistic
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=300, deadline=None)
+@given(
+    beta_hat=st.floats(-5.0, 5.0, **_finite),
+    V0=st.floats(1e-3, 4.0, **_finite),
+    B=st.floats(-1.0, 3.0, **_finite),
+    V=st.floats(1e-3, 4.0, **_finite),
+    beta0=st.floats(-5.0, 5.0, **_finite).filter(lambda b: abs(b) > 1e-3),
+    alpha=st.floats(0.01, 0.3, **_finite),
+)
+def test_c_is_the_set_the_two_sided_test_keeps(mode, beta_hat, V0, B, V, beta0, alpha):
+    if mode in ("noisy-eigenvector-case-a", "noisy-eigenvector-case-b"):
+        # _invert_linear returns the whole line once 1 - B_hat <= 0
+        assume(B < 0.999)
+    fit = make_fit(beta_hat=beta_hat, V0=V0, B=B, V=V, mode=mode)
+    result = test_beta(fit, beta0, alphas=(alpha,))
+    z = float(ndtri(1.0 - alpha / 2.0))
+    assume(abs(abs(result.statistic) - z) > 1e-6 * z)  # away from the boundary
+    iv = confidence(fit, alpha)
+    assert any(piece.contains(beta0) for piece in iv.c) == (not result.reject_at[alpha])
+    pieces = iv.c_star
+    assert all(p.lo <= p.hi for p in pieces)
+    assert all(a.hi < b.lo for a, b in zip(pieces, pieces[1:]))
+
+
+_ends = st.floats(-10.0, 10.0, **_finite)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ends, _ends), min_size=1, max_size=3), st.lists(_ends, max_size=20))
+def test_merge_gives_sorted_disjoint_union(ends, probes):
+    ivs = [Interval(min(a, b), max(a, b)) for a, b in ends]
+    merged = _merge(ivs[0], tuple(ivs[1:]))
+    assert all(p.lo <= p.hi for p in merged)
+    assert all(a.hi < b.lo for a, b in zip(merged, merged[1:]))
+    for x in probes + [e for iv in ivs for e in (iv.lo, iv.hi)]:
+        assert any(p.contains(x) for p in merged) == any(iv.contains(x) for iv in ivs)
+
+
+def test_statistic_takes_draw_arrays():
+    # the Monte Carlo tables call statistic on arrays; element k equals the
+    # scalar statistic of draw k, and a failed draw's NaN passes through
+    beta_hat = np.array([0.9, 1.1, np.nan])
+    V0, B, V = np.array([0.04, 0.09, np.nan]), np.array([0.2, 0.1, np.nan]), np.array([0.05, 0.02, np.nan])
+    for mode in MODES:
+        stats, _ = statistic(mode, 1.0, beta_hat, V0, B, V)
+        for k in range(2):
+            one, _ = statistic(mode, 1.0, beta_hat[k], V0[k], B[k], V[k])
+            assert stats[k] == one
+        assert np.isnan(stats[2])

@@ -151,6 +151,10 @@ def test_write_outputs_files(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["master_seed"] == cfg.master_seed
     assert str(cfg.n_grid[0]) in manifest["resolved_p"]
+    assert manifest["cells"][0]["modes"] == {
+        "degree": "noisy-degree",
+        "diffusion(delta=1.0,T=2)": "noisy-diffusion",
+    }
     header = (tmp_path / "size.csv").read_text().splitlines()[0]
     assert header == "n,p,estimator,beta0,alpha,reject_rate,se,failures"
     assert (tmp_path / "graphs" / "cell0_rep0.csv").exists()
@@ -195,3 +199,152 @@ def test_block_graphon_cell_never_builds_dense_a(monkeypatch):
         assert np.isfinite(cell.draws[label]["beta_hat"]).all()
         assert np.isfinite(cell.draws[label]["beta_tilde"]).all()
     assert np.isfinite(cell.draws["degree"]["oracle_center"]).all()
+
+
+# ---------------------------------------------------------------------------
+# one estimator spec, one statistic
+
+
+def _replication_draws(cfg, n, p, rep, cell_index=0):
+    """A, Ahat and eps of one replication, from the documented stream layout."""
+    from centreg import build_true_adjacency, observe, sample_latent
+
+    ss = np.random.SeedSequence(entropy=(cfg.master_seed, cell_index, rep))
+    seed_latent, seed_obs, seed_eps = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
+    a_true = build_true_adjacency(cfg.graphon, sample_latent(n, seed_latent), p)
+    eps = np.random.default_rng(np.random.SeedSequence(seed_eps)).standard_normal(n) * cfg.sigma
+    return a_true, observe(a_true, seed_obs), eps
+
+
+_TILDE_SPECS = [
+    {"kind": "diffusion", "delta": 0.5, "T": 2},
+    {"kind": "eigenvector", "scaling": "sqrt-lambda1"},
+    {"kind": "eigenvector", "scaling": "sqrt-n"},
+    {"kind": "regularized-eigenvector", "scaling": "sqrt-lambda1"},
+]
+
+
+@pytest.mark.parametrize(
+    "estimators",
+    [[{"kind": "degree"}]]
+    + [[spec] for spec in _TILDE_SPECS]
+    + [[{"kind": "degree"}, spec] for spec in _TILDE_SPECS],
+    ids=lambda ests: "+".join(e["kind"] + e.get("scaling", "") for e in ests),
+)
+def test_beta_tilde_regresses_y_on_the_centrality_that_generated_it(estimators):
+    from centreg import leading_eigenpair, ols
+
+    n, reps = 60, 4
+    cfg = small_config(n_grid=[n], replications=reps, fit_no_error=True, estimators=estimators)
+    cell = run_cell(cfg, n)
+    est = cfg.estimators[-1]
+    eig = {"max_iter": cfg.eig_max_iter, "tol": cfg.eig_tol}
+    for rep in range(reps):
+        a_true, a_hat, eps = _replication_draws(cfg, n, cell.p, rep)
+        if est.spectral:
+            # outcomes scale v1(A) by the a_n of the fit on Ahat
+            a_n = est.centrality(a_hat, cell.p, **eig).recipe["a_n"]
+            c_true = a_n * leading_eigenpair(a_true, **eig)[1]
+        else:
+            c_true = est.centrality(a_true).values
+        want = ols(cfg.beta_true * c_true + eps, c_true, mode="no-error")
+        assert cell.draws[est.label]["beta_tilde"][rep] == pytest.approx(want.beta_hat, rel=1e-12)
+        assert cell.draws[est.label]["V0_tilde"][rep] == pytest.approx(want.V0_hat, rel=1e-12)
+
+
+def test_true_eigenpair_solved_once_per_replication(monkeypatch):
+    from centreg import monte_carlo
+
+    specs = [
+        {"kind": "eigenvector", "scaling": "sqrt-lambda1"},
+        {"kind": "regularized-eigenvector", "scaling": "sqrt-n"},
+    ]
+    real = monte_carlo.leading_eigenpair
+    true_solves = []
+
+    def counting(m, *args, **kwargs):
+        true_solves.append(isinstance(m, BlockWeightedMatrix))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(monte_carlo, "leading_eigenpair", counting)
+    cfg = small_config(n_grid=[80], replications=5, estimators=specs)
+    both = run_cell(cfg, 80)
+    assert sum(true_solves) == cfg.replications
+    monkeypatch.undo()
+
+    # the shared solve leaves every draw as it is with each estimator alone
+    for spec in specs:
+        alone = run_cell(small_config(n_grid=[80], replications=5, estimators=[spec]), 80)
+        label = alone.estimators[0]
+        for key, values in alone.draws[label].items():
+            assert np.array_equal(values, both.draws[label][key], equal_nan=True), (label, key)
+
+
+# one estimator per inference mode, the last two by override
+MODE_SPECS = [
+    {"kind": "degree"},
+    {"kind": "diffusion", "delta": 0.5, "T": 2},
+    {"kind": "eigenvector", "scaling": "sqrt-lambda1"},
+    {"kind": "eigenvector", "scaling": "sqrt-n"},
+    {"kind": "regularized-eigenvector", "scaling": "sqrt-n", "mode": "noisy-eigenvector-case-b"},
+    {"kind": "eigenvector", "scaling": "fixed", "a": 5, "mode": "no-error"},
+]
+
+
+def test_rejection_table_is_test_beta_on_the_stored_draws():
+    from centreg import test_beta
+    from centreg.inference import MODES, RegressionFit
+
+    n = 60
+    cfg = small_config(n_grid=[n], replications=40, estimators=MODE_SPECS)
+    cell = run_cell(cfg, n)
+    assert sorted(cell.modes.values()) == sorted(MODES)
+    rows = rejection_table(cell, [0.0, 0.8, 1.0, -1.5], [0.05, 0.2])
+    assert len(rows) == len(MODE_SPECS) * 2 * 4 * 2
+    for row in rows:
+        label, statistic = row["estimator"].rsplit(":", 1)
+        mode = cell.modes[label] if statistic == "ours" else "no-error"
+        d = cell.draws[label]
+        rejects = []
+        for r in np.flatnonzero(cell.ok_mask(label)):
+            fit = RegressionFit(
+                beta_hat=d["beta_hat"][r], ssq_c=d["ssq"][r], residuals=np.empty(0),
+                V0_hat=d["V0_hat"][r], mode=mode, n=n, B_hat=d["B_hat"][r], V_hat=d["V_hat"][r],
+            )
+            rejects.append(test_beta(fit, row["beta0"], alphas=(row["alpha"],)).reject_at[row["alpha"]])
+        assert row["reject_rate"] == np.mean(rejects), row
+
+
+def test_estimator_specs_parse_once_with_their_modes():
+    from centreg import Estimator
+
+    cfg = small_config(estimators=MODE_SPECS)
+    assert all(isinstance(e, Estimator) for e in cfg.estimators)
+    assert [e.mode for e in cfg.estimators] == [
+        "noisy-degree",
+        "noisy-diffusion",
+        "noisy-eigenvector-corollary-5",
+        "noisy-eigenvector-case-a",
+        "noisy-eigenvector-case-b",
+        "no-error",
+    ]
+    assert [e.label for e in cfg.estimators] == [
+        "degree",
+        "diffusion(delta=0.5,T=2)",
+        "eigenvector(sqrt-lambda1)",
+        "eigenvector(sqrt-n)",
+        "regularized-eigenvector(sqrt-n)",
+        "eigenvector(fixed)",
+    ]
+
+
+def test_duplicate_estimator_labels_rejected():
+    with pytest.raises(ConfigError) as err:
+        small_config(
+            estimators=[
+                {"kind": "eigenvector", "scaling": "fixed", "a": 2},
+                {"kind": "eigenvector", "scaling": "fixed", "a": 5},
+            ]
+        )
+    assert err.value.pointer == "/estimators/1"
+    assert "eigenvector(fixed)" in str(err.value)
