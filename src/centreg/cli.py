@@ -6,10 +6,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -26,7 +24,7 @@ from .centrality import (  # noqa: F401
     regularized_eigenvector_centrality,
 )
 from .errors import BudgetExceeded, CentregError
-from .io import binary_matrix_from_files, read_outcomes
+from .io import binary_matrix_from_files, read_outcomes, write_table
 from .monte_carlo import (
     DELTA_RULES,
     ESTIMATOR_KINDS,
@@ -94,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--beta0", type=float, action="append", default=None)
     reg.add_argument("--alpha", type=float, action="append", default=None)
     reg.add_argument("--out", default=None, help="output file (default stdout)")
-    reg.add_argument("--format", choices=("json", "csv"), default="json")
     reg.add_argument("--seed", type=int, default=0)
 
     cen = sub.add_parser("centrality", help="compute a centrality vector from an edge list")
@@ -138,11 +135,8 @@ def _cmd_simulate(args) -> int:
 
     if args.seed is not None:
         cfg.master_seed = args.seed
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("CENTREG_THREADS", "1"))
 
-    result = run_experiment(cfg, threads=threads)
+    result = run_experiment(cfg, threads=args.threads)
     write_outputs(result, args.out, fmt=args.format, dump_graph=args.dump_graph)
 
     fully_failed = [
@@ -162,18 +156,6 @@ def _emit(out, text: str) -> None:
         Path(out).write_text(text)
     else:
         print(text)
-
-
-def _emit_csv(out, header, rows) -> None:
-    """Write a CSV table to the --out file, or to stdout."""
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
 
 
 def _endpoints(iv) -> list:
@@ -251,7 +233,7 @@ def _cmd_centrality(args) -> int:
     if args.format == "json":
         _emit(args.out, text)
     else:
-        _emit_csv(args.out, ["id", "value"], ([i, repr(float(v))] for i, v in enumerate(vec.values)))
+        write_table(args.out, ["id", "value"], ([i, repr(float(v))] for i, v in enumerate(vec.values)))
     return EXIT_OK
 
 
@@ -300,7 +282,7 @@ def _cmd_derive(args) -> int:
     if args.format == "json":
         _emit(args.out, json.dumps(rows, indent=1, allow_nan=False))
     else:
-        _emit_csv(args.out, header, ([row[k] for k in header] for row in rows))
+        write_table(args.out, header, ([row[k] for k in header] for row in rows))
 
     if mismatches:
         print(f"verification FAILED for {what} at {mismatches}", file=sys.stderr)

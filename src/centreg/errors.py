@@ -64,6 +64,10 @@ class ZeroRegressor(CentregError):
     """Centrality vector is identically zero; OLS undefined."""
 
 
+class NonFiniteCentrality(CentregError):
+    """Centrality value is NaN or infinite; OLS undefined."""
+
+
 class ConfigMismatch(CentregError):
     """Inconsistent (delta, T) configuration between centrality and coefficients."""
 

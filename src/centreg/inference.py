@@ -23,6 +23,7 @@ from .errors import (
     DegenerateVariance,
     InvalidLevel,
     MissingComponents,
+    NonFiniteCentrality,
     NonpositiveAttenuation,
     ZeroRegressor,
 )
@@ -152,6 +153,9 @@ def ols(
     values = np.asarray(c, dtype=np.float64)
     if y.shape != values.shape:
         raise ConfigMismatch(f"outcome length {y.shape} != centrality length {values.shape}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise NonFiniteCentrality(f"centrality {bad[0]} is {values[bad[0]]}, not finite")
     if demean:
         y = y - y.mean()
         values = values - values.mean()
@@ -397,21 +401,26 @@ def confidence(
 
 
 def _invert_linear(fit: RegressionFit, z: float, sided: str) -> Tuple[Interval, ...]:
-    """Invert the eigenvector statistics whose denominator is free of beta0."""
+    """Invert the eigenvector statistics whose denominator is free of beta0.
+
+    With a = 1 - B_hat the statistic is (beta_hat - beta0 a) / sd; a negative
+    a flips the bounds, and a = 0 keeps every beta0 or none (an empty tuple).
+    """
     if fit.B_hat is None:
         raise MissingComponents("confidence set requires B_hat")
     if fit.mode == "noisy-eigenvector-case-b" and fit.V_hat is None:
         raise MissingComponents("case-b confidence set requires V_hat")
     sd = math.sqrt(fit.V0_hat if fit.mode == "noisy-eigenvector-case-a" else fit.V_hat)
-    atten = 1.0 - fit.B_hat
-    if atten <= 0.0:
-        return (Interval(-math.inf, math.inf),)
+    b, atten = fit.beta_hat, 1.0 - fit.B_hat
+    if atten == 0.0:
+        keeps = {"two": abs(b) <= z * sd, "upper": b >= -z * sd, "lower": b <= z * sd}[sided]
+        return (Interval(-math.inf, math.inf),) if keeps else ()
     if sided == "two":
-        lo, hi = (fit.beta_hat - z * sd) / atten, (fit.beta_hat + z * sd) / atten
-        return (Interval(lo, hi),)
-    if sided == "upper":
-        return (Interval(-math.inf, (fit.beta_hat + z * sd) / atten),)
-    return (Interval((fit.beta_hat - z * sd) / atten, math.inf),)
+        return (Interval(*sorted(((b - z * sd) / atten, (b + z * sd) / atten))),)
+    end = (b + z * sd) / atten if sided == "upper" else (b - z * sd) / atten
+    if (sided == "upper") == (atten > 0.0):
+        return (Interval(-math.inf, end),)
+    return (Interval(end, math.inf),)
 
 
 def _invert_debiased(fit: RegressionFit, z: float, sided: str) -> Tuple[Tuple[Interval, ...], bool]:

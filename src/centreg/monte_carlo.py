@@ -39,7 +39,7 @@ from .centrality import (  # noqa: F401
 )
 from .errors import CentregError
 from .graph_model import Graphon, SparsityRule, build_true_adjacency, observe, sample_latent
-from .io import write_edge_list
+from .io import write_edge_list, write_table
 from .walks import reference_b
 
 __all__ = [
@@ -136,7 +136,8 @@ class Estimator:
     @property
     def label(self) -> str:
         if self.kind == "diffusion":
-            return f"diffusion(delta={self.delta},T={self.T})"
+            rule = f"delta={self.delta}" if self.delta_rule == "fixed" else f"delta_rule={self.delta_rule}"
+            return f"diffusion({rule},T={self.T})"
         if self.spectral:
             return f"{self.kind}({self.scaling})"
         return self.kind
@@ -191,7 +192,7 @@ class ExperimentConfig:
     master_seed: int = 0
     fit_no_error: bool = False
     fit_noisy: bool = True
-    threads: int = 1
+    threads: int = 0  # 0: CENTREG_THREADS, else 1
     eig_max_iter: int = 50_000
     eig_tol: float = 1e-10
 
@@ -561,8 +562,6 @@ def write_outputs(
     dump_graph: bool = False,
 ) -> List[str]:
     """Write size.csv, power.csv, per-estimator draw files, and manifest.json."""
-    import csv as _csv
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = result.config
@@ -583,10 +582,7 @@ def write_outputs(
             rows = [{k: _json_number(v) for k, v in row.items()} for row in rows]
             path.write_text(json.dumps(rows, indent=1, allow_nan=False))
         else:
-            with open(path, "w", newline="") as fh:
-                writer = _csv.DictWriter(fh, fieldnames=header)
-                writer.writeheader()
-                writer.writerows(rows)
+            write_table(path, header, ([row[k] for k in header] for row in rows))
         written.append(str(path))
 
     emit("size.csv", size_rows)
@@ -597,11 +593,8 @@ def write_outputs(
             d = cell.draws[label]
             safe = label.replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
             path = out_dir / f"dist_{safe}_n{cell.n}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = _csv.writer(fh)
-                writer.writerow(["replication", *_DIST_KEYS])
-                for r in range(cell.replications):
-                    writer.writerow([r, *(d[key][r] for key in _DIST_KEYS)])
+            rows = ([r, *(d[key][r] for key in _DIST_KEYS)] for r in range(cell.replications))
+            write_table(path, ["replication", *_DIST_KEYS], rows)
             written.append(str(path))
 
     manifest = result.manifest()

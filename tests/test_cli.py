@@ -127,6 +127,39 @@ def test_regress_duplicate_edge_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command,bad",
+    [("regress", "edges"), ("regress", "outcomes"), ("centrality", "edges")],
+)
+def test_id_beyond_int64_exit_two(tmp_path, capsys, command, bad):
+    edges, outcomes = write_k3(tmp_path)
+    big = "99999999999999999999"
+    if bad == "edges":
+        edges.write_text(f"i,j\n0,1\n{big},1\n")
+    else:
+        outcomes.write_text(f"id,y\n0,1\n{big},1\n")
+    argv = [command, "--edges", str(edges)]
+    if command == "regress":
+        argv += ["--outcomes", str(outcomes)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    path = edges if bad == "edges" else outcomes
+    assert captured.err.startswith(f"error: {path}:3: ") and "Traceback" not in captured.err
+
+
+def test_regress_has_no_format_flag(tmp_path, capsys):
+    edges, outcomes = write_k3(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["regress", "--edges", str(edges), "--outcomes", str(outcomes), "--format", "csv"])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert err.startswith("usage: centreg") and "unrecognized arguments: --format csv" in err
+    assert "Traceback" not in err
+
+
 def test_centrality_subcommand(tmp_path):
     edges, _ = write_k3(tmp_path)
     out = tmp_path / "cent.csv"
@@ -296,3 +329,53 @@ def test_regress_reports_the_mode_simulate_uses(tmp_path, scaling, mode):
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["cells"][0]["modes"] == {f"eigenvector({scaling})": mode}
+
+
+@pytest.mark.parametrize(
+    "config_threads,flags,env,pools",
+    [
+        (3, [], None, [3]),
+        (3, ["--threads", "1"], None, []),
+        (None, ["--threads", "2"], None, [2]),
+        (None, [], "2", [2]),
+        (3, [], "2", [3]),
+        (None, [], None, []),
+    ],
+    ids=["config", "flag-over-config", "flag", "env", "config-over-env", "serial"],
+)
+def test_simulate_thread_count(tmp_path, monkeypatch, config_threads, flags, env, pools):
+    # the count comes from --threads, else the config, else CENTREG_THREADS, else 1
+    import centreg.monte_carlo as mc
+
+    seen = []
+
+    class SpyPool(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", SpyPool)
+    if env is None:
+        monkeypatch.delenv("CENTREG_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CENTREG_THREADS", env)
+    cfg = {
+        "graphon": {"kind": "constant", "c": 1.0},
+        "n_grid": [40],
+        "sparsity": {"kind": "constant", "p": 0.2},
+        "replications": 4,
+        "master_seed": 8,
+        "estimators": [{"kind": "degree"}],
+    }
+    if config_threads is not None:
+        cfg["threads"] = config_threads
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *flags]) == 0
+    assert seen == pools
+    serial = tmp_path / "serial"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(serial), "--threads", "1"]) == 0
+    tables = sorted(p.name for p in serial.glob("*.csv"))
+    assert len(tables) == 3
+    for name in tables:
+        assert (tmp_path / "out" / name).read_bytes() == (serial / name).read_bytes()

@@ -23,6 +23,7 @@ from centreg import (
 )
 from centreg.errors import (
     MissingComponents,
+    NonFiniteCentrality,
     NonpositiveAttenuation,
     InvalidLevel,
     ZeroRegressor,
@@ -66,6 +67,12 @@ def test_ols_perfect_fit():
 def test_ols_k3_example():
     fit = ols(np.array([1.0, 2.0, 3.0]), degree(K3))
     assert fit.beta_hat == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_ols_rejects_non_finite_centrality(bad):
+    with pytest.raises(NonFiniteCentrality, match="centrality 1 "):
+        ols([1.0, 2.0, 3.0], [1.0, bad, 2.0])
 
 
 def test_ols_orthogonal_outcome():
@@ -316,6 +323,21 @@ def test_confidence_wraps_when_denominators_straddle():
     assert iv.c[0].lo == -math.inf and iv.c[1].hi == math.inf
 
 
+@pytest.mark.parametrize("mode", ["noisy-eigenvector-case-a", "noisy-eigenvector-case-b"])
+def test_linear_confidence_beyond_full_attenuation(mode):
+    # 1 - B_hat = -0.5: the set flips to [(b + z sd) / a, (b - z sd) / a]
+    z = float(ndtri(0.975))
+    fit = make_fit(beta_hat=1.0, V0=0.04, B=1.5, V=0.04, mode=mode)
+    iv = confidence(fit, 0.05)
+    assert iv.c == (Interval((1.0 + 0.2 * z) / -0.5, (1.0 - 0.2 * z) / -0.5),)
+    assert test_beta(fit, 10.0).reject_at[0.05]
+    assert not test_beta(fit, -2.0).reject_at[0.05]
+    # 1 - B_hat = 0: the statistic is beta_hat / sd for every beta0
+    assert confidence(make_fit(beta_hat=1.0, V0=0.04, B=1.0, V=0.04, mode=mode), 0.05).c == ()
+    wide = confidence(make_fit(beta_hat=0.1, V0=0.04, B=1.0, V=0.04, mode=mode), 0.05)
+    assert wide.c == (Interval(-math.inf, math.inf),)
+
+
 def test_confidence_invalid_level():
     fit = make_fit(beta_hat=1.0, B=0.1, V=0.1)
     for alpha in (0.0, 1.0, -0.5):
@@ -401,9 +423,6 @@ _finite = dict(allow_nan=False, allow_infinity=False)
     alpha=st.floats(0.01, 0.3, **_finite),
 )
 def test_c_is_the_set_the_two_sided_test_keeps(mode, beta_hat, V0, B, V, beta0, alpha):
-    if mode in ("noisy-eigenvector-case-a", "noisy-eigenvector-case-b"):
-        # _invert_linear returns the whole line once 1 - B_hat <= 0
-        assume(B < 0.999)
     fit = make_fit(beta_hat=beta_hat, V0=V0, B=B, V=V, mode=mode)
     result = test_beta(fit, beta0, alphas=(alpha,))
     z = float(ndtri(1.0 - alpha / 2.0))
@@ -413,6 +432,26 @@ def test_c_is_the_set_the_two_sided_test_keeps(mode, beta_hat, V0, B, V, beta0, 
     pieces = iv.c_star
     assert all(p.lo <= p.hi for p in pieces)
     assert all(a.hi < b.lo for a, b in zip(pieces, pieces[1:]))
+
+
+@pytest.mark.parametrize("mode", ["noisy-eigenvector-case-a", "noisy-eigenvector-case-b"])
+@pytest.mark.parametrize("sided,test_side", [("upper", "left"), ("lower", "right")])
+@settings(max_examples=200, deadline=None)
+@given(
+    beta_hat=st.floats(-5.0, 5.0, **_finite),
+    V=st.floats(1e-3, 4.0, **_finite),
+    B=st.floats(-1.0, 3.0, **_finite),
+    beta0=st.floats(-5.0, 5.0, **_finite).filter(lambda b: abs(b) > 1e-3),
+    alpha=st.floats(0.01, 0.3, **_finite),
+)
+def test_linear_one_sided_c_is_the_set_the_test_keeps(mode, sided, test_side, beta_hat, V, B, beta0, alpha):
+    # an upper bound keeps what the left-sided test keeps, a lower bound the right-sided
+    fit = make_fit(beta_hat=beta_hat, V0=V, B=B, V=V, mode=mode)
+    result = test_beta(fit, beta0, sided=test_side, alphas=(alpha,))
+    z = float(ndtri(1.0 - alpha))
+    assume(abs(abs(result.statistic) - z) > 1e-6 * z)
+    iv = confidence(fit, alpha, sided=sided)
+    assert any(piece.contains(beta0) for piece in iv.c) == (not result.reject_at[alpha])
 
 
 _ends = st.floats(-10.0, 10.0, **_finite)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centreg import Graphon, SymmetricBinaryMatrix
-from centreg.errors import DuplicateEdge, IdMismatch
+from centreg.errors import DuplicateEdge, IdMismatch, NonFiniteOutcome
+from centreg.graph_model import SymmetricWeightedMatrix
 from centreg.io import (
     binary_matrix_from_files,
     graphon_from_json,
@@ -75,8 +78,6 @@ def test_binary_matrix_from_files_id_checks(tmp_path):
 
 
 def test_weighted_matrix_round_trip(tmp_path):
-    from centreg.graph_model import SymmetricWeightedMatrix
-
     dense = np.zeros((4, 4))
     dense[0, 1] = dense[1, 0] = 0.25
     dense[2, 3] = dense[3, 2] = 0.75
@@ -100,3 +101,175 @@ def test_graphon_json_from_file(tmp_path):
     path.write_text('{"kind":"constant","c":1.0}')
     g = graphon_from_json(path)
     assert g.kind == "constant"
+
+
+# ---------------------------------------------------------------------------
+# one bad row per file: the error class and the file:line it names
+
+
+def _edges(path):
+    return read_edge_list(path)
+
+
+def _outcomes(path):
+    return read_outcomes(path)
+
+
+def _weighted(path):
+    return read_weighted_matrix(path, 4)
+
+
+@pytest.mark.parametrize(
+    "read,text,error,where",
+    [
+        (_edges, "a,b\n0,1\n", ValueError, "f.csv: expected header 'i,j'"),
+        (_edges, "i,j\n0,1\n\n  \n1,x\n", ValueError, "f.csv:5: malformed"),
+        (_edges, "i,j\n0,1\n2\n", ValueError, "f.csv:3: malformed"),
+        (_edges, "i,j\n0,1\n2.0,3\n", ValueError, "f.csv:3: malformed"),
+        (_edges, "i,j\n0,1\n99999999999999999999,1\n", ValueError, "f.csv:3: malformed"),
+        (_edges, "i,j\n0,1\n\n-1,2\n", ValueError, "f.csv:4: node ids must be nonnegative"),
+        (_edges, "i,j\n0,1\n 3 , 3 \n", ValueError, "f.csv:3: self-loop 3,3"),
+        (_edges, "i,j\n0,1\n1,2\n\n0,1\n", DuplicateEdge, "f.csv:5: duplicate edge 0,1"),
+        (_edges, "i,j\n0,1\n1,2\n2,1\n0,1\n", DuplicateEdge, "f.csv:4: duplicate edge 2,1"),
+        (_outcomes, "id,z\n0,1\n", ValueError, "f.csv: expected header 'id,y'"),
+        (_outcomes, "id,y\n0,1\n1,abc\n", ValueError, "f.csv:3: malformed"),
+        (_outcomes, "id,y\n0,1\n-99999999999999999999,1\n", ValueError, "f.csv:3: malformed"),
+        (_outcomes, "id,y\n0,1\n\n1,nan\n", NonFiniteOutcome, "f.csv:4: outcome nan"),
+        (_outcomes, "id,y\n0,1\n1,-Infinity\n", NonFiniteOutcome, "f.csv:3: outcome -inf"),
+        (_outcomes, "id,y\n0,1\n1,2\n\n0,3\n", IdMismatch, "f.csv:5: repeated outcome id 0"),
+        (_weighted, "i,j\n0,1,0.5\n", ValueError, "f.csv: expected header 'i,j,w'"),
+        (_weighted, "i,j,w\n0,1,0.5\n1,2\n", ValueError, "f.csv:3: malformed"),
+        (_weighted, "i,j,w\n0,1,0.5\n1,4,1\n", IdMismatch, "f.csv:3: id outside [0, 4)"),
+        (_weighted, "i,j,w\n0,1,0.5\n\n-1,2,1\n", IdMismatch, "f.csv:4: id outside [0, 4)"),
+    ],
+)
+def test_single_defect_names_its_line(tmp_path, read, text, error, where):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        read(path)
+    assert type(err.value) is error
+    assert str(err.value).startswith(f"{tmp_path}/{where}")
+    if error is DuplicateEdge:
+        assert err.value.row == int(where.split(":")[1])
+
+
+def test_first_bad_row_is_named(tmp_path):
+    # the bisection over rows finds the earliest of several bad rows
+    path = tmp_path / "e.csv"
+    good = [f"{k},{k + 1}" for k in range(1000)]
+    good[700], good[400], good[999] = "x,1", "1,y", "2"
+    path.write_text("i,j\n" + "\n".join(good) + "\n")
+    with pytest.raises(ValueError, match=r"e\.csv:402: malformed row '1,y'"):
+        read_edge_list(path)
+
+
+def test_quoted_header_and_cells_and_extra_columns(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text('"I","j" ,note\n"0",1,x\r\n\t\n 5 ,2,y\n')
+    rows, cols = read_edge_list(path)
+    assert rows.tolist() == [0, 2] and cols.tolist() == [1, 5]
+
+
+def test_weighted_matrix_last_row_wins(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("i,j,w\n0,1,0.25\n1,0,0.5\n2,2,0.75\n2,3,0.125\n")
+    back = read_weighted_matrix(path, 4).entries
+    assert back[0, 1] == back[1, 0] == 0.5
+    assert back[2, 3] == back[3, 2] == 0.125
+    assert np.all(np.diag(back) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# round trips through files with blank lines, padding and reversed rows
+
+
+def _scramble(text, data, reverse):
+    """Pad every data row, reverse the chosen ones, and put blank lines between rows."""
+    lines = text.splitlines()
+    out = [lines[0]]
+    for line in lines[1:]:
+        out.extend(data.draw(st.lists(st.sampled_from(["", " ", "\t", "  "]), max_size=2)))
+        cells = line.split(",")
+        if reverse and data.draw(st.booleans()):
+            cells = cells[::-1]
+        pad = data.draw(st.sampled_from(["", " ", "  "]))
+        out.append(",".join(pad + c + pad for c in cells))
+    out.extend(data.draw(st.lists(st.sampled_from(["", " "]), max_size=2)))
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 25), data=st.data())
+def test_edge_list_round_trip_property(tmp_path_factory, n, data):
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda e: e[0] != e[1]), max_size=40))
+    rows = [min(e) for e in pairs]
+    cols = [max(e) for e in pairs]
+    m = SymmetricBinaryMatrix.from_edges(n, rows, cols)
+    path = tmp_path_factory.mktemp("edges") / "e.csv"
+    write_edge_list(m, path)
+    path.write_text(_scramble(path.read_text(), data, reverse=True))
+    got = read_edge_list(path)
+    want = m.edge_arrays()
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+def _edge_list_by_loop(lines):
+    """The row-by-row reader: (min, max) per row, or the line of the first repeat."""
+    seen, out = set(), []
+    for lineno, line in enumerate(lines, start=2):
+        i, j = (int(c) for c in line.split(","))
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            return lineno
+        seen.add(key)
+        out.append(key)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: e[0] != e[1]), max_size=30))
+def test_edge_list_reader_matches_row_loop(tmp_path_factory, pairs):
+    # repeats in either orientation: the same first repeated line as a row-by-row reader
+    lines = [f"{i},{j}" for i, j in pairs]
+    path = tmp_path_factory.mktemp("edges") / "e.csv"
+    path.write_text("i,j\n" + "".join(line + "\n" for line in lines))
+    want = _edge_list_by_loop(lines)
+    if isinstance(want, int):
+        with pytest.raises(DuplicateEdge) as err:
+            read_edge_list(path)
+        assert err.value.row == want
+    else:
+        rows, cols = read_edge_list(path)
+        assert list(zip(rows.tolist(), cols.tolist())) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_outcomes_round_trip_property(tmp_path_factory, data):
+    ids = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=30))
+    ys = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=len(ids), max_size=len(ids)))
+    path = tmp_path_factory.mktemp("outcomes") / "y.csv"
+    path.write_text("id,y\n" + "".join(f"{i},{y!r}\n" for i, y in zip(ids, ys)))
+    path.write_text(_scramble(path.read_text(), data, reverse=False))
+    got_ids, got_y = read_outcomes(path)
+    assert got_ids.dtype == np.int64 and got_y.dtype == np.float64
+    assert got_ids.tolist() == ids
+    assert np.array_equal(got_y, np.asarray(ys, dtype=np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_weighted_matrix_round_trip_property(tmp_path_factory, n, data):
+    w = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                           min_size=n * n, max_size=n * n))
+    upper = np.triu(np.asarray(w, dtype=np.float64).reshape(n, n), 1)
+    dense = upper + upper.T
+    path = tmp_path_factory.mktemp("weights") / "w.csv"
+    write_weighted_matrix(SymmetricWeightedMatrix(dense), path)
+    back = read_weighted_matrix(path, n).entries
+    assert np.array_equal(back, dense)

@@ -348,3 +348,13 @@ def test_duplicate_estimator_labels_rejected():
         )
     assert err.value.pointer == "/estimators/1"
     assert "eigenvector(fixed)" in str(err.value)
+
+
+def test_spectral_delta_rule_has_its_own_label():
+    cfg = small_config(
+        estimators=[{"kind": "diffusion"}, {"kind": "diffusion", "delta_rule": "inverse-lambda1"}]
+    )
+    assert [e.label for e in cfg.estimators] == [
+        "diffusion(delta=1.0,T=2)",
+        "diffusion(delta_rule=inverse-lambda1,T=2)",
+    ]
