@@ -171,16 +171,6 @@ def diffusion(m: Matrix, params: DiffusionParams) -> CentralityVector:
     )
 
 
-def _as_operator(m):
-    if hasattr(m, "matvec"):
-        return m.matvec, m.n, m.frobenius()
-    if sp.issparse(m):
-        mm = m.tocsr()
-        return (lambda v: mm @ v), m.shape[0], sp.linalg.norm(mm)
-    arr = np.asarray(m, dtype=np.float64)
-    return (lambda v: arr @ v), arr.shape[0], float(np.linalg.norm(arr))
-
-
 def leading_eigenpair(
     m: Matrix,
     tol: float = 1e-10,
@@ -196,7 +186,7 @@ def leading_eigenpair(
     the largest in absolute value, so the shifted iteration converges to
     the right pair.  Sign convention: sum(v) >= 0.
     """
-    matvec, n, normF = _as_operator(m)
+    matvec, n, normF = m.matvec, m.n, m.frobenius()
     if normF == 0.0:
         raise EmptyGraph("leading eigenpair of the zero matrix is undefined")
 
@@ -316,10 +306,6 @@ class RegularizedMatrix:
             out.flags.writeable = False
             self._entries = out
         return self._entries
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self.entries
 
 
 def regularize(m: SymmetricBinaryMatrix, spec: RegularizationSpec) -> RegularizedMatrix:

@@ -220,6 +220,11 @@ def _cmd_centrality(args) -> int:
         if n < 2:
             print("error: need at least two nodes", file=sys.stderr)
             return EXIT_USAGE
+        if n >= 2**31:
+            # scipy's CSR switches to int64 indices here, and its index arrays
+            # alone would already take 16 GB
+            print(f"error: node count {n} exceeds {2**31 - 1}", file=sys.stderr)
+            return EXIT_USAGE
         a_hat = SymmetricBinaryMatrix.from_edges(n, rows, cols)
         vec = est.centrality(a_hat, seed=args.seed)
         if args.format == "json":

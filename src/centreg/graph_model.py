@@ -81,10 +81,6 @@ class SymmetricWeightedMatrix:
         """sum_{i != j} A_ij (1 - A_ij), the summed variance of the observation noise."""
         return float(np.sum(self.entries * (1.0 - self.entries)))
 
-    @property
-    def dense(self) -> np.ndarray:
-        return self.entries
-
 
 class BlockWeightedMatrix:
     """Symmetric A with A_ij = q[b_i, b_j] for i != j and A_ii = 0.
@@ -134,10 +130,6 @@ class BlockWeightedMatrix:
             out.flags.writeable = False
             self._entries = out
         return self._entries
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self.entries
 
 
 class SymmetricBinaryMatrix:

@@ -280,28 +280,36 @@ def _sd(value, name: str):
     return np.sqrt(value)
 
 
+def _form(mode: str, B_hat, V0_hat, V_hat):
+    """(a, s, t, branch): for beta0 != 0 the statistic is (beta_hat - a beta0) / (s + t beta0).
+
+    ``a`` is the mode's attenuation; its scale is free of beta0 (``s``) or
+    proportional to it (``t``).  ``statistic`` evaluates this form and
+    ``confidence`` inverts it.
+    """
+    if mode in ("no-error", "noisy-eigenvector-corollary-5"):
+        # with a_n = sqrt(lambda1(Ahat)) the corollary-5 bias is lower order;
+        # the robust t applies to nonzero nulls as well
+        return 1.0, _sd(V0_hat, "V0_hat"), 0.0, "robust" if mode == "no-error" else "corollary-5"
+    if B_hat is None:
+        raise MissingComponents("nonzero null requires B_hat (run the bias/variance estimator)")
+    if mode == "noisy-eigenvector-case-a":
+        return 1.0 - B_hat, _sd(V0_hat, "V0_hat"), 0.0, "null-nonzero"
+    if mode == "noisy-eigenvector-case-b":
+        return 1.0 - B_hat, _sd(V_hat, "V_hat"), 0.0, "null-nonzero"
+    return 1.0 - B_hat, 0.0, _sd(V_hat, "V_hat"), "null-nonzero"
+
+
 def statistic(mode: str, beta0: float, beta_hat, V0_hat, B_hat=None, V_hat=None):
     """The statistic for H0: beta = beta0 in ``mode``, and the branch taken.
 
     Components are one fit's scalars or equal-length arrays of Monte Carlo
     draws; ``test_beta`` and the simulation tables both call this.
     """
-    if mode == "no-error":
-        return (beta_hat - beta0) / _sd(V0_hat, "V0_hat"), "robust"
-    if beta0 == 0.0:
+    if beta0 == 0.0 and mode != "no-error":
         return beta_hat / _sd(V0_hat, "V0_hat"), "null-zero"
-    if mode == "noisy-eigenvector-corollary-5":
-        # with a_n = sqrt(lambda1(Ahat)) the bias is lower order; the robust
-        # t applies to nonzero nulls as well
-        return (beta_hat - beta0) / _sd(V0_hat, "V0_hat"), "corollary-5"
-    if B_hat is None:
-        raise MissingComponents("nonzero null requires B_hat (run the bias/variance estimator)")
-    centered = beta_hat - beta0 * (1.0 - B_hat)
-    if mode == "noisy-eigenvector-case-a":
-        return centered / _sd(V0_hat, "V0_hat"), "null-nonzero"
-    if mode == "noisy-eigenvector-case-b":
-        return centered / _sd(V_hat, "V_hat"), "null-nonzero"
-    return centered / (beta0 * _sd(V_hat, "V_hat")), "null-nonzero"
+    a, s, t, branch = _form(mode, B_hat, V0_hat, V_hat)
+    return (beta_hat - a * beta0) / (s + t * beta0), branch
 
 
 def test_beta(
@@ -362,11 +370,13 @@ def confidence(
 ) -> IntervalUnion:
     """Build C0, C and their union C_star at level alpha.
 
-    C0 is the robust interval (or the singleton {0} under the
-    ``singleton-zero`` policy).  C inverts the de-biased test; when a
-    denominator 1 - B_hat -+ z sqrt(V_hat) is nonpositive the corresponding
-    side opens to infinity, and when the two denominators straddle zero the
-    set is the complement-shaped union of two half-lines (``wraps=True``).
+    C is the set of beta0 that the fit's ``statistic`` keeps: an interval, a
+    half-line, the real line, none (an empty tuple) or, for degree and
+    diffusion, the union of two half-lines (``wraps=True``).  C0 is the set
+    the robust t keeps (or the singleton {0} under the ``singleton-zero``
+    policy).  One-sided degree and diffusion bounds follow a convention
+    instead: the endpoint is beta_hat / (1 - B_hat - z sqrt(V_hat)), and a
+    nonpositive denominator opens the set to the real line.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidLevel(f"alpha must lie in (0, 1), got {alpha}")
@@ -376,96 +386,55 @@ def confidence(
         raise ConfigMismatch(f"interval sided must be two|upper|lower, got {sided!r}")
 
     z = float(ndtri(1.0 - alpha / 2.0)) if sided == "two" else float(ndtri(1.0 - alpha))
-    sd0 = math.sqrt(fit.V0_hat)
+    c_set = _invert(fit.beta_hat, _form(fit.mode, fit.B_hat, fit.V0_hat, fit.V_hat), z, sided)
     if c0_policy == "singleton-zero":
         c0 = Interval(0.0, 0.0)
-    elif sided == "two":
-        c0 = Interval(fit.beta_hat - z * sd0, fit.beta_hat + z * sd0)
-    elif sided == "upper":
-        c0 = Interval(-math.inf, fit.beta_hat + z * sd0)
     else:
-        c0 = Interval(fit.beta_hat - z * sd0, math.inf)
-
-    if fit.mode in ("no-error", "noisy-eigenvector-corollary-5"):
-        # robust interval doubles as C
-        c_set, wraps = (c0,), False
-    elif fit.mode in ("noisy-eigenvector-case-a", "noisy-eigenvector-case-b"):
-        c_set, wraps = _invert_linear(fit, z, sided), False
-    else:
-        if fit.B_hat is None or fit.V_hat is None:
-            raise MissingComponents("confidence set requires B_hat and V_hat")
-        c_set, wraps = _invert_debiased(fit, z, sided)
-
+        (c0,) = _invert(fit.beta_hat, _form("no-error", None, fit.V0_hat, None), z, sided)
     star = _merge(c0, c_set)
-    return IntervalUnion(c0=c0, c=c_set, c_star=star, alpha=alpha, wraps=wraps)
+    return IntervalUnion(c0=c0, c=c_set, c_star=star, alpha=alpha, wraps=len(c_set) == 2)
 
 
-def _invert_linear(fit: RegressionFit, z: float, sided: str) -> Tuple[Interval, ...]:
-    """Invert the eigenvector statistics whose denominator is free of beta0.
+_REAL = Interval(-math.inf, math.inf)
 
-    With a = 1 - B_hat the statistic is (beta_hat - beta0 a) / sd; a negative
-    a flips the bounds, and a = 0 keeps every beta0 or none (an empty tuple).
+
+def _invert(beta_hat, form, z: float, sided: str) -> Tuple[Interval, ...]:
+    """The beta0 that the test of ``form`` keeps at critical value z.
+
+    Two-sided, |b - a x| <= z |s + t x| factors as (p1 - q1 x)(p2 - q2 x) <= 0;
+    an upper bound keeps p2 - q2 x >= 0 and a lower bound p1 - q1 x <= 0.
     """
-    if fit.B_hat is None:
-        raise MissingComponents("confidence set requires B_hat")
-    if fit.mode == "noisy-eigenvector-case-b" and fit.V_hat is None:
-        raise MissingComponents("case-b confidence set requires V_hat")
-    sd = math.sqrt(fit.V0_hat if fit.mode == "noisy-eigenvector-case-a" else fit.V_hat)
-    b, atten = fit.beta_hat, 1.0 - fit.B_hat
-    if atten == 0.0:
-        keeps = {"two": abs(b) <= z * sd, "upper": b >= -z * sd, "lower": b <= z * sd}[sided]
-        return (Interval(-math.inf, math.inf),) if keeps else ()
-    if sided == "two":
-        return (Interval(*sorted(((b - z * sd) / atten, (b + z * sd) / atten))),)
-    end = (b + z * sd) / atten if sided == "upper" else (b - z * sd) / atten
-    if (sided == "upper") == (atten > 0.0):
-        return (Interval(-math.inf, end),)
-    return (Interval(end, math.inf),)
+    a, s, t = (float(v) for v in form[:3])
+    b = float(beta_hat)
+    p1, q1 = b - z * s, a + z * t
+    p2, q2 = b + z * s, a - z * t
+    if sided != "two" and t:
+        # the degree/diffusion convention, not an inversion of the statistic
+        if q2 <= 0.0:
+            return (_REAL,)
+        return (Interval(-math.inf, b / q2),) if sided == "upper" else (Interval(b / q2, math.inf),)
+    if sided != "two":
+        return _keeps(-1.0, p2, q2) if sided == "upper" else _keeps(1.0, p1, q1)
+    if q1 == 0.0:
+        return _keeps(p1, p2, q2)
+    if q2 == 0.0:
+        return _keeps(p2, p1, q1)
+    lo, hi = sorted((p1 / q1, p2 / q2))
+    if (q1 > 0.0) != (q2 > 0.0):
+        # the product opens downward: all but the gap between the roots
+        return (Interval(-math.inf, lo), Interval(hi, math.inf)) if lo < hi else (_REAL,)
+    # + 0.0: the point {0} of a degree or diffusion fit with beta_hat = 0 reads 0.0, not -0.0
+    return (Interval(lo, hi) if lo < hi else Interval(lo + 0.0, hi + 0.0),)
 
 
-def _invert_debiased(fit: RegressionFit, z: float, sided: str) -> Tuple[Tuple[Interval, ...], bool]:
-    b = fit.beta_hat
-    atten = 1.0 - fit.B_hat
-    sd = math.sqrt(fit.V_hat)
-
-    if sided in ("upper", "lower"):
-        # one-sided bound per the usual modification: the finite endpoint is
-        # beta_hat / (1 - B_hat - z sqrt(V)); nonpositive denominator opens
-        # the interval completely
-        d = atten - z * sd
-        if d <= 0:
-            return (Interval(-math.inf, math.inf),), False
-        end = b / d
-        if sided == "upper":
-            return (Interval(-math.inf, end),), False
-        return (Interval(end, math.inf),), False
-
-    d_plus = atten + z * sd
-    d_minus = atten - z * sd
-
-    if b == 0.0:
-        # statistic reduces to |1 - B_hat| / sqrt(V_hat) for every beta0
-        if abs(atten) <= z * sd:
-            return (Interval(-math.inf, math.inf),), False
-        return (Interval(0.0, 0.0),), False
-
-    if d_minus > 0.0:
-        lo, hi = sorted((b / d_plus, b / d_minus))
-        return (Interval(lo, hi),), False
-    if d_minus == 0.0:
-        if b > 0:
-            return (Interval(b / d_plus, math.inf),), False
-        return (Interval(-math.inf, b / d_plus),), False
-    if d_plus > 0.0:
-        # denominators straddle zero: complement-shaped union
-        lo, hi = sorted((b / d_plus, b / d_minus))
-        return (Interval(-math.inf, lo), Interval(hi, math.inf)), True
-    if d_plus == 0.0:
-        if b > 0:
-            return (Interval(-math.inf, b / d_minus),), False
-        return (Interval(b / d_minus, math.inf),), False
-    lo, hi = sorted((b / d_plus, b / d_minus))
-    return (Interval(lo, hi),), False
+def _keeps(c: float, p: float, q: float) -> Tuple[Interval, ...]:
+    """The x with c (p - q x) <= 0: a half-line, the real line, or none (an empty tuple)."""
+    if c == 0.0 or (q == 0.0 and (p == 0.0 or (c > 0.0) != (p > 0.0))):
+        return (_REAL,)
+    if q == 0.0:
+        return ()
+    end = p / q
+    return (Interval(end, math.inf),) if (c > 0.0) == (q > 0.0) else (Interval(-math.inf, end),)
 
 
 def _merge(c0: Interval, c_set: Tuple[Interval, ...]) -> Tuple[Interval, ...]:

@@ -412,12 +412,11 @@ def run_cell(
     cfg: ExperimentConfig,
     n: int,
     cell_index: int = 0,
-    rep_range: Optional[range] = None,
     threads: Optional[int] = None,
 ) -> CellResult:
     """Run all replications of one (n, p) cell; failures never abort the cell."""
     p = cfg.sparsity.resolve(n)
-    reps = rep_range if rep_range is not None else range(cfg.replications)
+    reps = range(cfg.replications)
     labels = [e.label for e in cfg.estimators]
     draws = {label: {k: np.full(len(reps), np.nan) for k in _DRAW_KEYS} for label in labels}
     detail: List[dict] = []
@@ -429,17 +428,14 @@ def run_cell(
 
     def handle(result):
         rep, out, fails = result
-        pos = rep - reps.start if isinstance(reps, range) else list(reps).index(rep)
         for label, rec in out.items():
             for key, val in rec.items():
-                draws[label][key][pos] = val
+                draws[label][key][rep] = val
         detail.extend({"replication": rep, **f} for f in fails)
 
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            for result in pool.map(
-                lambda r: _replicate(cfg, n, p, cell_index, r), list(reps)
-            ):
+            for result in pool.map(lambda r: _replicate(cfg, n, p, cell_index, r), reps):
                 handle(result)
     else:
         for r in reps:

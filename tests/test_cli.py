@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,20 @@ def test_regress_degenerate_outcomes_exit_two(tmp_path, capsys, ys, message):
     assert message in captured.err and "Traceback" not in captured.err
 
 
+def test_regress_zero_robust_variance_exit_two_at_a_nonzero_null(tmp_path, capsys):
+    # y equal to the degrees fits exactly, so V0_hat = 0 leaves C0 without a
+    # scale even when no zero null is tested
+    edges = tmp_path / "e.csv"
+    edges.write_text("i,j\n0,1\n1,2\n2,3\n0,3\n0,2\n")
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("id,y\n0,3\n1,2\n2,3\n3,2\n")
+    code = main(["regress", "--edges", str(edges), "--outcomes", str(outcomes), "--beta0", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: V0_hat = 0: the test statistic has no scale\n"
+
+
 def test_regress_diffusion_t1_matches_degree(tmp_path):
     edges, outcomes = write_k3(tmp_path)
     out_deg = tmp_path / "deg.json"
@@ -148,6 +166,29 @@ def test_id_beyond_int64_exit_two(tmp_path, capsys, command, bad):
     assert len(captured.err.strip().splitlines()) == 1
     path = edges if bad == "edges" else outcomes
     assert captured.err.startswith(f"error: {path}:3: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "edge,flags,message",
+    [
+        ("1000000000000000,1", [], "node count 1000000000000001 exceeds"),
+        ("1000000000000000,1", ["--n", "3"], "index 1000000000000000 exceeds"),
+        ("9223372036854775807,1", [], "node count 9223372036854775808 exceeds"),
+        ("9223372036854775807,1", ["--n", "3"], "index 9223372036854775807 exceeds"),
+        ("1,2", ["--n", "1000000000000000"], "node count 1000000000000000 exceeds"),
+    ],
+)
+def test_centrality_huge_node_count_exit_two(tmp_path, capsys, edge, flags, message):
+    # n = max id + 1 (or --n) must not reach the sparse constructor when its
+    # index arrays could not be allocated
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"i,j\n0,1\n{edge}\n")
+    code = main(["centrality", "--edges", str(edges), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_regress_has_no_format_flag(tmp_path, capsys):
@@ -379,3 +420,40 @@ def test_simulate_thread_count(tmp_path, monkeypatch, config_threads, flags, env
     assert len(tables) == 3
     for name in tables:
         assert (tmp_path / "out" / name).read_bytes() == (serial / name).read_bytes()
+
+
+def test_simulate_and_regress_never_import_sparse_linalg(tmp_path):
+    # importing scipy.sparse.linalg alone adds about 6.6 MB to peak memory,
+    # beyond the benchmark's 5% peak_rss_mb bound; no run needs it
+    edges, outcomes = write_k3(tmp_path)
+    cfg = {
+        "graphon": {"kind": "constant", "c": 1.0},
+        "n_grid": [30],
+        "sparsity": {"kind": "constant", "p": 0.3},
+        "replications": 2,
+        "master_seed": 7,
+        "estimators": [
+            {"kind": "degree"},
+            {"kind": "diffusion", "delta": 0.05, "T": 2},
+            {"kind": "eigenvector", "scaling": "sqrt-n"},
+            {"kind": "regularized-eigenvector", "scaling": "sqrt-n"},
+        ],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    script = "\n".join(
+        [
+            "import sys",
+            "from centreg.cli import main",
+            f"assert main(['simulate', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0",
+            f"assert main(['regress', '--edges', {str(edges)!r}, '--outcomes', {str(outcomes)!r},"
+            f" '--beta0', '0', '--beta0', '1', '--out', {str(tmp_path / 'fit.json')!r}]) == 0",
+            "print('scipy.sparse.linalg' in sys.modules)",
+        ]
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

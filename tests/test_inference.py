@@ -22,6 +22,7 @@ from centreg import (
     test_beta,
 )
 from centreg.errors import (
+    DegenerateVariance,
     MissingComponents,
     NonFiniteCentrality,
     NonpositiveAttenuation,
@@ -351,6 +352,25 @@ def test_confidence_singleton_policy():
     assert iv.c0.lo == iv.c0.hi == 0.0
 
 
+@pytest.mark.parametrize("B,V", [(None, 0.1), (0.2, None)])
+def test_confidence_requires_what_the_test_requires(B, V):
+    fit = make_fit(beta_hat=1.0, V0=0.1, B=B, V=V)
+    with pytest.raises(MissingComponents):
+        test_beta(fit, 1.0)
+    with pytest.raises(MissingComponents):
+        confidence(fit, 0.05)
+
+
+@pytest.mark.parametrize("V0,V", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.1)])
+def test_confidence_rejects_a_degenerate_variance(V0, V):
+    # the zero-null test reads V0_hat, the nonzero-null degree test V_hat
+    fit = make_fit(beta_hat=1.0, V0=V0, B=0.2, V=V)
+    with pytest.raises(DegenerateVariance):
+        test_beta(fit, 0.0 if V0 <= 0.0 else 1.0)
+    with pytest.raises(DegenerateVariance):
+        confidence(fit, 0.05)
+
+
 def test_one_sided_interval_shape():
     fit = make_fit(beta_hat=-11604.0, B=0.26, V=0.009, V0=1.0)
     iv = confidence(fit, 0.10, sided="lower", c0_policy="singleton-zero")
@@ -412,7 +432,11 @@ from centreg.inference import MODES, Interval, _merge, statistic
 _finite = dict(allow_nan=False, allow_infinity=False)
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "mode,c0_policy",
+    [(m, "interval") for m in MODES] + [(m, "singleton-zero") for m in MODES],
+    ids=list(MODES) + [f"{m}-singleton-zero" for m in MODES],
+)
 @settings(max_examples=300, deadline=None)
 @given(
     beta_hat=st.floats(-5.0, 5.0, **_finite),
@@ -422,12 +446,12 @@ _finite = dict(allow_nan=False, allow_infinity=False)
     beta0=st.floats(-5.0, 5.0, **_finite).filter(lambda b: abs(b) > 1e-3),
     alpha=st.floats(0.01, 0.3, **_finite),
 )
-def test_c_is_the_set_the_two_sided_test_keeps(mode, beta_hat, V0, B, V, beta0, alpha):
+def test_c_is_the_set_the_two_sided_test_keeps(mode, c0_policy, beta_hat, V0, B, V, beta0, alpha):
     fit = make_fit(beta_hat=beta_hat, V0=V0, B=B, V=V, mode=mode)
     result = test_beta(fit, beta0, alphas=(alpha,))
     z = float(ndtri(1.0 - alpha / 2.0))
     assume(abs(abs(result.statistic) - z) > 1e-6 * z)  # away from the boundary
-    iv = confidence(fit, alpha)
+    iv = confidence(fit, alpha, c0_policy=c0_policy)
     assert any(piece.contains(beta0) for piece in iv.c) == (not result.reject_at[alpha])
     pieces = iv.c_star
     assert all(p.lo <= p.hi for p in pieces)
