@@ -225,6 +225,9 @@ def _cmd_centrality(args) -> int:
             # alone would already take 16 GB
             print(f"error: node count {n} exceeds {2**31 - 1}", file=sys.stderr)
             return EXIT_USAGE
+        if len(cols) and cols.max() >= n:
+            print(f"error: {args.edges}: edge endpoint {cols.max()} is not below --n {n}", file=sys.stderr)
+            return EXIT_USAGE
         a_hat = SymmetricBinaryMatrix.from_edges(n, rows, cols)
         vec = est.centrality(a_hat, seed=args.seed)
         if args.format == "json":

@@ -7,9 +7,10 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, count
+from operator import not_
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,23 +33,31 @@ PathLike = Union[str, Path]
 
 
 def _read_table(path: PathLike, header: Sequence[str], types: Sequence[type]):
-    """The rows under a CSV ``header`` line as one record array, and their line numbers.
+    """The rows under a CSV ``header`` line as one record array, and a line lookup.
 
     Header names match case-insensitively; later columns are ignored and blank
     lines skipped.  A row that does not parse raises ValueError naming the first.
+    The lookup ``line(k)`` gives the file line of row k, computed only when a
+    row is reported.  The success path keeps no per-line record: a file whose
+    blank lines all come after its last row (a final newline, say) needs none,
+    and otherwise only the blank lines' numbers are kept.  The file is read
+    once, so a pipe works too.
     """
     with open(path) as fh:
         head, *body = fh.read().split("\n")
     got = next(csv.reader([head]))
     if [h.strip().lower() for h in got[: len(header)]] != list(header):
         raise ValueError(f"{path}: expected header '{','.join(header)}', got {got}")
-    kept = np.fromiter(map(bool, map(str.strip, body)), dtype=bool, count=len(body))
-    rows, lineno = list(compress(body, kept)), np.flatnonzero(kept) + 2
+    rows = list(filter(str.strip, body))
+    interior = any(map(str.strip, body[len(rows):]))  # a blank line precedes some row
+    blanks = list(compress(count(2), map(not_, map(str.strip, body)))) if interior else []
+    del body  # free the line list before the parse
+    line = partial(_line_of, blanks)
     dtype = np.dtype(list(zip(header, types)))
     parse = partial(np.loadtxt, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                     usecols=range(len(header)), ndmin=1)
     try:
-        return (parse(rows) if rows else np.empty(0, dtype=dtype)), lineno
+        return (parse(rows) if rows else np.empty(0, dtype=dtype)), line
     except ValueError:
         lo, hi = 0, len(rows)  # bisect: rows[:lo] parse, rows[lo:hi] hold a bad row
         while hi - lo > 1:
@@ -58,14 +67,44 @@ def _read_table(path: PathLike, header: Sequence[str], types: Sequence[type]):
                 lo = mid
             except ValueError:
                 hi = mid
-        raise ValueError(f"{path}:{lineno[lo]}: malformed row {rows[lo]!r}") from None
+        raise ValueError(f"{path}:{line(lo)}: malformed row {rows[lo]!r}") from None
+
+
+def _line_of(blanks: List[int], k: int) -> int:
+    """The file line of row k: line k + 2, moved past each blank line up to it."""
+    n = k + 2
+    for b in blanks:  # ascending
+        if b > n:
+            break
+        n += 1
+    return n
+
+
+# odd multiplier (2^64 / golden ratio) folding key columns into one hash
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _repeats(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose key tuple equals that of an earlier row."""
-    order = np.lexsort(keys[::-1])  # stable: equal keys keep their file order
-    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
-    return np.bincount(order[1:][same], minlength=len(order)) > 0
+    """Mask of the rows whose key tuple equals that of an earlier row.
+
+    The int64 key columns fold into one uint64 hash, h = h * _HASH_MULT + key,
+    wrapping.  Equal tuples have equal hashes, so only rows whose hash occurs
+    more than once (found by one unstable sort) can repeat.  The exact, stable
+    compare runs on those candidate rows alone; a hash collision between
+    distinct tuples only adds a candidate, which the compare then clears.
+    """
+    h = keys[0].astype(np.uint64)
+    for k in keys[1:]:
+        h *= _HASH_MULT
+        h += k.view(np.uint64)
+    s = np.sort(h)
+    cand = np.flatnonzero(np.isin(h, s[1:][s[1:] == s[:-1]]))
+    sub = [k[cand] for k in keys]
+    order = np.lexsort(sub[::-1])  # stable: equal keys keep their file order
+    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in sub])
+    out = np.zeros(len(h), dtype=bool)
+    out[cand[order[1:][same]]] = True
+    return out
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -85,18 +124,19 @@ def read_edge_list(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     (in any orientation) raises DuplicateEdge with the offending row number.
     Returns the (min, max) endpoints of each row in file order.
     """
-    table, lineno = _read_table(path, ("i", "j"), (np.int64, np.int64))
+    table, line = _read_table(path, ("i", "j"), (np.int64, np.int64))
     i, j = table["i"], table["j"]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     negative, loop, repeat = lo < 0, i == j, _repeats(lo, hi)
     k = _first(negative | loop | repeat)
     if k is not None:
-        where = f"{path}:{lineno[k]}"
+        row = line(k)
+        where = f"{path}:{row}"
         if negative[k]:
             raise ValueError(f"{where}: node ids must be nonnegative")
         if loop[k]:
             raise ValueError(f"{where}: self-loop {i[k]},{j[k]} not allowed")
-        raise DuplicateEdge(f"{where}: duplicate edge {i[k]},{j[k]}", row=int(lineno[k]))
+        raise DuplicateEdge(f"{where}: duplicate edge {i[k]},{j[k]}", row=row)
     return lo, hi
 
 
@@ -107,11 +147,11 @@ def write_edge_list(m: SymmetricBinaryMatrix, path: PathLike) -> None:
 
 def read_weighted_matrix(path: PathLike, n: int) -> SymmetricWeightedMatrix:
     """Read a weighted adjacency from rows ``i,j,w``; the last row for a pair wins."""
-    table, lineno = _read_table(path, ("i", "j", "w"), (np.int64, np.int64, np.float64))
+    table, line = _read_table(path, ("i", "j", "w"), (np.int64, np.int64, np.float64))
     i, j, w = table["i"], table["j"], table["w"]
     k = _first((i < 0) | (i >= n) | (j < 0) | (j >= n))
     if k is not None:
-        raise IdMismatch(f"{path}:{lineno[k]}: id outside [0, {n})")
+        raise IdMismatch(f"{path}:{line(k)}: id outside [0, {n})")
     last = ~_repeats(np.minimum(i, j)[::-1], np.maximum(i, j)[::-1])[::-1]
     out = np.zeros((n, n))
     out[i[last], j[last]] = out[j[last], i[last]] = w[last]
@@ -127,14 +167,14 @@ def write_weighted_matrix(m: SymmetricWeightedMatrix, path: PathLike) -> None:
 
 def read_outcomes(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     """Read outcomes with header ``id,y``; ids must be unique and y finite."""
-    table, lineno = _read_table(path, ("id", "y"), (np.int64, np.float64))
+    table, line = _read_table(path, ("id", "y"), (np.int64, np.float64))
     ids, y = np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["y"])
     nonfinite, repeat = ~np.isfinite(y), _repeats(ids)
     k = _first(nonfinite | repeat)
     if k is not None and nonfinite[k]:
-        raise NonFiniteOutcome(f"{path}:{lineno[k]}: outcome {float(y[k])} is not finite")
+        raise NonFiniteOutcome(f"{path}:{line(k)}: outcome {float(y[k])} is not finite")
     if k is not None:
-        raise IdMismatch(f"{path}:{lineno[k]}: repeated outcome id {ids[k]}")
+        raise IdMismatch(f"{path}:{line(k)}: repeated outcome id {ids[k]}")
     return ids, y
 
 

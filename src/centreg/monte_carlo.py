@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 
 from . import inference
 # ``regularize`` is not called here but stays a name of this module:
@@ -292,6 +294,7 @@ class CellResult:
     failure_detail: List[dict] = field(default_factory=list)
     # label -> inference mode, the key of the "ours" statistic
     modes: Dict[str, str] = field(default_factory=dict)
+    threads: int = 1  # worker threads the replications ran on
 
     def ok_mask(self, label: str) -> np.ndarray:
         return ~np.isnan(self.draws[label]["beta_hat"])
@@ -453,6 +456,7 @@ def run_cell(
         runtime=time.perf_counter() - start,
         failure_detail=detail,
         modes={e.label: e.mode for e in cfg.estimators},
+        threads=max(nthreads, 1),
     )
 
 
@@ -551,6 +555,19 @@ def attenuation_study(cfg: ExperimentConfig, threads: Optional[int] = None) -> L
 _DIST_KEYS = ("beta_hat", "beta_check", "B_hat", "V_hat", "V0_hat")
 
 
+def _environment(cells: Sequence[CellResult]) -> dict:
+    """Versions, BLAS, core count and each cell's worker threads, for the manifest."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "threads": {str(c.cell_index): c.threads for c in cells},
+    }
+
+
 def write_outputs(
     result: ExperimentResult,
     out_dir,
@@ -595,6 +612,7 @@ def write_outputs(
 
     manifest = result.manifest()
     manifest["resolved_p"] = {str(c.n): c.p for c in result.cells}
+    manifest["environment"] = _environment(result.cells)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, allow_nan=False))
     written.append(str(out_dir / "manifest.json"))
 

@@ -172,15 +172,16 @@ def test_id_beyond_int64_exit_two(tmp_path, capsys, command, bad):
     "edge,flags,message",
     [
         ("1000000000000000,1", [], "node count 1000000000000001 exceeds"),
-        ("1000000000000000,1", ["--n", "3"], "index 1000000000000000 exceeds"),
+        ("1000000000000000,1", ["--n", "3"], "edges.csv: edge endpoint 1000000000000000 is not below --n 3"),
         ("9223372036854775807,1", [], "node count 9223372036854775808 exceeds"),
-        ("9223372036854775807,1", ["--n", "3"], "index 9223372036854775807 exceeds"),
+        ("9223372036854775807,1", ["--n", "3"], "edges.csv: edge endpoint 9223372036854775807 is not below --n 3"),
         ("1,2", ["--n", "1000000000000000"], "node count 1000000000000000 exceeds"),
+        ("5,1", ["--n", "3"], "edges.csv: edge endpoint 5 is not below --n 3"),
     ],
 )
 def test_centrality_huge_node_count_exit_two(tmp_path, capsys, edge, flags, message):
     # n = max id + 1 (or --n) must not reach the sparse constructor when its
-    # index arrays could not be allocated
+    # index arrays could not be allocated, nor an endpoint that --n leaves out
     edges = tmp_path / "edges.csv"
     edges.write_text(f"i,j\n0,1\n{edge}\n")
     code = main(["centrality", "--edges", str(edges), *flags])

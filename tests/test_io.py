@@ -1,5 +1,7 @@
 """Edge-list, outcome, and graphon descriptor round trips."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from centreg import Graphon, SymmetricBinaryMatrix
 from centreg.errors import DuplicateEdge, IdMismatch, NonFiniteOutcome
 from centreg.graph_model import SymmetricWeightedMatrix
 from centreg.io import (
+    _HASH_MULT,
     binary_matrix_from_files,
     graphon_from_json,
     graphon_to_json,
@@ -164,6 +167,18 @@ def test_first_bad_row_is_named(tmp_path):
         read_edge_list(path)
 
 
+def test_bad_row_from_a_pipe_names_its_line():
+    # the input is read once: a pipe cannot be read again for the line number
+    r, w = os.pipe()
+    os.write(w, b"i,j\n0,1\n\n \n1,x\n")
+    os.close(w)
+    try:
+        with pytest.raises(ValueError, match=rf"^/dev/fd/{r}:5: malformed row '1,x'$"):
+            read_edge_list(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
 def test_quoted_header_and_cells_and_extra_columns(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text('"I","j" ,note\n"0",1,x\r\n\t\n 5 ,2,y\n')
@@ -221,6 +236,8 @@ def _edge_list_by_loop(lines):
     """The row-by-row reader: (min, max) per row, or the line of the first repeat."""
     seen, out = set(), []
     for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
         i, j = (int(c) for c in line.split(","))
         key = (min(i, j), max(i, j))
         if key in seen:
@@ -230,11 +247,17 @@ def _edge_list_by_loop(lines):
     return out
 
 
+# small ids repeat often; ids near and up to 2^63 - 1 exercise the whole int64 range
+_ID = st.one_of(st.integers(0, 6), st.integers(2**63 - 4, 2**63 - 1), st.integers(0, 2**63 - 1))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: e[0] != e[1]), max_size=30))
-def test_edge_list_reader_matches_row_loop(tmp_path_factory, pairs):
-    # repeats in either orientation: the same first repeated line as a row-by-row reader
-    lines = [f"{i},{j}" for i, j in pairs]
+@given(st.lists(st.tuples(st.tuples(_ID, _ID).filter(lambda e: e[0] != e[1]),
+                          st.lists(st.sampled_from(["", " ", "\t"]), max_size=2)), max_size=30))
+def test_edge_list_reader_matches_row_loop(tmp_path_factory, rows):
+    # repeats in either orientation, with blank lines between rows: the same
+    # first repeated line as a row-by-row reader
+    lines = [line for (i, j), blanks in rows for line in (*blanks, f"{i},{j}")]
     path = tmp_path_factory.mktemp("edges") / "e.csv"
     path.write_text("i,j\n" + "".join(line + "\n" for line in lines))
     want = _edge_list_by_loop(lines)
@@ -245,6 +268,22 @@ def test_edge_list_reader_matches_row_loop(tmp_path_factory, pairs):
     else:
         rows, cols = read_edge_list(path)
         assert list(zip(rows.tolist(), cols.tolist())) == want
+
+
+def test_edge_list_hash_collision_is_not_a_repeat(tmp_path):
+    # (0, b) and (1, b - C mod 2^64) fold to the same hash b; only the exact
+    # compare tells them apart, and it still finds the true repeat after them
+    b = 12345
+    b2 = (b - int(_HASH_MULT)) % 2**64
+    assert 0 < b2 < 2**63
+    path = tmp_path / "e.csv"
+    path.write_text(f"i,j\n0,{b}\n1,{b2}\n")
+    rows, cols = read_edge_list(path)
+    assert rows.tolist() == [0, 1] and cols.tolist() == [b, b2]
+    path.write_text(f"i,j\n0,{b}\n1,{b2}\n\n{b2},1\n")
+    with pytest.raises(DuplicateEdge) as err:
+        read_edge_list(path)
+    assert err.value.row == 5
 
 
 @settings(max_examples=60, deadline=None)

@@ -160,6 +160,14 @@ def test_write_outputs_files(tmp_path):
     assert (tmp_path / "graphs" / "cell0_rep0.csv").exists()
 
 
+def test_manifest_records_environment(tmp_path):
+    write_outputs(run_experiment(small_config(replications=2), threads=2), tmp_path)
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "cores", "threads"}
+    assert env["numpy"] == np.__version__ and set(env["blas"]) == {"name", "version"}
+    assert env["cores"] >= 1 and env["threads"] == {"0": 2}
+
+
 def test_failure_detail_keeps_message_and_residual(tmp_path):
     cfg = small_config(
         replications=3,
