@@ -48,3 +48,22 @@ for label, m in (("true", a_true), ("observed", a_hat)):
 # keeps its lead; the degree correlation is the attenuation channel
 rho = np.corrcoef(degree(a_true).values, degree(a_hat).values)[0, 1]
 print(f"\ncorr(true degree, observed degree) = {rho:.3f}")
+
+# a rank-2 graphon, f(u, v) = 0.5 + 0.15 phi(u) phi(v) with phi(u) = sqrt(3) (2u - 1):
+# every node has the same expected degree, but types on the same side of 1/2
+# link more often.  A stays factored as n x 2 features and the draw thins a
+# block sampler, so no n x n array is built; at this n a dense A and its
+# Bernoulli draw would take 6.4 GB.
+n_big = 20_000
+p_big = n_big ** -0.5
+rank2 = Graphon.rank_r([0.5, 0.15], [np.ones_like, lambda u: np.sqrt(3.0) * (2.0 * u - 1.0)])
+u_big = sample_latent(n_big, seed=9)
+a_big = build_true_adjacency(rank2, u_big, p_big)
+a_hat_big = observe(a_big, seed=10)
+print(f"\nrank-2 graphon, n = {n_big}: {a_hat_big.n_edges} edges, expected {a_big.total() / 2:.0f}")
+side = u_big.u > 0.5
+i_big, j_big = a_hat_big.edge_arrays()
+print(f"  share of edges within one side of 1/2: {np.mean(side[i_big] == side[j_big]):.3f} (0.6125 expected, 0.5 if f were constant)")
+eig_big = eigenvector_centrality(a_big, ScalingPolicy(kind="sqrt-lambda1"))
+eig_hat_big = eigenvector_centrality(a_hat_big, ScalingPolicy(kind="sqrt-lambda1"))
+print(f"  lambda1 true {eig_big.lambda1:.2f}, observed {eig_hat_big.lambda1:.2f}")

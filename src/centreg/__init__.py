@@ -21,7 +21,7 @@ from .centrality import (
     regularized_eigenvector_centrality,
 )
 from .graph_model import (
-    BlockWeightedMatrix,
+    FactoredMatrix,
     Graphon,
     LatentSample,
     SparsityRule,

@@ -18,9 +18,9 @@ from .errors import (
     InvalidBound,
     NoConvergence,
 )
-from .graph_model import BlockWeightedMatrix, SymmetricBinaryMatrix, SymmetricWeightedMatrix
+from .graph_model import FactoredMatrix, SymmetricBinaryMatrix, SymmetricWeightedMatrix
 
-Matrix = Union[SymmetricWeightedMatrix, BlockWeightedMatrix, SymmetricBinaryMatrix, "RegularizedMatrix"]
+Matrix = Union[SymmetricWeightedMatrix, FactoredMatrix, SymmetricBinaryMatrix, "RegularizedMatrix"]
 
 __all__ = [
     "DiffusionParams",
@@ -59,10 +59,10 @@ class DiffusionParams:
         elif self.delta_rule not in ("inverse-lambda1", "inverse-sqrt-lambda1"):
             raise ConfigMismatch(f"unknown delta rule {self.delta_rule!r}")
 
-    def resolve(self, m: Matrix) -> float:
+    def resolve(self, m: Matrix, **eig_kwargs) -> float:
         if self.delta_rule == "fixed":
             return float(self.delta)
-        lam1, _ = leading_eigenpair(m)
+        lam1, _ = leading_eigenpair(m, **eig_kwargs)
         if lam1 <= 0:
             raise DegenerateSpectrum(f"delta rule {self.delta_rule} needs lambda1 > 0, got {lam1}")
         d = 1.0 / lam1 if self.delta_rule == "inverse-lambda1" else 1.0 / math.sqrt(lam1)
@@ -152,12 +152,13 @@ def degree(m: Matrix) -> CentralityVector:
     return CentralityVector(values=m.row_sums(), recipe={"kind": "degree"})
 
 
-def diffusion(m: Matrix, params: DiffusionParams) -> CentralityVector:
+def diffusion(m: Matrix, params: DiffusionParams, **eig_kwargs) -> CentralityVector:
     """C = sum_{t=1..T} delta^t A^t iota via repeated mat-vec products.
 
-    Never forms matrix powers; cost is O(T * nnz).
+    Never forms matrix powers; cost is O(T * nnz).  ``eig_kwargs`` reach
+    the eigensolve of a spectral delta rule.
     """
-    delta = params.resolve(m)
+    delta = params.resolve(m, **eig_kwargs)
     v = np.ones(m.n)
     out = np.zeros(m.n)
     scale = 1.0

@@ -4,10 +4,10 @@ The data-generating process has three stages: latent types U_i ~ U[0,1],
 a true weighted adjacency A_ij = p_n * f(U_i, U_j), and a noisy binary
 observation with upper-triangle entries drawn Bernoulli(A_ij).
 
-Block graphons (constant and SBM) keep A implicit as node labels plus a
-B x B matrix, and their observation is sampled edge by edge, so one draw
-costs time and memory proportional to n plus the edge count.  Other
-graphons build the dense n x n A.
+Every graphon is f(u, v) = phi(u) M phi(v)' for r node features phi and an
+r x r core M, so A stays implicit as the n x r feature matrix and p_n M.
+The observation is sampled edge by edge over bins of latent types, so one
+draw costs time and memory proportional to n plus the edge count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,7 @@ __all__ = [
     "SparsityRule",
     "SymmetricWeightedMatrix",
     "SymmetricBinaryMatrix",
-    "BlockWeightedMatrix",
+    "FactoredMatrix",
     "sample_latent",
     "build_true_adjacency",
     "observe",
@@ -36,6 +36,8 @@ __all__ = [
 
 _ORTHO_PROBE_TOL = 1e-2
 _ORTHO_PROBE_SIZE = 20000
+_RANK_R_BINS = 16  # equal-width sampler bins on [0, 1] for rank-r graphons
+_RANGE_CHUNK = 1 << 20  # entries per block of the entry-by-entry range check
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +51,16 @@ class SymmetricWeightedMatrix:
     read-only, which makes instances safe to share across threads.
     """
 
-    def __init__(self, entries: np.ndarray, validate: bool = True):
+    def __init__(self, entries: np.ndarray):
         entries = np.array(entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidSize(f"adjacency must be square, got shape {entries.shape}")
-        if validate:
-            if not np.allclose(entries, entries.T, atol=1e-12):
-                raise InvalidGraphon("adjacency matrix is not symmetric")
-            if np.any(np.diag(entries) != 0.0):
-                raise InvalidGraphon("adjacency diagonal must be zero")
-            if entries.min() < 0.0 or entries.max() > 1.0:
-                raise InvalidGraphon("adjacency entries must lie in [0, 1]")
+        if not np.allclose(entries, entries.T, atol=1e-12):
+            raise InvalidGraphon("adjacency matrix is not symmetric")
+        if np.any(np.diag(entries) != 0.0):
+            raise InvalidGraphon("adjacency diagonal must be zero")
+        if entries.min() < 0.0 or entries.max() > 1.0:
+            raise InvalidGraphon("adjacency entries must lie in [0, 1]")
         entries.flags.writeable = False
         self.entries = entries
         self.n = entries.shape[0]
@@ -82,50 +83,73 @@ class SymmetricWeightedMatrix:
         return float(np.sum(self.entries * (1.0 - self.entries)))
 
 
-class BlockWeightedMatrix:
-    """Symmetric A with A_ij = q[b_i, b_j] for i != j and A_ii = 0.
+class FactoredMatrix:
+    """Symmetric A with A_ij = F_i M F_j' for i != j and A_ii = 0.
 
-    The true adjacency of a block graphon, held as node labels b and the
-    B x B matrix q = p_n P.  Products, sums and norms cost O(n + B^2) from
-    the block sizes N_b; the dense array behind ``entries`` is built only on
-    request and cached read-only.
+    Node features F (n x r) and the core M = p_n * (graphon core).  Products,
+    sums and norms cost O(n r^2), so O(n B) for a B-block SBM; ``entries`` is
+    built only on request.  ``members[x]`` lists the nodes of sampler bin x,
+    and A_ij lies in [pair_lo[x, y], pair_hi[x, y]] for i in bin x, j in bin y.
     """
 
-    def __init__(self, labels: np.ndarray, q: np.ndarray):
-        self.labels = np.asarray(labels, dtype=np.intp)
-        self.q = np.array(q, dtype=np.float64)
-        self.q.flags.writeable = False
-        self.n = len(self.labels)
-        self.sizes = np.bincount(self.labels, minlength=len(self.q))
-        sizes = self.sizes.astype(np.float64)
-        # ordered node pairs (i, j), i != j, between each pair of blocks
-        self._pairs = np.outer(sizes, sizes)
-        np.fill_diagonal(self._pairs, sizes * (sizes - 1.0))
-        self._diag = self.q.diagonal()[self.labels]  # q[b_i, b_i], absent from row i
+    def __init__(self, features: np.ndarray, core: np.ndarray, labels: np.ndarray, bins: int):
+        self.features = np.asarray(features, dtype=np.float64)
+        self.core = np.asarray(core, dtype=np.float64)
+        self.n = len(self.features)
+        self._diag = np.einsum("ir,ir->i", self.features @ self.core, self.features)  # F_i M F_i', absent from row i
+        self._col_sums = np.ones(self.n) @ self.features  # a BLAS product: far faster than .sum(axis=0) for small r
+        self.labels = np.asarray(labels, dtype=np.min_scalar_type(bins))  # narrow: the stable argsort is a radix sort
+        self.sizes = np.bincount(self.labels, minlength=bins)
+        order, ends = np.argsort(self.labels, kind="stable"), np.cumsum(self.sizes)
+        self.members = np.split(order, ends[:-1])
+        self.pair_lo, self.pair_hi = self._pair_bounds(np.take(self.features, order, axis=0), ends - self.sizes)
         self._entries = None
 
+    def _pair_bounds(self, ordered: np.ndarray, starts: np.ndarray):
+        """Interval bounds on F_i M F_j' per bin pair from the bins' feature ranges; 0 if a bin is empty."""
+        lo, hi = np.zeros((2, len(self.sizes), self.core.shape[0]))
+        full = self.sizes > 0
+        lo[full], hi[full] = np.minimum.reduceat(ordered, starts[full]), np.maximum.reduceat(ordered, starts[full])
+        if np.array_equal(lo, hi):  # features constant on every bin, as for constant and SBM graphons
+            exact = lo @ self.core @ lo.T
+            return exact, exact
+        pos, neg = np.maximum(self.core, 0.0), np.minimum(self.core, 0.0)
+        rows = np.stack([lo @ pos + hi @ neg, hi @ pos + lo @ neg])  # range of F_i M for i in bin x
+        corners = rows[:, None, :, None, :] * np.stack([lo, hi])[None, :, None, :, :]
+        return corners.min(axis=(0, 1)).sum(-1), corners.max(axis=(0, 1)).sum(-1)
+
+    def pair_values(self, i, j) -> np.ndarray:
+        """F_i M F_j' for index arrays i, j of equal length."""
+        f_i, f_j = np.take(self.features, i, axis=0), np.take(self.features, j, axis=0)  # row gathers
+        return np.einsum("ir,ir->i", f_i @ self.core, f_j)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        block_sums = np.bincount(self.labels, weights=v, minlength=len(self.q))
-        return (self.q @ block_sums)[self.labels] - self._diag * v
+        return self.features @ (self.core @ (self.features.T @ v)) - self._diag * v
 
     def row_sums(self) -> np.ndarray:
-        return (self.q @ self.sizes)[self.labels] - self._diag
+        return self.features @ (self.core @ self._col_sums) - self._diag
 
     def total(self) -> float:
         """iota' A iota, the sum of all entries."""
-        return float(np.sum(self._pairs * self.q))
+        return float(self._col_sums @ self.core @ self._col_sums - self._diag.sum())
+
+    def _squares(self) -> float:
+        """sum_{i != j} A_ij^2 = tr((M F'F)^2) less the diagonal's squares."""
+        mg = self.core @ (self.features.T @ self.features)
+        return max(float(np.sum(mg * mg.T)) - float(self._diag @ self._diag), 0.0)
 
     def frobenius(self) -> float:
-        return math.sqrt(float(np.sum(self._pairs * self.q**2)))
+        return math.sqrt(self._squares())
 
     def noise_variance_total(self) -> float:
         """sum_{i != j} A_ij (1 - A_ij), the summed variance of the observation noise."""
-        return float(np.sum(self._pairs * self.q * (1.0 - self.q)))
+        return self.total() - self._squares()
 
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            out = self.q[self.labels[:, None], self.labels[None, :]]
+            out = self.features @ self.core @ self.features.T
+            out = 0.5 * (out + out.T)  # exactly symmetric whatever the rounding
             np.fill_diagonal(out, 0.0)
             out.flags.writeable = False
             self._entries = out
@@ -205,26 +229,26 @@ class SymmetricBinaryMatrix:
 
 @dataclass(frozen=True)
 class Graphon:
-    """Symmetric link-intensity function f: [0,1]^2 -> [0,1].
+    """Symmetric link-intensity function f(u, v) = phi(u) M phi(v)' on [0,1]^2.
 
-    Use the ``constant``, ``sbm`` or ``rank_r`` constructors; ``evaluate``
-    is vectorized over numpy arrays.
+    Use the ``constant``, ``sbm`` or ``rank_r`` constructors.  ``features``
+    adds a trailing axis of r features to an array of latent types, ``core``
+    is the r x r M, and ``cuts`` splits [0, 1] into the sampler's bins.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    _evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] = None
+    features: Callable[[np.ndarray], np.ndarray] = field(default=None, compare=False)
+    core: np.ndarray = field(default=None, compare=False)
+    cuts: np.ndarray = field(default=None, compare=False)
 
     @classmethod
     def constant(cls, c: float) -> "Graphon":
         c = float(c)
         if not (0.0 < c <= 1.0):
             raise InvalidGraphon(f"constant graphon needs c in (0, 1], got {c}")
-
-        def ev(u, v):
-            return np.broadcast_to(np.float64(c), np.broadcast_shapes(np.shape(u), np.shape(v))).copy()
-
-        return cls(kind="constant", params={"c": c}, _evaluator=ev)
+        return cls(kind="constant", params={"c": c}, features=lambda u: np.ones(np.shape(u) + (1,)),
+                   core=np.array([[c]]), cuts=np.empty(0))
 
     @classmethod
     def sbm(cls, pi: Sequence[float], P: Sequence[Sequence[float]]) -> "Graphon":
@@ -241,12 +265,10 @@ class Graphon:
             raise InvalidGraphon("SBM with all-zero link matrix generates the empty graphon")
         cuts = np.cumsum(pi)[:-1]
 
-        def ev(u, v):
-            gu = np.searchsorted(cuts, np.asarray(u), side="right")
-            gv = np.searchsorted(cuts, np.asarray(v), side="right")
-            return P[gu, gv]
+        def membership(u):
+            return np.take(np.eye(B), np.searchsorted(cuts, u, side="right"), axis=0)
 
-        return cls(kind="sbm", params={"pi": pi, "P": P}, _evaluator=ev)
+        return cls(kind="sbm", params={"pi": pi, "P": P}, features=membership, core=P, cuts=cuts)
 
     @classmethod
     def rank_r(
@@ -266,55 +288,32 @@ class Graphon:
         if len(lam) != len(funcs) or len(lam) == 0:
             raise InvalidGraphon("need one eigenfunction per eigenvalue")
 
-        rng = np.random.default_rng(probe_seed)
-        grid = rng.random(_ORTHO_PROBE_SIZE)
-        vals = np.stack([np.asarray(f(grid), dtype=np.float64) for f in funcs])
-        gram = vals @ vals.T / _ORTHO_PROBE_SIZE
-        if np.abs(gram - np.eye(len(funcs))).max() > _ORTHO_PROBE_TOL:
+        def phi(u):
+            return np.stack([np.asarray(f(u), dtype=np.float64) for f in funcs], axis=-1)
+
+        vals = phi(np.random.default_rng(probe_seed).random(_ORTHO_PROBE_SIZE))
+        deviation = np.abs(vals.T @ vals / _ORTHO_PROBE_SIZE - np.eye(len(funcs))).max()
+        if deviation > _ORTHO_PROBE_TOL:
             warnings.warn(
-                "rank-R eigenfunctions fail the Monte Carlo orthonormality probe "
-                f"(max deviation {np.abs(gram - np.eye(len(funcs))).max():.3g})",
+                f"rank-R eigenfunctions fail the Monte Carlo orthonormality probe (max deviation {deviation:.3g})",
                 stacklevel=2,
             )
 
-        def ev(u, v):
-            u = np.asarray(u, dtype=np.float64)
-            v = np.asarray(v, dtype=np.float64)
-            out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-            for l, f in zip(lam, funcs):
-                out = out + l * np.asarray(f(u)) * np.asarray(f(v))
-            return out
-
-        g = cls(kind="rank-r", params={"eigenvalues": lam, "eigenfunctions": funcs}, _evaluator=ev)
+        g = cls(kind="rank-r", params={"eigenvalues": lam, "eigenfunctions": funcs}, features=phi,
+                core=np.diag(lam), cuts=np.arange(1, _RANK_R_BINS) / _RANK_R_BINS)
         g._probe(probe_seed)
         return g
 
     def _probe(self, seed: int = 0, size: int = 4096) -> None:
-        rng = np.random.default_rng(seed)
-        u, v = rng.random(size), rng.random(size)
-        vals = self.evaluate(u, v)
+        vals = self.evaluate(*np.random.default_rng(seed).random((2, size)))
         if np.min(vals) < -1e-9 or np.max(vals) > 1 + 1e-9:
             raise InvalidGraphon("graphon values leave [0, 1] on random probes")
-        sym = self.evaluate(v, u)
-        if np.max(np.abs(vals - sym)) > 1e-9:
-            warnings.warn("graphon evaluator is not symmetric on random probes", stacklevel=2)
         if np.mean(vals) <= 0:
             raise InvalidGraphon("graphon has zero mass; the network is always empty")
 
     def evaluate(self, u, v) -> np.ndarray:
-        return self._evaluator(u, v)
-
-    def block_form(self):
-        """(cuts, P) when f is constant on blocks of [0, 1], else None.
-
-        A latent type u lies in block ``searchsorted(cuts, u, side="right")``
-        and f takes the value P[a, b] on block pair (a, b).
-        """
-        if self.kind == "constant":
-            return np.empty(0), np.array([[self.params["c"]]])
-        if self.kind == "sbm":
-            return np.cumsum(self.params["pi"])[:-1], self.params["P"]
-        return None
+        return np.einsum("...r,rs,...s->...", self.features(np.asarray(u, dtype=np.float64)), self.core,
+                         self.features(np.asarray(v, dtype=np.float64)))
 
     def to_json_dict(self) -> dict:
         if self.kind == "constant":
@@ -439,63 +438,61 @@ def sample_latent(n: int, seed: int) -> LatentSample:
     return LatentSample(u=rng.random(n), seed=seed)
 
 
-def build_true_adjacency(
-    g: Graphon, u: LatentSample, p_n: float
-) -> Union[BlockWeightedMatrix, SymmetricWeightedMatrix]:
+def build_true_adjacency(g: Graphon, u: LatentSample, p_n: float) -> FactoredMatrix:
     """A_ij = p_n * f(U_i, U_j) off the diagonal, A_ii = 0.
 
-    Block graphons (constant, SBM) give a BlockWeightedMatrix; every other
-    graphon gives a dense SymmetricWeightedMatrix.
+    Every p_n f(U_i, U_j), the diagonal included, must lie in [0, 1].  A bin
+    pair whose interval bounds lie inside [0, 1] passes as a whole; any
+    other is checked entry by entry, a block of rows at a time.
     """
     if not (0.0 < p_n <= 1.0):
         raise InvalidSparsity(f"p_n must lie in (0, 1], got {p_n}")
-    blocks = g.block_form()
-    if blocks is not None:
-        cuts, P = blocks
-        return BlockWeightedMatrix(np.searchsorted(cuts, u.u, side="right"), p_n * P)
-    uu = u.u
-    vals = p_n * np.asarray(g.evaluate(uu[:, None], uu[None, :]), dtype=np.float64)
-    if vals.min() < 0.0 or vals.max() > 1.0:
-        raise InvalidGraphon("graphon values leave [0, 1] on the sampled grid")
-    # mirror the upper triangle so mildly asymmetric evaluators cannot leak;
-    # symmetry is then structural, so skip the constructor's re-validation
-    out = np.triu(vals, k=1)
-    out += out.T
-    return SymmetricWeightedMatrix(out, validate=False)
+    a = FactoredMatrix(g.features(u.u), p_n * g.core, np.searchsorted(g.cuts, u.u, side="right"), len(g.cuts) + 1)
+    for x, y in zip(*np.nonzero((a.pair_lo < 0.0) | (a.pair_hi > 1.0))):
+        if x > y:
+            continue  # the bounds are symmetric
+        rows, cols = a.members[x], a.members[y]
+        step = max(1, _RANGE_CHUNK // len(cols))
+        for start in range(0, len(rows), step):
+            vals = a.features[rows[start:start + step]] @ a.core @ a.features[cols].T
+            if vals.min() < 0.0 or vals.max() > 1.0:
+                raise InvalidGraphon("graphon values leave [0, 1] on the sampled grid")
+    return a
 
 
-def observe(a: Union[BlockWeightedMatrix, SymmetricWeightedMatrix], seed: int) -> SymmetricBinaryMatrix:
-    """Draw the noisy adjacency: upper entries i.i.d. Bernoulli(A_ij)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = a.n
-    if isinstance(a, BlockWeightedMatrix):
-        return SymmetricBinaryMatrix.from_edges(n, *_sample_block_edges(a, rng))
-    return SymmetricBinaryMatrix.from_dense(rng.random((n, n)) < a.entries)
+def observe(a: FactoredMatrix, seed: int) -> SymmetricBinaryMatrix:
+    """Draw the noisy adjacency: upper entries i.i.d. Bernoulli(A_ij).
 
-
-def _sample_block_edges(a: BlockWeightedMatrix, rng: np.random.Generator):
-    """Edge endpoints with each pair i < j present independently w.p. q[b_i, b_j].
-
-    Per block pair the edge count is k ~ Binomial(#pairs, q_ab), and the
-    edges are a uniform k-subset of the pairs, which is the same law as one
-    Bernoulli draw per pair (Batagelj & Brandes, Phys. Rev. E 71, 036113,
-    2005).  Cost is O(n + B^2 + m).
+    Per bin pair, k ~ Binomial(#pairs, qbar) candidates form a uniform
+    k-subset of the pairs, with qbar the pair's bound on A clipped at 1
+    (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).  Each is kept with
+    probability A_ij / qbar (thinning: Lewis & Shedler, Naval Res. Logist.
+    Q. 26, 1979), on a stream spawned off the candidates' seed; bin pairs on
+    which A is constant, as for constant and SBM graphons, keep them all.
     """
-    members = np.split(np.argsort(a.labels, kind="stable"), np.cumsum(a.sizes)[:-1])
+    ss = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(ss)
+    bound = np.clip(a.pair_hi, 0.0, 1.0)
+    thin = None  # the thinning stream, spawned when a bin pair first needs it
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    B = len(a.q)
-    for x in range(B):
-        for y in range(x, B):
+    full = np.flatnonzero(a.sizes)  # an empty bin draws nothing from either stream
+    for x in full:
+        for y in full[full >= x]:
             nx, ny = a.sizes[x], a.sizes[y]
             n_pairs = nx * (nx - 1) // 2 if x == y else nx * ny
-            k = rng.binomial(n_pairs, a.q[x, y])
+            k = rng.binomial(n_pairs, bound[x, y])
             if k == 0:
                 continue
             idx = rng.choice(n_pairs, size=k, replace=False, shuffle=False)
             i, j = _pair_from_index(idx, nx) if x == y else np.divmod(idx, ny)
-            rows.append(members[x][i])
-            cols.append(members[y][j])
-    return np.concatenate(rows), np.concatenate(cols)
+            i, j = a.members[x][i], a.members[y][j]
+            if a.pair_lo[x, y] != a.pair_hi[x, y]:
+                thin = thin or np.random.default_rng(ss.spawn(1)[0])
+                keep = thin.random(k) * bound[x, y] < a.pair_values(i, j)
+                i, j = i[keep], j[keep]
+            rows.append(i)
+            cols.append(j)
+    return SymmetricBinaryMatrix.from_edges(a.n, np.concatenate(rows), np.concatenate(cols))
 
 
 def _pair_from_index(idx: np.ndarray, m: int):

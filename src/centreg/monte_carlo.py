@@ -161,7 +161,7 @@ class Estimator:
         if self.kind == "degree":
             return degree(m)
         if self.kind == "diffusion":
-            return diffusion(m, self.diffusion_params)
+            return diffusion(m, self.diffusion_params, **eig_kwargs)
         if self.kind == "eigenvector":
             return eigenvector_centrality(m, self.scaling_policy, **eig_kwargs)
         spec = RegularizationSpec(self.reg_mode, p_n=self.p_n if self.p_n is not None else p, M=self.M)
@@ -376,7 +376,7 @@ def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: in
                 a_n = est.scaling_policy.resolve(n, lam_true if c_hat is None else c_hat.lambda1)
                 c_true, y = a_n * v_true, cfg.beta_true * a_n * v_true + eps
             else:
-                c_true = est.centrality(a_true, p).values
+                c_true = est.centrality(a_true, p, **eig_kwargs).values
                 y = cfg.beta_true * c_true + eps
 
             if c_hat is not None:

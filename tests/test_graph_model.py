@@ -1,10 +1,12 @@
 """Graphon construction, latent sampling, and adjacency generation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from centreg import (
-    BlockWeightedMatrix,
+    FactoredMatrix,
     Graphon,
     SparsityRule,
     SymmetricBinaryMatrix,
@@ -15,9 +17,11 @@ from centreg import (
     sample_latent,
 )
 from centreg.errors import InvalidGraphon, InvalidSize, InvalidSparsity
-from centreg.graph_model import _pair_from_index
+from centreg.graph_model import LatentSample, _pair_from_index
 
 SBM3 = Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]])
+# f(u, v) = 0.5 + 0.15 phi(u) phi(v), phi(u) = sqrt(3) (2u - 1): values in [0.05, 0.95]
+RANK2 = Graphon.rank_r([0.5, 0.15], [np.ones_like, lambda u: np.sqrt(3.0) * (2.0 * u - 1.0)])
 
 
 def test_sample_latent_deterministic():
@@ -60,8 +64,6 @@ def test_rank_one_graphon_direct_evaluation():
     # orthonormality probe warns but construction succeeds
     with pytest.warns(UserWarning):
         g = Graphon.rank_r([1.0], [lambda u: np.asarray(u)])
-    from centreg.graph_model import LatentSample
-
     u = LatentSample(u=np.array([0.5, 1.0]), seed=0)
     a = build_true_adjacency(g, u, 1.0)
     assert a.entries[0, 1] == pytest.approx(0.5)
@@ -115,8 +117,7 @@ def test_observe_density_concentrates():
 
 
 def test_symmetry_and_zero_diagonal_every_sample():
-    g = Graphon.sbm([0.3, 0.7], [[0.9, 0.2], [0.2, 0.6]])
-    for seed in range(5):
+    for g, seed in itertools.product([Graphon.sbm([0.3, 0.7], [[0.9, 0.2], [0.2, 0.6]]), RANK2], range(5)):
         u = sample_latent(50, seed=seed)
         a = build_true_adjacency(g, u, 0.8)
         assert np.array_equal(a.entries, a.entries.T)
@@ -130,17 +131,17 @@ def test_symmetry_and_zero_diagonal_every_sample():
 
 def test_observation_is_conditionally_unbiased():
     # entrywise empirical means over 1e4 draws within 3 binomial SEs
-    g = Graphon.sbm([0.4, 0.6], [[0.7, 0.3], [0.3, 0.5]])
-    u = sample_latent(5, seed=2)
-    a = build_true_adjacency(g, u, 0.9)
-    reps = 10_000
-    acc = np.zeros((5, 5))
-    for r in range(reps):
-        acc += observe(a, seed=r).toarray()
-    mean = acc / reps
-    se = np.sqrt(a.entries * (1 - a.entries) / reps)
-    mask = ~np.eye(5, dtype=bool)
-    assert np.all(np.abs(mean - a.entries)[mask] <= 3 * se[mask] + 1e-12)
+    for g in (Graphon.sbm([0.4, 0.6], [[0.7, 0.3], [0.3, 0.5]]), RANK2):
+        u = sample_latent(5, seed=2)
+        a = build_true_adjacency(g, u, 0.9)
+        reps = 10_000
+        acc = np.zeros((5, 5))
+        for r in range(reps):
+            acc += observe(a, seed=r).toarray()
+        mean = acc / reps
+        se = np.sqrt(a.entries * (1 - a.entries) / reps)
+        mask = ~np.eye(5, dtype=bool)
+        assert np.all(np.abs(mean - a.entries)[mask] <= 3 * se[mask] + 1e-12), g.kind
 
 
 def test_reproducibility_end_to_end():
@@ -190,7 +191,7 @@ def test_binary_matrix_edge_arrays_upper_only():
 
 
 # ---------------------------------------------------------------------------
-# block graphons: implicit A and the edge-proportional sampler
+# implicit A and the edge-proportional sampler
 
 
 def _dense_reference(g, u, p):
@@ -200,14 +201,17 @@ def _dense_reference(g, u, p):
     return SymmetricWeightedMatrix(vals)
 
 
-@pytest.mark.parametrize("g", [Graphon.constant(0.7), SBM3], ids=["constant", "sbm3"])
+@pytest.mark.parametrize("g", [Graphon.constant(0.7), SBM3, RANK2], ids=["constant", "sbm3", "rank2"])
 def test_block_matrix_matches_dense_build(g):
     n, p = 120, 0.3
     u = sample_latent(n, seed=17)
     a = build_true_adjacency(g, u, p)
     ref = _dense_reference(g, u, p)
-    assert isinstance(a, BlockWeightedMatrix)
-    assert np.array_equal(a.entries, ref.entries)
+    assert isinstance(a, FactoredMatrix)
+    if g.kind == "rank-r":  # a sum of products, rounded in another order
+        assert np.allclose(a.entries, ref.entries, rtol=1e-14, atol=0.0)
+    else:
+        assert np.array_equal(a.entries, ref.entries)
     assert not a.entries.flags.writeable
     v = np.random.default_rng(0).standard_normal(n)
     assert np.allclose(a.matvec(v), ref.matvec(v), rtol=1e-12, atol=1e-12)
@@ -234,7 +238,7 @@ def test_block_edge_counts_match_binomial():
     # mean and variance
     n, p, reps = 40, 0.5, 2000
     a = build_true_adjacency(SBM3, sample_latent(n, seed=4), p)
-    B = len(a.q)
+    B = len(a.sizes)
     counts = np.zeros((reps, B, B))
     for r in range(reps):
         rows, cols = observe(a, seed=r).edge_arrays()
@@ -244,11 +248,44 @@ def test_block_edge_counts_match_binomial():
     for x in range(B):
         for y in range(x, B):
             pairs = sizes[x] * (sizes[x] - 1) / 2 if x == y else sizes[x] * sizes[y]
-            q = a.q[x, y]
+            q = p * SBM3.params["P"][x, y]
             mean, var = pairs * q, pairs * q * (1 - q)
             got = counts[:, x, y]
             assert abs(got.mean() - mean) <= 5 * np.sqrt(var / reps), (x, y)
             assert abs(got.var(ddof=1) / var - 1.0) <= 5 * np.sqrt(2.0 / (reps - 1)), (x, y)
+
+
+def test_rank2_pair_frequencies_match_a():
+    # thinned candidates: each pair's edge count over seeds is Binomial(reps, A_ij),
+    # so the Pearson statistic over all pairs is chi-square with n(n-1)/2 df
+    n, reps = 24, 3000
+    a = build_true_adjacency(RANK2, sample_latent(n, seed=6), 1.0)
+    counts = np.zeros((n, n))
+    for r in range(reps):
+        rows, cols = observe(a, seed=r).edge_arrays()
+        counts[rows, cols] += 1
+    i, j = np.triu_indices(n, k=1)
+    want = a.entries[i, j]
+    assert not np.all(a.pair_lo == a.pair_hi)  # the thinning step ran
+    z = (counts[i, j] - reps * want) / np.sqrt(reps * want * (1.0 - want))
+    df = len(z)
+    assert abs(np.sum(z**2) / df - 1.0) <= 5 * np.sqrt(2.0 / df)
+    assert np.abs(z).max() <= 5.0
+    edges = counts.sum() / reps
+    assert abs(edges - want.sum()) <= 5 * np.sqrt(np.sum(want * (1.0 - want)) / reps)
+
+
+@pytest.mark.parametrize("u", [[0.1, 0.7, 0.7 + 1e-7, 0.9], [0.1, 0.7, 0.9]], ids=["pair", "diagonal"])
+def test_sampled_grid_range_check(u):
+    # f = 0.5 + 0.5 phi(u) phi(v) with phi = 3 on a 2e-6 window around 0.7 and 0
+    # elsewhere: the 4096 random probes miss the window, so construction
+    # succeeds, but f = 5 wherever both types fall in it, here on the diagonal
+    # alone or also on a node pair
+    with pytest.warns(UserWarning):  # phi is far from unit norm
+        g = Graphon.rank_r([0.5, 0.5], [np.ones_like, lambda u: np.where(np.abs(u - 0.7) < 1e-6, 3.0, 0.0)])
+    assert np.max(g.evaluate(*np.random.default_rng(0).random((2, 4096)))) <= 1.0
+    with pytest.raises(InvalidGraphon, match="sampled grid"):
+        build_true_adjacency(g, LatentSample(u=np.array(u), seed=0), 1.0)
 
 
 def test_from_edges_normalizes_like_from_dense():

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from centreg import (
-    BlockWeightedMatrix,
+    Estimator,
     ExperimentConfig,
+    FactoredMatrix,
     Graphon,
     SparsityRule,
     attenuation_study,
+    build_true_adjacency,
+    observe,
     power_curve,
     rejection_table,
     run_cell,
     run_experiment,
+    sample_latent,
 )
 from centreg.monte_carlo import ConfigError, write_outputs
 
@@ -185,28 +189,32 @@ def test_failure_detail_keeps_message_and_residual(tmp_path):
 
 def test_block_graphon_cell_never_builds_dense_a(monkeypatch):
     def no_dense(self):
-        raise AssertionError("dense n x n A built on the block-graphon path")
+        raise AssertionError("dense n x n A built on the simulation path")
 
-    monkeypatch.setattr(BlockWeightedMatrix, "entries", property(no_dense))
-    cfg = small_config(
-        graphon=Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]]),
-        n_grid=[200],
-        sparsity=SparsityRule.inverse_sqrt_n(),
-        replications=3,
-        fit_no_error=True,
-        estimators=[
-            {"kind": "degree"},
-            {"kind": "diffusion", "delta": 0.5, "T": 2},
-            {"kind": "eigenvector", "scaling": "sqrt-lambda1"},
-            {"kind": "regularized-eigenvector", "scaling": "sqrt-lambda1"},
-        ],
-    )
-    cell = run_cell(cfg, 200)
-    assert cell.failures == []
-    for label in cell.estimators:
-        assert np.isfinite(cell.draws[label]["beta_hat"]).all()
-        assert np.isfinite(cell.draws[label]["beta_tilde"]).all()
-    assert np.isfinite(cell.draws["degree"]["oracle_center"]).all()
+    monkeypatch.setattr(FactoredMatrix, "entries", property(no_dense))
+    for graphon in (
+        Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]]),
+        Graphon.rank_r([0.5, 0.15], [np.ones_like, lambda u: np.sqrt(3.0) * (2.0 * u - 1.0)]),
+    ):
+        cfg = small_config(
+            graphon=graphon,
+            n_grid=[200],
+            sparsity=SparsityRule.inverse_sqrt_n(),
+            replications=3,
+            fit_no_error=True,
+            estimators=[
+                {"kind": "degree"},
+                {"kind": "diffusion", "delta": 0.5, "T": 2},
+                {"kind": "eigenvector", "scaling": "sqrt-lambda1"},
+                {"kind": "regularized-eigenvector", "scaling": "sqrt-lambda1"},
+            ],
+        )
+        cell = run_cell(cfg, 200)
+        assert cell.failures == [], graphon.kind
+        for label in cell.estimators:
+            assert np.isfinite(cell.draws[label]["beta_hat"]).all()
+            assert np.isfinite(cell.draws[label]["beta_tilde"]).all()
+        assert np.isfinite(cell.draws["degree"]["oracle_center"]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +279,7 @@ def test_true_eigenpair_solved_once_per_replication(monkeypatch):
     true_solves = []
 
     def counting(m, *args, **kwargs):
-        true_solves.append(isinstance(m, BlockWeightedMatrix))
+        true_solves.append(isinstance(m, FactoredMatrix))
         return real(m, *args, **kwargs)
 
     monkeypatch.setattr(monte_carlo, "leading_eigenpair", counting)
@@ -286,6 +294,36 @@ def test_true_eigenpair_solved_once_per_replication(monkeypatch):
         label = alone.estimators[0]
         for key, values in alone.draws[label].items():
             assert np.array_equal(values, both.draws[label][key], equal_nan=True), (label, key)
+
+
+def test_every_eigensolve_gets_the_callers_settings(monkeypatch):
+    # a spectral delta rule solves for lambda1 on Ahat and on A; both solves,
+    # like the eigenvector kinds', take the cell's max_iter and tol
+    from centreg import centrality, monte_carlo
+
+    real = centrality.leading_eigenpair
+    seen = []
+
+    def spy(m, *args, **kwargs):
+        seen.append(kwargs)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(centrality, "leading_eigenpair", spy)
+    monkeypatch.setattr(monte_carlo, "leading_eigenpair", spy)
+    specs = [{"kind": "diffusion", "delta_rule": "inverse-lambda1", "T": 2},
+             {"kind": "eigenvector", "scaling": "sqrt-lambda1"}]
+    cfg = small_config(replications=3, eig_max_iter=4321, eig_tol=1e-9, fit_no_error=True, estimators=specs)
+    cell = run_cell(cfg, 50)
+    assert cell.failures == []
+    # per replication: delta on Ahat and on A, v1(Ahat), and v1(A) once
+    assert seen == [{"max_iter": 4321, "tol": 1e-9}] * (4 * cfg.replications)
+
+    # `regress --seed` reaches the delta rule's solve
+    seen.clear()
+    a_hat = observe(build_true_adjacency(Graphon.constant(0.5), sample_latent(40, 1), 1.0), 2)
+    est = Estimator.from_spec(specs[0], str)
+    est.centrality(a_hat, seed=5)
+    assert seen == [{"seed": 5}]
 
 
 # one estimator per inference mode, the last two by override
