@@ -193,23 +193,24 @@ def leading_eigenpair(
 
     rng = np.random.default_rng(seed)
     v = rng.random(n) + 0.1
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
     av = matvec(v)
     shift = 1.0
     lam = 0.0
     resid = np.inf
     for _ in range(max_iter):
         w = av + shift * v
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w @ w)
         if nw == 0.0:
             v = rng.random(n) + 0.1
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(v @ v)
             av = matvec(v)
             continue
         v = w / nw
         av = matvec(v)
         lam = float(v @ av)
-        resid = float(np.linalg.norm(av - lam * v))
+        r = av - lam * v
+        resid = math.sqrt(r @ r)
         if resid <= tol * normF:
             break
     else:
@@ -240,7 +241,7 @@ def _deflated_second_eigenvalue(matvec, n, v1, lam1, normF, tol, max_iter, seed)
     rng = np.random.default_rng(seed + 1)
     w = rng.standard_normal(n)
     w -= (w @ v1) * v1
-    nw = np.linalg.norm(w)
+    nw = math.sqrt(w @ w)
     if nw == 0:
         return None
     w /= nw
@@ -250,13 +251,14 @@ def _deflated_second_eigenvalue(matvec, n, v1, lam1, normF, tol, max_iter, seed)
     for _ in range(min(max_iter, 5000)):
         z = aw + shift * w
         z -= (z @ v1) * v1
-        nz = np.linalg.norm(z)
+        nz = math.sqrt(z @ z)
         if nz == 0:
             return None
         w = z / nz
         aw = matvec(w) - lam1 * (v1 @ w) * v1
         lam2 = float(w @ aw)
-        res = np.linalg.norm(aw - lam2 * w)
+        r = aw - lam2 * w
+        res = math.sqrt(r @ r)
         if res <= max(tol, 1e-9) * normF:
             break
     return lam2
@@ -314,7 +316,8 @@ def regularize(m: SymmetricBinaryMatrix, spec: RegularizationSpec) -> Regularize
 
     lambda_i = min(tau / deg_i, 1) with lambda_i = 1 for isolated nodes;
     output entries are sqrt(lambda_i lambda_j) * A_ij, the diagonal scaling
-    D^1/2 Ahat D^1/2 of Le, Levina & Vershynin (2017), in O(n + nnz).  The
+    D^1/2 Ahat D^1/2 of Le, Levina & Vershynin (2017), in O(n + nnz): a
+    rescale of Ahat's data on its own sparsity pattern.  The
     guaranteed bound is lambda_i * deg_i <= tau per node, not a bound on the
     reweighted degrees themselves.
     """
@@ -323,8 +326,12 @@ def regularize(m: SymmetricBinaryMatrix, spec: RegularizationSpec) -> Regularize
     lam = np.ones(m.n)
     busy = deg > 0
     lam[busy] = np.minimum(tau / deg[busy], 1.0)
-    root = sp.diags(np.sqrt(lam))
-    return RegularizedMatrix((root @ m.full @ root).tocsr(), lam, tau)
+    root, full = np.sqrt(lam), m.full
+    data = np.repeat(root, np.diff(full.indptr))  # sqrt(lambda_i) on row i's entries
+    data *= root[full.indices]
+    weighted = sp.csr_matrix((data, full.indices, full.indptr), shape=full.shape)
+    weighted.has_canonical_format = True
+    return RegularizedMatrix(weighted, lam, tau)
 
 
 def regularized_eigenvector_centrality(

@@ -220,11 +220,6 @@ def _cmd_centrality(args) -> int:
         if n < 2:
             print("error: need at least two nodes", file=sys.stderr)
             return EXIT_USAGE
-        if n >= 2**31:
-            # scipy's CSR switches to int64 indices here, and its index arrays
-            # alone would already take 16 GB
-            print(f"error: node count {n} exceeds {2**31 - 1}", file=sys.stderr)
-            return EXIT_USAGE
         if len(cols) and cols.max() >= n:
             print(f"error: {args.edges}: edge endpoint {cols.max()} is not below --n {n}", file=sys.stderr)
             return EXIT_USAGE

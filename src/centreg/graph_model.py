@@ -157,18 +157,22 @@ class FactoredMatrix:
 
 
 class SymmetricBinaryMatrix:
-    """Observed adjacency: CSR over the upper triangle, entries implicitly 1.
+    """Observed adjacency: sorted upper-triangle edge keys plus one symmetric CSR.
 
-    Build it with ``from_edges`` or ``from_dense``, the one path that brings
-    ``upper`` to canonical form (strictly upper, sorted, no repeats, data 1).
-    The symmetrized CSR (used by matrix-vector products) is built lazily and
-    cached; both representations are immutable once constructed.
+    ``keys`` holds i * n + j for every edge i < j, sorted and unique (int64).
+    ``full`` is the symmetric CSR built from them at construction: int32
+    indices, data 1, rows sorted.  The constructor takes keys already in
+    that form; ``from_edges`` and ``from_dense`` bring any edge list to it.
+    Both arrays are read-only once built, so instances are safe to share
+    across threads.
     """
 
-    def __init__(self, n: int, upper: sp.csr_matrix):
+    def __init__(self, n: int, keys: np.ndarray):
         self.n = int(n)
-        self.upper = upper
-        self._full = None
+        self.keys = keys
+        self.full = _symmetric_csr(self.n, keys)
+        for arr in (keys, self.full.data, self.full.indices, self.full.indptr):
+            arr.flags.writeable = False
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymmetricBinaryMatrix":
@@ -178,69 +182,122 @@ class SymmetricBinaryMatrix:
 
     @classmethod
     def from_edges(cls, n: int, rows: Sequence[int], cols: Sequence[int]) -> "SymmetricBinaryMatrix":
-        """Edges in either orientation; self-loops are dropped and repeats merged."""
+        """Edges in either orientation; self-loops are dropped and repeats merged.
+
+        Endpoints must lie in [0, n) (``ValueError``) and n below 2^31
+        (``InvalidSize``).
+        """
+        n = int(n)
+        if n >= 2**31:
+            raise InvalidSize(f"node count {n} exceeds {2**31 - 1}")  # int32 indices; i * n + j overflows
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        if len(lo) and (lo.min() < 0 or hi.max() >= n):
+            raise ValueError(f"edge endpoint outside [0, {n})")
         if (lo == hi).any():
             lo, hi = lo[lo != hi], hi[lo != hi]
-        upper = sp.csr_matrix((np.ones(len(lo)), (lo, hi)), shape=(n, n))
-        upper.sum_duplicates()
-        upper.data[:] = 1.0
-        return cls(n, upper)
-
-    @property
-    def full(self) -> sp.csr_matrix:
-        if self._full is None:
-            f = self.upper + self.upper.T
-            self._full = f.tocsr()
-        return self._full
+        keys = lo
+        keys *= n
+        keys += hi
+        keys.sort()
+        repeat = keys[1:] == keys[:-1]
+        if repeat.any():
+            keys = keys[np.concatenate(([True], ~repeat))]
+        return cls(n, keys)
 
     @property
     def n_edges(self) -> int:
-        return int(self.upper.nnz)
+        return len(self.keys)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.full @ v
 
     def row_sums(self) -> np.ndarray:
         """Degrees (every edge counted once per endpoint)."""
-        return np.asarray(self.full.sum(axis=1)).ravel()
+        return np.diff(self.full.indptr).astype(np.float64)
 
     def total(self) -> float:
         """iota' A-hat iota = twice the edge count."""
-        return 2.0 * self.upper.nnz
+        return 2.0 * len(self.keys)
 
     def frobenius(self) -> float:
         return math.sqrt(self.total())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle (i, j) arrays, each undirected edge once."""
-        coo = self.upper.tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64)
+        """Upper-triangle (i, j) arrays in key order, each undirected edge once."""
+        return np.divmod(self.keys, self.n)
 
     def toarray(self) -> np.ndarray:
         return self.full.toarray()
+
+
+def _symmetric_csr(n: int, keys: np.ndarray) -> sp.csr_matrix:
+    """The symmetric CSR of sorted unique keys i * n + j, i < j, placed entry by entry.
+
+    Row r lists its lower entries (columns below r), then its upper ones:
+    upper entries in key order, lower entries in the order of the transposed
+    keys j * n + i.  Rows come out sorted.
+    """
+    rank = np.arange(len(keys))
+    starts = np.searchsorted(keys, np.arange(0, n * n + 1, n))  # row r's upper entries are keys[starts[r]:starts[r + 1]]
+    n_upper = np.diff(starts)
+    lo = np.repeat(np.arange(n), n_upper)
+    hi = lo * n
+    np.subtract(keys, hi, out=hi)
+    n_lower = np.bincount(hi, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_upper + n_lower, out=indptr[1:])
+    indices = np.empty(2 * len(keys), dtype=np.int32)
+    pos = np.repeat(np.cumsum(n_lower), n_upper)  # an upper entry follows the lower entries of rows up to its own
+    pos += rank
+    indices[pos] = hi
+    transposed = np.multiply(hi, n, out=hi)
+    transposed += lo
+    transposed.sort()
+    transposed -= np.repeat(np.arange(0, n * n, n), n_lower)  # now the lower entries' columns
+    pos = np.repeat(starts[:-1], n_lower)  # a lower entry follows the upper entries of rows before its own
+    pos += rank
+    indices[pos] = transposed
+    full = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    full.has_canonical_format = True
+    return full
 
 
 # ---------------------------------------------------------------------------
 # graphons
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graphon:
     """Symmetric link-intensity function f(u, v) = phi(u) M phi(v)' on [0,1]^2.
 
     Use the ``constant``, ``sbm`` or ``rank_r`` constructors.  ``features``
     adds a trailing axis of r features to an array of latent types, ``core``
     is the r x r M, and ``cuts`` splits [0, 1] into the sampler's bins.
+    Graphons compare and hash by kind and parameters: arrays by value,
+    rank-r eigenfunctions by identity.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    features: Callable[[np.ndarray], np.ndarray] = field(default=None, compare=False)
-    core: np.ndarray = field(default=None, compare=False)
-    cuts: np.ndarray = field(default=None, compare=False)
+    features: Callable[[np.ndarray], np.ndarray] = None
+    core: np.ndarray = None
+    cuts: np.ndarray = None
+
+    def _key(self) -> tuple:
+        def value(x):
+            if isinstance(x, np.ndarray):
+                return x.shape, tuple(x.ravel().tolist())
+            return tuple(x) if isinstance(x, list) else x
+
+        return self.kind, tuple((name, value(x)) for name, x in sorted(self.params.items()))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Graphon) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def constant(cls, c: float) -> "Graphon":
@@ -474,7 +531,7 @@ def observe(a: FactoredMatrix, seed: int) -> SymmetricBinaryMatrix:
     rng = np.random.default_rng(ss)
     bound = np.clip(a.pair_hi, 0.0, 1.0)
     thin = None  # the thinning stream, spawned when a bin pair first needs it
-    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    keys = [np.empty(0, dtype=np.int64)]
     full = np.flatnonzero(a.sizes)  # an empty bin draws nothing from either stream
     for x in full:
         for y in full[full >= x]:
@@ -490,9 +547,10 @@ def observe(a: FactoredMatrix, seed: int) -> SymmetricBinaryMatrix:
                 thin = thin or np.random.default_rng(ss.spawn(1)[0])
                 keep = thin.random(k) * bound[x, y] < a.pair_values(i, j)
                 i, j = i[keep], j[keep]
-            rows.append(i)
-            cols.append(j)
-    return SymmetricBinaryMatrix.from_edges(a.n, np.concatenate(rows), np.concatenate(cols))
+            keys.append(np.minimum(i, j) * a.n + np.maximum(i, j))
+    keys = np.concatenate(keys)
+    keys.sort()  # candidates are distinct pairs of distinct nodes: no loops, no repeats
+    return SymmetricBinaryMatrix(a.n, keys)
 
 
 def _pair_from_index(idx: np.ndarray, m: int):

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from centreg import (
     FactoredMatrix,
@@ -18,6 +21,7 @@ from centreg import (
 )
 from centreg.errors import InvalidGraphon, InvalidSize, InvalidSparsity
 from centreg.graph_model import LatentSample, _pair_from_index
+from centreg.monte_carlo import ExperimentConfig
 
 SBM3 = Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]])
 # f(u, v) = 0.5 + 0.15 phi(u) phi(v), phi(u) = sqrt(3) (2u - 1): values in [0.05, 0.95]
@@ -300,7 +304,83 @@ def test_from_edges_normalizes_like_from_dense():
     cols = np.concatenate([np.where(flip, lo, hi), lo[:10], [3, 3, 17]])
     got = SymmetricBinaryMatrix.from_edges(n, rows, cols)
     want = SymmetricBinaryMatrix.from_dense(dense)
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.keys, lo * n + hi)  # sorted, unique, strictly upper
     for attr in ("indices", "indptr", "data"):
-        assert np.array_equal(getattr(got.upper, attr), getattr(want.upper, attr)), attr
-    assert got.upper.has_canonical_format and np.all(got.upper.data == 1.0)
+        assert np.array_equal(getattr(got.full, attr), getattr(want.full, attr)), attr
+    assert _unflagged(got.full).has_canonical_format and np.all(got.full.data == 1.0)
     assert np.array_equal(got.toarray(), dense.astype(np.float64))
+
+
+def _unflagged(m):
+    """A copy of a CSR without its cached format flags, so scipy checks the arrays themselves."""
+    return sp.csr_matrix((m.data.copy(), m.indices.copy(), m.indptr.copy()), shape=m.shape)
+
+
+def _scipy_full(n, rows, cols):
+    """scipy's own symmetric CSR of an edge list: the upper triangle U through COO, then U + U'."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    keep = rows != cols
+    upper = sp.csr_matrix((np.ones(int(keep.sum())), (np.minimum(rows, cols)[keep], np.maximum(rows, cols)[keep])),
+                          shape=(n, n))
+    upper.sum_duplicates()
+    upper.data[:] = 1.0
+    return (upper + upper.T).tocsr()
+
+
+def _assert_same_csr(got, want):
+    # compare the arrays before any product: a misplaced entry can crash csr_matvec
+    for attr in ("indptr", "indices", "data"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype and np.array_equal(g, w), attr
+    assert _unflagged(got).has_canonical_format
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 30), pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=60))
+@example(n=2, pairs=[])  # no edges
+@example(n=2, pairs=[(1, 0)])
+@example(n=5, pairs=[(3, 3), (0, 0), (4, 4)])  # only self-loops
+@example(n=6, pairs=[(1, 4), (4, 1), (1, 4), (2, 2), (5, 0), (0, 5)])  # repeats in both orientations
+@example(n=9, pairs=[(0, 8), (3, 8)])  # isolated nodes at both ends and between
+def test_full_matches_scipy_construction(n, pairs):
+    rows, cols = [a % n for a, _ in pairs], [b % n for _, b in pairs]
+    m = SymmetricBinaryMatrix.from_edges(n, rows, cols)
+    _assert_same_csr(m.full, _scipy_full(n, rows, cols))
+    assert np.all(np.diff(m.keys) > 0)
+    i, j = m.edge_arrays()
+    assert np.all(i < j) and np.array_equal(i * n + j, m.keys)
+
+
+@pytest.mark.parametrize("g", [SBM3, RANK2], ids=["sbm3", "rank2"])
+def test_observed_csr_matches_scipy_construction(g):
+    # observe hands its keys straight to the matrix, past from_edges
+    n = 60
+    a = build_true_adjacency(g, sample_latent(n, seed=3), 0.4)
+    for seed in range(5):
+        m = observe(a, seed=seed)
+        assert m.n_edges > 0 and np.all(np.diff(m.keys) > 0)
+        _assert_same_csr(m.full, _scipy_full(n, *m.edge_arrays()))
+        assert np.array_equal(m.row_sums(), np.asarray(_scipy_full(n, *m.edge_arrays()).sum(axis=1)).ravel())
+
+
+def test_from_edges_rejects_ids_outside_range():
+    # an unchecked id would alias another edge's key i * n + j: (0, 5) is (1, 2) at n = 3
+    for rows, cols in (([0], [5]), ([-1], [2]), ([1, 0], [2, 3])):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            SymmetricBinaryMatrix.from_edges(3, rows, cols)
+    with pytest.raises(InvalidSize, match="2147483647"):
+        SymmetricBinaryMatrix.from_edges(2**31, [0], [1])
+
+
+def test_graphon_equality_and_hash_by_value():
+    pi, P = SBM3.params["pi"].tolist(), SBM3.params["P"].tolist()
+    assert Graphon.sbm(pi, P) == Graphon.sbm(pi, P) and hash(Graphon.sbm(pi, P)) == hash(SBM3)
+    assert hash(Graphon.constant(0.5)) == hash(Graphon.constant(0.5))
+    assert Graphon.constant(0.5) != Graphon.constant(0.6) and Graphon.constant(0.5) != SBM3
+    assert Graphon.sbm([0.5, 0.5], [[0.9, 0.2], [0.2, 0.7]]) != SBM3
+    phi = RANK2.params["eigenfunctions"]
+    assert Graphon.rank_r([0.5, 0.15], phi) == RANK2 and hash(Graphon.rank_r([0.5, 0.15], phi)) == hash(RANK2)
+    assert Graphon.rank_r([0.5, 0.15], [np.ones_like, lambda u: phi[1](u)]) != RANK2  # callables by identity
+    config = lambda: ExperimentConfig(graphon=Graphon.sbm(pi, P), n_grid=[50], sparsity=SparsityRule.inverse_n())
+    assert config() == config()
