@@ -20,6 +20,8 @@ from .errors import (
 )
 from .graph_model import FactoredMatrix, SymmetricBinaryMatrix, SymmetricWeightedMatrix
 
+_KRYLOV = 8  # products per Lanczos restart cycle
+
 Matrix = Union[SymmetricWeightedMatrix, FactoredMatrix, SymmetricBinaryMatrix, "RegularizedMatrix"]
 
 __all__ = [
@@ -62,9 +64,7 @@ class DiffusionParams:
     def resolve(self, m: Matrix, **eig_kwargs) -> float:
         if self.delta_rule == "fixed":
             return float(self.delta)
-        lam1, _ = leading_eigenpair(m, **eig_kwargs)
-        if lam1 <= 0:
-            raise DegenerateSpectrum(f"delta rule {self.delta_rule} needs lambda1 > 0, got {lam1}")
+        lam1, _ = leading_eigenpair(m, **eig_kwargs)  # raises DegenerateSpectrum unless lam1 > 0
         d = 1.0 / lam1 if self.delta_rule == "inverse-lambda1" else 1.0 / math.sqrt(lam1)
         return min(d, 1.0)
 
@@ -179,55 +179,40 @@ def leading_eigenpair(
     seed: int = 0,
     gap_check: bool = False,
 ):
-    """Leading eigenpair by shifted power iteration.
+    """Leading eigenpair by thick-restart Lanczos (``_lanczos``).
 
-    Residual criterion: ||A v - lam v|| <= tol * ||A||_F.  The positive
-    shift keeps the iteration from oscillating on bipartite graphs where
-    lam_min = -lam_max; for nonnegative matrices the Perron eigenvalue is
-    the largest in absolute value, so the shifted iteration converges to
-    the right pair.  Sign convention: sum(v) >= 0.
+    Residual criterion: ||A v - lam v|| <= tol * ||A||_F within ``max_iter``
+    products with A.  The Perron eigenvalue of a nonnegative matrix is its
+    largest algebraic one, so bipartite graphs need no shift.  Sign
+    convention: sum(v) >= 0.  ``gap_check`` finds lam2 on the deflated
+    (I - vv')(A + sI)(I - vv'), s = lam + 1, since Ritz values cannot see
+    a repeated lam1.
     """
     matvec, n, normF = m.matvec, m.n, m.frobenius()
     if normF == 0.0:
         raise EmptyGraph("leading eigenpair of the zero matrix is undefined")
 
-    rng = np.random.default_rng(seed)
-    v = rng.random(n) + 0.1
-    v /= math.sqrt(v @ v)
-    av = matvec(v)
-    shift = 1.0
-    lam = 0.0
-    resid = np.inf
-    for _ in range(max_iter):
-        w = av + shift * v
-        nw = math.sqrt(w @ w)
-        if nw == 0.0:
-            v = rng.random(n) + 0.1
-            v /= math.sqrt(v @ v)
-            av = matvec(v)
-            continue
-        v = w / nw
-        av = matvec(v)
-        lam = float(v @ av)
-        r = av - lam * v
-        resid = math.sqrt(r @ r)
-        if resid <= tol * normF:
-            break
-    else:
+    lam, v, resid = _lanczos(matvec, n, tol * normF, max_iter, seed)
+    if not resid <= tol * normF:
         raise NoConvergence(
-            f"power iteration did not reach tol={tol:g} in {max_iter} iterations "
-            f"(residual {resid:.3g})",
+            f"Lanczos did not reach tol={tol:g} in {max_iter} products (residual {resid:.3g})",
             residual=resid,
         )
-
     if v.sum() < 0:
         v = -v
     if lam <= 0:
         raise DegenerateSpectrum(f"converged leading eigenvalue is nonpositive ({lam})")
 
     if gap_check:
-        lam2 = _deflated_second_eigenvalue(matvec, n, v, lam, normF, tol, max_iter, seed)
-        if lam2 is not None and abs(lam) - abs(lam2) < 1e-8 * abs(lam):
+        s = lam + 1.0  # on v's complement the deflated spectrum lies in [1, lam2 + s]
+
+        def deflated(w):
+            w = w - (v @ w) * v
+            w = matvec(w) + s * w
+            return w - (v @ w) * v
+
+        lam2 = _lanczos(deflated, n, max(tol, 1e-9) * normF, min(max_iter, 5000), seed + 1)[0] - s
+        if abs(lam) - abs(lam2) < 1e-8 * abs(lam):
             warnings.warn(
                 f"eigengap |lam1|-|lam2| = {abs(lam) - abs(lam2):.3g} below tolerance",
                 DegenerateGapWarning,
@@ -236,32 +221,47 @@ def leading_eigenpair(
     return lam, v
 
 
-def _deflated_second_eigenvalue(matvec, n, v1, lam1, normF, tol, max_iter, seed):
-    """Power iteration on the deflated operator A - lam1 v1 v1'."""
-    rng = np.random.default_rng(seed + 1)
-    w = rng.standard_normal(n)
-    w -= (w @ v1) * v1
-    nw = math.sqrt(w @ w)
-    if nw == 0:
-        return None
-    w /= nw
-    aw = matvec(w) - lam1 * (v1 @ w) * v1
-    shift = abs(lam1) + 1.0  # keep the deflated spectrum positive
-    lam2 = None
-    for _ in range(min(max_iter, 5000)):
-        z = aw + shift * w
-        z -= (z @ v1) * v1
-        nz = math.sqrt(z @ z)
-        if nz == 0:
-            return None
-        w = z / nz
-        aw = matvec(w) - lam1 * (v1 @ w) * v1
-        lam2 = float(w @ aw)
-        r = aw - lam2 * w
-        res = math.sqrt(r @ r)
-        if res <= max(tol, 1e-9) * normF:
-            break
-    return lam2
+def _lanczos(matvec, n, bound, max_iter, seed):
+    """Top eigenpair of a symmetric operator by thick-restart Lanczos.
+
+    A cycle of ``_KRYLOV`` products grows the Krylov space of the last top
+    Ritz vector next to the second one, which separates a nearly tied top
+    pair; each product is orthogonalized against the basis twice and fills
+    the projected matrix H.  Its first product tests x: ||Ax - lam x|| <=
+    bound, lam = x'Ax, accepts.  A residual above ``bound`` in the returned
+    (lam, x, residual) means the ``max_iter`` products ran out.
+    """
+    basis = np.empty((_KRYLOV + 1, n))
+    basis[0] = np.random.default_rng(seed).random(n) + 0.1
+    basis[0] /= math.sqrt(basis[0] @ basis[0])
+    H = np.zeros((_KRYLOV + 1, _KRYLOV + 1))
+    lam, resid, products, m = 0.0, math.inf, 0, 1
+    while products < max_iter:
+        k, j = min(_KRYLOV, max_iter - products), 0
+        for step in range(k):
+            w, q = matvec(basis[j]), basis[:m]
+            products += 1
+            h = q @ w
+            H[:m, j] = H[j, :m] = h
+            if j == 0:
+                r = w - h[0] * basis[0]
+                resid = math.sqrt(r @ r)
+                if resid <= bound:
+                    return float(h[0]), basis[0].copy(), resid
+            if step + 1 == k:
+                break
+            w -= h @ q
+            w -= (q @ w) @ q
+            b = math.sqrt(w @ w)
+            if b <= bound:  # the basis spans an invariant subspace to within tolerance
+                break
+            np.divide(w, b, out=basis[m])
+            j, m = m, m + 1
+        theta, s = np.linalg.eigh(H[:m, :m])
+        lam, m = float(theta[-1]), min(m, 2)
+        basis[:m] = s[:, : -m - 1 : -1].T @ basis[: len(s)]  # top Ritz vector first
+        H[m - 1, m - 1] = theta[-m]  # column 0 refills the rest of H[:m, :m]
+    return lam, basis[0].copy(), resid
 
 
 def eigenvector_centrality(m: Matrix, scaling: ScalingPolicy, **eig_kwargs) -> CentralityVector:
@@ -339,16 +339,6 @@ def regularized_eigenvector_centrality(
 ) -> CentralityVector:
     """Leading eigenvector of the regularized adjacency, scaled by policy."""
     reg = regularize(m, spec)
-    lam1, v1 = leading_eigenpair(reg, **eig_kwargs)
-    a_n = scaling.resolve(m.n, lam1)
-    return CentralityVector(
-        values=a_n * v1,
-        recipe={
-            "kind": "regularized-eigenvector",
-            "scaling": scaling.kind,
-            "a_n": a_n,
-            "mode": spec.mode,
-        },
-        lambda1=lam1,
-        node_weights=reg.node_weights,
-    )
+    c = eigenvector_centrality(reg, scaling, **eig_kwargs)
+    recipe = {**c.recipe, "kind": "regularized-eigenvector", "mode": spec.mode}
+    return CentralityVector(c.values, recipe, c.lambda1, node_weights=reg.node_weights)

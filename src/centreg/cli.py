@@ -210,19 +210,18 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
+    n = args.n
     try:
         from .io import read_edge_list
         from .graph_model import SymmetricBinaryMatrix
 
         est = _estimator(args)
         rows, cols = read_edge_list(args.edges)
-        n = args.n if args.n is not None else (int(max(rows.max(), cols.max())) + 1 if len(rows) else 0)
+        n = n if n is not None else (int(max(rows.max(), cols.max())) + 1 if len(rows) else 0)
         if n < 2:
-            print("error: need at least two nodes", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("need at least two nodes")
         if len(cols) and cols.max() >= n:
-            print(f"error: {args.edges}: edge endpoint {cols.max()} is not below --n {n}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"{args.edges}: edge endpoint {cols.max()} is not below --n {n}")
         a_hat = SymmetricBinaryMatrix.from_edges(n, rows, cols)
         vec = est.centrality(a_hat, seed=args.seed)
         if args.format == "json":
@@ -232,6 +231,9 @@ def _cmd_centrality(args) -> int:
             text = json.dumps(payload, indent=1, allow_nan=False)
     except (CentregError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(f"error: {args.edges}: not enough memory for node count {n}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
         _emit(args.out, text)

@@ -237,7 +237,7 @@ def test_criterion_3_oracle_equivalences():
         idx = int(np.argmax(np.abs(w)))
         ok &= abs(lam - w[idx]) <= 1e-8 * max(1.0, abs(w[idx]))
         ok &= abs(abs(v @ V[:, idx]) - 1.0) <= 1e-7
-    _check(lines, "3 eigenpair", ok, "power iteration == dense eigensolve (n<=30, tol 1e-8)")
+    _check(lines, "3 eigenpair", ok, "leading_eigenpair == dense eigensolve (n<=30, tol 1e-8)")
 
     ok = all(
         count_even_path_walks(t).counts == count_even_path_walks_isomorphism(t).counts

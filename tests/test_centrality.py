@@ -1,5 +1,7 @@
 """Centrality computations against closed forms and dense oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,7 +18,8 @@ from centreg import (
     leading_eigenpair,
     regularize,
 )
-from centreg.errors import DegenerateSpectrum, EmptyGraph, InvalidBound, NoConvergence
+from centreg.centrality import _KRYLOV
+from centreg.errors import DegenerateGapWarning, DegenerateSpectrum, EmptyGraph, InvalidBound, NoConvergence
 
 K3 = SymmetricBinaryMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
 PATH3 = SymmetricBinaryMatrix.from_edges(3, [0, 1], [1, 2])
@@ -115,6 +118,18 @@ def test_eigenpair_matches_dense_eigensolve(seed):
     assert np.linalg.norm(dense @ v - lam * v) <= 1e-10 * np.linalg.norm(dense)
 
 
+def test_leading_eigenpair_near_tied_top_pair():
+    # paths P51 and P50 side by side: lambda1 - lambda2 = 1.4e-4 and lambda2 -
+    # lambda3 = 0.011; keeping the second Ritz vector separates the top pair,
+    # while a restart from the top Ritz vector alone takes about 28 000 products
+    lo = list(range(49)) + list(range(50, 100))
+    m = SymmetricBinaryMatrix.from_edges(101, lo, [i + 1 for i in lo])
+    lam, v = leading_eigenpair(m, max_iter=2000)
+    w, V = np.linalg.eigh(m.toarray())
+    assert lam == pytest.approx(w[-1], abs=1e-12)
+    assert abs(v @ V[:, -1]) == pytest.approx(1.0, abs=1e-9)
+
+
 class CountingOperator:
     """Wraps a matrix and counts its matrix-vector products."""
 
@@ -129,20 +144,22 @@ class CountingOperator:
         return self.m.frobenius()
 
 
-def test_power_iteration_one_product_per_iteration():
+def test_lanczos_product_budget():
     m = random_binary(40, 0.2, seed=77)
     op = CountingOperator(m)
     lam, v = leading_eigenpair(op)
-    iterations = op.products - 1
-    # converged on iteration `iterations`, so one fewer must fail
-    with pytest.raises(NoConvergence):
-        leading_eigenpair(m, max_iter=iterations - 1)
-    lam_cap, v_cap = leading_eigenpair(m, max_iter=iterations)
+    products = op.products
+    assert products > _KRYLOV  # at least one restart
+    # accepted on product `products`, so one fewer must fail with a finite residual
+    with pytest.raises(NoConvergence) as failed:
+        leading_eigenpair(m, max_iter=products - 1)
+    assert np.isfinite(failed.value.residual) and failed.value.residual > 1e-10 * m.frobenius()
+    lam_cap, v_cap = leading_eigenpair(m, max_iter=products)
     assert (lam_cap, v_cap.tobytes()) == (lam, v.tobytes())
     capped = CountingOperator(m)
     with pytest.raises(NoConvergence):
         leading_eigenpair(capped, tol=0.0, max_iter=5)
-    assert capped.products == 6
+    assert capped.products == 5
 
 
 def test_eigenvector_centrality_scalings():
@@ -257,11 +274,24 @@ def test_sqrt_lambda1_rejects_nonpositive():
         ScalingPolicy(kind="sqrt-lambda1").resolve(5, 0.0)
 
 
-def test_degenerate_gap_warning_on_tied_spectrum():
-    # two disjoint single edges: lambda1 = lambda2 = 1 exactly
-    m = SymmetricBinaryMatrix.from_edges(4, [0, 2], [1, 3])
-    with pytest.warns(Warning, match="eigengap"):
+@pytest.mark.parametrize(
+    "edges, n, warns",
+    [
+        (([0, 2], [1, 3]), 4, True),  # two disjoint edges: lambda1 = lambda2 = 1
+        (([0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5]), 6, True),  # two triangles: a repeated lambda1 = 2
+        (([0] * 5, [1, 2, 3, 4, 5]), 6, False),  # star K1,5: -lambda1 is not lambda2
+        (([0, 1, 2], [1, 2, 3]), 4, False),  # path P4: lambda2 = 0.618 < lambda1 = 1.618
+    ],
+    ids=["two-edges", "two-triangles", "star", "path"],
+)
+def test_degenerate_gap_warning_on_tied_spectrum(edges, n, warns):
+    m = SymmetricBinaryMatrix.from_edges(n, *edges)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         leading_eigenpair(m, gap_check=True)
+    assert [issubclass(w.category, DegenerateGapWarning) and "eigengap" in str(w.message) for w in caught] == (
+        [True] if warns else []
+    )
 
 
 def test_ols_demeaning_flag():

@@ -192,6 +192,24 @@ def test_centrality_huge_node_count_exit_two(tmp_path, capsys, edge, flags, mess
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_centrality_out_of_memory_exit_two(tmp_path, capsys, monkeypatch):
+    # an id just under 2^31 passes the size check, but its n-long CSR arrays
+    # need about 16 GB each; the build is stubbed rather than attempted
+    from centreg import graph_model
+
+    def no_memory(n, keys):
+        raise MemoryError
+
+    monkeypatch.setattr(graph_model, "_symmetric_csr", no_memory)
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n0,1\n2147483646,1\n")
+    code = main(["centrality", "--edges", str(edges)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {edges}: not enough memory for node count 2147483647\n"
+
+
 def test_regress_has_no_format_flag(tmp_path, capsys):
     edges, outcomes = write_k3(tmp_path)
     with pytest.raises(SystemExit) as exit_:
