@@ -11,7 +11,6 @@ from .centrality import (
     CentralityVector,
     DiffusionParams,
     RegularizationSpec,
-    RegularizedMatrix,
     ScalingPolicy,
     degree,
     diffusion,
@@ -25,8 +24,7 @@ from .graph_model import (
     Graphon,
     LatentSample,
     SparsityRule,
-    SymmetricBinaryMatrix,
-    SymmetricWeightedMatrix,
+    SymmetricSparseMatrix,
     build_true_adjacency,
     observe,
     sample_latent,

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ConfigMismatch,
@@ -18,18 +18,17 @@ from .errors import (
     InvalidBound,
     NoConvergence,
 )
-from .graph_model import FactoredMatrix, SymmetricBinaryMatrix, SymmetricWeightedMatrix
+from .graph_model import FactoredMatrix, SymmetricSparseMatrix
 
 _KRYLOV = 8  # products per Lanczos restart cycle
 
-Matrix = Union[SymmetricWeightedMatrix, FactoredMatrix, SymmetricBinaryMatrix, "RegularizedMatrix"]
+Matrix = Union[FactoredMatrix, SymmetricSparseMatrix]
 
 __all__ = [
     "DiffusionParams",
     "ScalingPolicy",
     "RegularizationSpec",
     "CentralityVector",
-    "RegularizedMatrix",
     "degree",
     "diffusion",
     "leading_eigenpair",
@@ -116,7 +115,7 @@ class RegularizationSpec:
         else:
             raise InvalidBound(f"unknown regularization mode {self.mode!r}")
 
-    def threshold(self, m: SymmetricBinaryMatrix) -> float:
+    def threshold(self, m: SymmetricSparseMatrix) -> float:
         if self.mode == "oracle":
             return 2.0 * m.n * self.p_n
         rho_hat = m.total() / (m.n * (m.n - 1))
@@ -232,8 +231,7 @@ def _lanczos(matvec, n, bound, max_iter, seed):
     (lam, x, residual) means the ``max_iter`` products ran out.
     """
     basis = np.empty((_KRYLOV + 1, n))
-    basis[0] = np.random.default_rng(seed).random(n) + 0.1
-    basis[0] /= math.sqrt(basis[0] @ basis[0])
+    basis[0] = _start_vector(n, seed)
     H = np.zeros((_KRYLOV + 1, _KRYLOV + 1))
     lam, resid, products, m = 0.0, math.inf, 0, 1
     while products < max_iter:
@@ -264,6 +262,15 @@ def _lanczos(matvec, n, bound, max_iter, seed):
     return lam, basis[0].copy(), resid
 
 
+@lru_cache(maxsize=8)
+def _start_vector(n: int, seed: int) -> np.ndarray:
+    """The normalized Lanczos start vector for (n, seed), drawn once and kept read-only."""
+    x = np.random.default_rng(seed).random(n) + 0.1
+    x /= math.sqrt(x @ x)
+    x.flags.writeable = False
+    return x
+
+
 def eigenvector_centrality(m: Matrix, scaling: ScalingPolicy, **eig_kwargs) -> CentralityVector:
     """C = a_n v1(A) with a_n resolved per policy; ||C|| = a_n by construction."""
     lam1, v1 = leading_eigenpair(m, **eig_kwargs)
@@ -275,50 +282,15 @@ def eigenvector_centrality(m: Matrix, scaling: ScalingPolicy, **eig_kwargs) -> C
     )
 
 
-class RegularizedMatrix:
-    """D^1/2 Ahat D^1/2 in CSR form, D = diag(node_weights).
-
-    Keeps the node weights and the threshold that produced them.  The dense
-    array behind ``entries`` is built only on request.
-    """
-
-    def __init__(self, weighted: sp.csr_matrix, node_weights: np.ndarray, threshold: float):
-        self.weighted = weighted
-        self.node_weights = node_weights
-        self.threshold = threshold
-        self.n = weighted.shape[0]
-        self._entries = None
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.weighted @ v
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.weighted.sum(axis=1)).ravel()
-
-    def total(self) -> float:
-        return float(self.weighted.sum())
-
-    def frobenius(self) -> float:
-        data = self.weighted.data
-        return math.sqrt(float(data @ data))
-
-    @property
-    def entries(self) -> np.ndarray:
-        if self._entries is None:
-            out = self.weighted.toarray()
-            out.flags.writeable = False
-            self._entries = out
-        return self._entries
-
-
-def regularize(m: SymmetricBinaryMatrix, spec: RegularizationSpec) -> RegularizedMatrix:
+def regularize(m: SymmetricSparseMatrix, spec: RegularizationSpec) -> SymmetricSparseMatrix:
     """Down-weight edges of high-degree vertices.
 
     lambda_i = min(tau / deg_i, 1) with lambda_i = 1 for isolated nodes;
     output entries are sqrt(lambda_i lambda_j) * A_ij, the diagonal scaling
     D^1/2 Ahat D^1/2 of Le, Levina & Vershynin (2017), in O(n + nnz): a
-    rescale of Ahat's data on its own sparsity pattern.  The
-    guaranteed bound is lambda_i * deg_i <= tau per node, not a bound on the
+    rescale of Ahat's upper-triangle data on its own sparsity pattern.  The
+    output keeps the node weights and the threshold tau.  The guaranteed
+    bound is lambda_i * deg_i <= tau per node, not a bound on the
     reweighted degrees themselves.
     """
     tau = spec.threshold(m)
@@ -326,16 +298,15 @@ def regularize(m: SymmetricBinaryMatrix, spec: RegularizationSpec) -> Regularize
     lam = np.ones(m.n)
     busy = deg > 0
     lam[busy] = np.minimum(tau / deg[busy], 1.0)
-    root, full = np.sqrt(lam), m.full
-    data = np.repeat(root, np.diff(full.indptr))  # sqrt(lambda_i) on row i's entries
-    data *= root[full.indices]
-    weighted = sp.csr_matrix((data, full.indices, full.indptr), shape=full.shape)
-    weighted.has_canonical_format = True
-    return RegularizedMatrix(weighted, lam, tau)
+    root = np.sqrt(lam)
+    rows, cols = m.edge_arrays()
+    data = root[rows]
+    data *= root[cols]
+    return SymmetricSparseMatrix(m.n, m.indptr, m.rows, m.cols, data, node_weights=lam, threshold=tau)
 
 
 def regularized_eigenvector_centrality(
-    m: SymmetricBinaryMatrix, scaling: ScalingPolicy, spec: RegularizationSpec, **eig_kwargs
+    m: SymmetricSparseMatrix, scaling: ScalingPolicy, spec: RegularizationSpec, **eig_kwargs
 ) -> CentralityVector:
     """Leading eigenvector of the regularized adjacency, scaled by policy."""
     reg = regularize(m, spec)

@@ -213,7 +213,7 @@ def _cmd_centrality(args) -> int:
     n = args.n
     try:
         from .io import read_edge_list
-        from .graph_model import SymmetricBinaryMatrix
+        from .graph_model import SymmetricSparseMatrix
 
         est = _estimator(args)
         rows, cols = read_edge_list(args.edges)
@@ -222,7 +222,7 @@ def _cmd_centrality(args) -> int:
             raise ValueError("need at least two nodes")
         if len(cols) and cols.max() >= n:
             raise ValueError(f"{args.edges}: edge endpoint {cols.max()} is not below --n {n}")
-        a_hat = SymmetricBinaryMatrix.from_edges(n, rows, cols)
+        a_hat = SymmetricSparseMatrix.from_edges(n, rows, cols)
         vec = est.centrality(a_hat, seed=args.seed)
         if args.format == "json":
             payload = {"recipe": vec.recipe, "values": [float(v) for v in vec.values]}

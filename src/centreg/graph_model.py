@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec  # pinned by the tests
 
 from .errors import InvalidGraphon, InvalidSize, InvalidSparsity
 
@@ -26,8 +26,7 @@ __all__ = [
     "Graphon",
     "LatentSample",
     "SparsityRule",
-    "SymmetricWeightedMatrix",
-    "SymmetricBinaryMatrix",
+    "SymmetricSparseMatrix",
     "FactoredMatrix",
     "sample_latent",
     "build_true_adjacency",
@@ -38,49 +37,11 @@ _ORTHO_PROBE_TOL = 1e-2
 _ORTHO_PROBE_SIZE = 20000
 _RANK_R_BINS = 16  # equal-width sampler bins on [0, 1] for rank-r graphons
 _RANGE_CHUNK = 1 << 20  # entries per block of the entry-by-entry range check
+_MAX_ENTRIES = 2**31 - 1  # stored entries an int32 indptr can address
 
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-class SymmetricWeightedMatrix:
-    """Dense symmetric n x n matrix with zero diagonal and entries in [0, 1].
-
-    The array is frozen after construction; all consumers treat it as
-    read-only, which makes instances safe to share across threads.
-    """
-
-    def __init__(self, entries: np.ndarray):
-        entries = np.array(entries, dtype=np.float64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvalidSize(f"adjacency must be square, got shape {entries.shape}")
-        if not np.allclose(entries, entries.T, atol=1e-12):
-            raise InvalidGraphon("adjacency matrix is not symmetric")
-        if np.any(np.diag(entries) != 0.0):
-            raise InvalidGraphon("adjacency diagonal must be zero")
-        if entries.min() < 0.0 or entries.max() > 1.0:
-            raise InvalidGraphon("adjacency entries must lie in [0, 1]")
-        entries.flags.writeable = False
-        self.entries = entries
-        self.n = entries.shape[0]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.entries @ v
-
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-    def total(self) -> float:
-        """iota' A iota, the sum of all entries."""
-        return float(self.entries.sum())
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def noise_variance_total(self) -> float:
-        """sum_{i != j} A_ij (1 - A_ij), the summed variance of the observation noise."""
-        return float(np.sum(self.entries * (1.0 - self.entries)))
 
 
 class FactoredMatrix:
@@ -156,36 +117,41 @@ class FactoredMatrix:
         return self._entries
 
 
-class SymmetricBinaryMatrix:
-    """Observed adjacency: sorted upper-triangle edge keys plus one symmetric CSR.
+class SymmetricSparseMatrix:
+    """Symmetric n x n matrix with zero diagonal, stored as its upper triangle U.
 
-    ``keys`` holds i * n + j for every edge i < j, sorted and unique (int64).
-    ``full`` is the symmetric CSR built from them at construction: int32
-    indices, data 1, rows sorted.  The constructor takes keys already in
-    that form; ``from_edges`` and ``from_dense`` bring any edge list to it.
-    Both arrays are read-only once built, so instances are safe to share
-    across threads.
+    U is a CSR matrix: int32 ``indptr`` over rows and ``cols``, the column of
+    each entry, with ``rows`` its row and ``data`` its value (ones for an
+    observed network).  Entries run over the pairs i < j sorted by i, then
+    j.  ``node_weights`` and ``threshold`` are set only on the output of
+    ``centrality.regularize``.  The constructor trusts its arrays, which
+    the product hands to scipy's C kernels unchecked; ``from_edges`` and
+    ``from_dense`` bring any edge list to this form.  The arrays are
+    read-only once built, so instances are safe to share across threads.
     """
 
-    def __init__(self, n: int, keys: np.ndarray):
+    def __init__(self, n, indptr, rows, cols, data, node_weights=None, threshold=None):
         self.n = int(n)
-        self.keys = keys
-        self.full = _symmetric_csr(self.n, keys)
-        for arr in (keys, self.full.data, self.full.indices, self.full.indptr):
+        self.indptr, self.rows, self.cols, self.data = indptr, rows, cols, data
+        for arr in (indptr, rows, cols, data):
             arr.flags.writeable = False
+        self.node_weights, self.threshold = node_weights, threshold
+        self._row_sums = None
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SymmetricBinaryMatrix":
-        """Every nonzero above the diagonal is an edge."""
+    def from_dense(cls, dense: np.ndarray) -> "SymmetricSparseMatrix":
+        """Every nonzero above the diagonal is an entry."""
         dense = np.asarray(dense)
-        return cls.from_edges(dense.shape[0], *np.nonzero(np.triu(dense, k=1)))
+        i, j = np.nonzero(np.triu(dense, k=1))
+        return cls.from_edges(dense.shape[0], i, j, dense[i, j])
 
     @classmethod
-    def from_edges(cls, n: int, rows: Sequence[int], cols: Sequence[int]) -> "SymmetricBinaryMatrix":
-        """Edges in either orientation; self-loops are dropped and repeats merged.
+    def from_edges(cls, n: int, rows: Sequence[int], cols: Sequence[int], weights=None) -> "SymmetricSparseMatrix":
+        """Pairs in either orientation; self-loops are dropped and repeats merged.
 
-        Endpoints must lie in [0, n) (``ValueError``) and n below 2^31
-        (``InvalidSize``).
+        ``weights`` gives each pair's value (default 1): of repeats the last
+        wins, and a pair whose value is 0 is dropped.  Endpoints must lie in
+        [0, n) (``ValueError``) and n below 2^31 (``InvalidSize``).
         """
         n = int(n)
         if n >= 2**31:
@@ -195,73 +161,76 @@ class SymmetricBinaryMatrix:
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
         if len(lo) and (lo.min() < 0 or hi.max() >= n):
             raise ValueError(f"edge endpoint outside [0, {n})")
-        if (lo == hi).any():
-            lo, hi = lo[lo != hi], hi[lo != hi]
+        pair = lo != hi
+        if not pair.all():
+            lo, hi = lo[pair], hi[pair]
         keys = lo
         keys *= n
         keys += hi
+        if weights is not None:
+            order = np.argsort(keys, kind="stable")
+            keys, data = keys[order], np.asarray(weights, dtype=np.float64)[pair][order]
+            last = np.diff(keys, append=n * n) != 0  # keys lie below n * n
+            last &= data != 0.0
+            return _from_keys(n, keys[last], data[last])
         keys.sort()
         repeat = keys[1:] == keys[:-1]
         if repeat.any():
             keys = keys[np.concatenate(([True], ~repeat))]
-        return cls(n, keys)
+        return _from_keys(n, keys)
 
     @property
     def n_edges(self) -> int:
-        return len(self.keys)
+        return len(self.data)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.full @ v
+        """U'v + Uv: row r adds its lower entries, then its upper ones, each in column order.
+
+        That is the order of a symmetric CSR product, so the result is the
+        same to the bit.
+        """
+        if np.shape(v) != (self.n,):
+            raise ValueError(f"vector of shape {np.shape(v)} for an n = {self.n} matrix")
+        out = np.zeros(self.n)
+        csc_matvec(self.n, self.n, self.indptr, self.cols, self.data, v, out)
+        csr_matvec(self.n, self.n, self.indptr, self.cols, self.data, v, out)
+        return out
 
     def row_sums(self) -> np.ndarray:
-        """Degrees (every edge counted once per endpoint)."""
-        return np.diff(self.full.indptr).astype(np.float64)
+        """Row sums (degrees of an observed network), computed on the first call; read-only."""
+        if self._row_sums is None:
+            sums = self.matvec(np.ones(self.n))
+            sums.flags.writeable = False
+            self._row_sums = sums
+        return self._row_sums
 
     def total(self) -> float:
-        """iota' A-hat iota = twice the edge count."""
-        return 2.0 * len(self.keys)
+        """iota' A iota, twice the sum of the stored entries."""
+        return 2.0 * float(self.data.sum())
 
     def frobenius(self) -> float:
-        return math.sqrt(self.total())
+        return math.sqrt(2.0 * float(self.data @ self.data))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle (i, j) arrays in key order, each undirected edge once."""
-        return np.divmod(self.keys, self.n)
+        """The (i, j) of every stored entry, i < j, as int64: numpy gathers int64 indices about 2x faster."""
+        return self.rows.astype(np.int64), self.cols.astype(np.int64)
 
     def toarray(self) -> np.ndarray:
-        return self.full.toarray()
+        out = np.zeros((self.n, self.n))
+        out[self.rows, self.cols] = self.data
+        out[self.cols, self.rows] = self.data
+        return out
 
 
-def _symmetric_csr(n: int, keys: np.ndarray) -> sp.csr_matrix:
-    """The symmetric CSR of sorted unique keys i * n + j, i < j, placed entry by entry.
-
-    Row r lists its lower entries (columns below r), then its upper ones:
-    upper entries in key order, lower entries in the order of the transposed
-    keys j * n + i.  Rows come out sorted.
-    """
-    rank = np.arange(len(keys))
-    starts = np.searchsorted(keys, np.arange(0, n * n + 1, n))  # row r's upper entries are keys[starts[r]:starts[r + 1]]
-    n_upper = np.diff(starts)
-    lo = np.repeat(np.arange(n), n_upper)
-    hi = lo * n
-    np.subtract(keys, hi, out=hi)
-    n_lower = np.bincount(hi, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_upper + n_lower, out=indptr[1:])
-    indices = np.empty(2 * len(keys), dtype=np.int32)
-    pos = np.repeat(np.cumsum(n_lower), n_upper)  # an upper entry follows the lower entries of rows up to its own
-    pos += rank
-    indices[pos] = hi
-    transposed = np.multiply(hi, n, out=hi)
-    transposed += lo
-    transposed.sort()
-    transposed -= np.repeat(np.arange(0, n * n, n), n_lower)  # now the lower entries' columns
-    pos = np.repeat(starts[:-1], n_lower)  # a lower entry follows the upper entries of rows before its own
-    pos += rank
-    indices[pos] = transposed
-    full = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    full.has_canonical_format = True
-    return full
+def _from_keys(n: int, keys: np.ndarray, data: np.ndarray = None) -> SymmetricSparseMatrix:
+    """The matrix of sorted unique keys i * n + j, i < j, with values ``data`` (default 1)."""
+    if len(keys) > _MAX_ENTRIES:
+        raise InvalidSize(f"{len(keys)} entries exceed {_MAX_ENTRIES}, the most an int32 indptr can address")
+    rows, cols = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    data = np.ones(len(keys)) if data is None else data
+    return SymmetricSparseMatrix(n, indptr, rows.astype(np.int32), cols.astype(np.int32), data)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +486,7 @@ def build_true_adjacency(g: Graphon, u: LatentSample, p_n: float) -> FactoredMat
     return a
 
 
-def observe(a: FactoredMatrix, seed: int) -> SymmetricBinaryMatrix:
+def observe(a: FactoredMatrix, seed: int) -> SymmetricSparseMatrix:
     """Draw the noisy adjacency: upper entries i.i.d. Bernoulli(A_ij).
 
     Per bin pair, k ~ Binomial(#pairs, qbar) candidates form a uniform
@@ -550,7 +519,7 @@ def observe(a: FactoredMatrix, seed: int) -> SymmetricBinaryMatrix:
             keys.append(np.minimum(i, j) * a.n + np.maximum(i, j))
     keys = np.concatenate(keys)
     keys.sort()  # candidates are distinct pairs of distinct nodes: no loops, no repeats
-    return SymmetricBinaryMatrix(a.n, keys)
+    return _from_keys(a.n, keys)
 
 
 def _pair_from_index(idx: np.ndarray, m: int):

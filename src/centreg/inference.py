@@ -27,7 +27,7 @@ from .errors import (
     NonpositiveAttenuation,
     ZeroRegressor,
 )
-from .graph_model import SymmetricBinaryMatrix
+from .graph_model import SymmetricSparseMatrix
 from .walks import BiasPolynomial, evaluate_b, reference_b
 
 __all__ = [
@@ -179,7 +179,7 @@ def ols(
     )
 
 
-def degree_bias_variance(a_hat: SymmetricBinaryMatrix, fit: RegressionFit) -> Tuple[float, float]:
+def degree_bias_variance(a_hat: SymmetricSparseMatrix, fit: RegressionFit) -> Tuple[float, float]:
     """Theorem-level estimators for the degree regression.
 
     B_hat = iota' Ahat iota / sum C^2; V_hat is an edge-local sum over both
@@ -198,7 +198,7 @@ def degree_bias_variance(a_hat: SymmetricBinaryMatrix, fit: RegressionFit) -> Tu
 
 
 def diffusion_bias_variance(
-    a_hat: SymmetricBinaryMatrix,
+    a_hat: SymmetricSparseMatrix,
     params: DiffusionParams,
     fit: RegressionFit,
     coeffs: Optional[BiasPolynomial] = None,
@@ -245,7 +245,7 @@ def diffusion_bias_variance(
 def eigen_bias_variance(
     lambda1: float,
     c_hat: CentralityVector,
-    a_hat: SymmetricBinaryMatrix,
+    a_hat: SymmetricSparseMatrix,
     fit: RegressionFit,
 ) -> Tuple[float, float]:
     """B_hat = 1/lambda1 and the edge-local eigenvector variance estimator."""

@@ -14,8 +14,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DuplicateEdge, IdMismatch, NonFiniteOutcome
-from .graph_model import Graphon, SymmetricBinaryMatrix, SymmetricWeightedMatrix
+from .errors import DuplicateEdge, IdMismatch, InvalidGraphon, NonFiniteOutcome
+from .graph_model import Graphon, SymmetricSparseMatrix
 
 __all__ = [
     "read_edge_list",
@@ -140,29 +140,32 @@ def read_edge_list(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def write_edge_list(m: SymmetricBinaryMatrix, path: PathLike) -> None:
+def write_edge_list(m: SymmetricSparseMatrix, path: PathLike) -> None:
     rows, cols = m.edge_arrays()
     write_table(path, ("i", "j"), zip(rows.tolist(), cols.tolist()))
 
 
-def read_weighted_matrix(path: PathLike, n: int) -> SymmetricWeightedMatrix:
-    """Read a weighted adjacency from rows ``i,j,w``; the last row for a pair wins."""
+def read_weighted_matrix(path: PathLike, n: int) -> SymmetricSparseMatrix:
+    """Read a weighted adjacency from rows ``i,j,w``, in O(rows) memory.
+
+    Ids must lie in [0, n) (IdMismatch) and weights in [0, 1] (InvalidGraphon),
+    each error naming its row.  The last row for a pair wins; self-loops and
+    zero weights leave no entry.
+    """
     table, line = _read_table(path, ("i", "j", "w"), (np.int64, np.int64, np.float64))
     i, j, w = table["i"], table["j"], table["w"]
-    k = _first((i < 0) | (i >= n) | (j < 0) | (j >= n))
-    if k is not None:
+    bad_id, bad_w = (i < 0) | (i >= n) | (j < 0) | (j >= n), ~((w >= 0.0) & (w <= 1.0))  # nan fails both compares
+    k = _first(bad_id | bad_w)
+    if k is not None and bad_id[k]:
         raise IdMismatch(f"{path}:{line(k)}: id outside [0, {n})")
-    last = ~_repeats(np.minimum(i, j)[::-1], np.maximum(i, j)[::-1])[::-1]
-    out = np.zeros((n, n))
-    out[i[last], j[last]] = out[j[last], i[last]] = w[last]
-    np.fill_diagonal(out, 0.0)
-    return SymmetricWeightedMatrix(out)
+    if k is not None:
+        raise InvalidGraphon(f"{path}:{line(k)}: weight {float(w[k])} outside [0, 1]")
+    return SymmetricSparseMatrix.from_edges(n, i, j, w)
 
 
-def write_weighted_matrix(m: SymmetricWeightedMatrix, path: PathLike) -> None:
-    i, j = np.nonzero(np.triu(m.entries, 1))
-    w = map(repr, m.entries[i, j].tolist())
-    write_table(path, ("i", "j", "w"), zip(i.tolist(), j.tolist(), w))
+def write_weighted_matrix(m: SymmetricSparseMatrix, path: PathLike) -> None:
+    i, j = m.edge_arrays()
+    write_table(path, ("i", "j", "w"), zip(i.tolist(), j.tolist(), map(repr, m.data.tolist())))
 
 
 def read_outcomes(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,7 +181,7 @@ def read_outcomes(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     return ids, y
 
 
-def binary_matrix_from_files(edges_path: PathLike, outcome_ids: Sequence[int]) -> SymmetricBinaryMatrix:
+def binary_matrix_from_files(edges_path: PathLike, outcome_ids: Sequence[int]) -> SymmetricSparseMatrix:
     """Assemble the observed adjacency; outcome ids define the node set.
 
     Ids must be exactly 0..n-1 (0-based, contiguous).  Every edge endpoint
@@ -194,7 +197,7 @@ def binary_matrix_from_files(edges_path: PathLike, outcome_ids: Sequence[int]) -
     rows, cols = read_edge_list(edges_path)  # rows <= cols
     if len(cols) and cols.max() >= n:
         raise IdMismatch(f"edge endpoint {cols.max()} has no outcome row (n={n})")
-    return SymmetricBinaryMatrix.from_edges(n, rows, cols)
+    return SymmetricSparseMatrix.from_edges(n, rows, cols)
 
 
 def graphon_from_json(source: Union[str, dict, PathLike]) -> Graphon:

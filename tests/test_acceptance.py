@@ -28,7 +28,7 @@ from centreg import (
     RegularizationSpec,
     ScalingPolicy,
     SparsityRule,
-    SymmetricBinaryMatrix,
+    SymmetricSparseMatrix,
     bias_correct,
     build_true_adjacency,
     count_even_path_walks,
@@ -141,7 +141,7 @@ def test_criterion_1_coefficient_tables():
 
 def test_criterion_2_triangle_fixtures():
     lines = []
-    k3 = SymmetricBinaryMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
+    k3 = SymmetricSparseMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
     tol = 1e-12
 
     deg = degree(k3).values
@@ -179,7 +179,7 @@ def test_criterion_2_triangle_fixtures():
 def _random_binary(n, p, seed):
     rng = np.random.default_rng(seed)
     dense = np.triu(rng.random((n, n)) < p, k=1)
-    return SymmetricBinaryMatrix.from_dense(dense | dense.T)
+    return SymmetricSparseMatrix.from_dense(dense | dense.T)
 
 
 def test_criterion_3_oracle_equivalences():
@@ -461,7 +461,7 @@ def test_criterion_8_regularization():
         bound_ok &= bool(np.all(lam * degs <= tau_oracle + 1e-9))
         if degs.max() <= tau_oracle:
             passthrough_checked += 1
-            passthrough_ok &= bool(np.array_equal(reg.entries, a_hat.toarray()))
+            passthrough_ok &= bool(np.array_equal(reg.toarray(), a_hat.toarray()))
         rho_hat = a_hat.total() / (n * (n - 1))
         rho_devs.append(rho_hat - p)
         # plug-in threshold is 1.5x the oracle up to the rho-hat sampling error

@@ -4,14 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from centreg import (
     DiffusionParams,
     RegularizationSpec,
     ScalingPolicy,
-    SymmetricBinaryMatrix,
-    SymmetricWeightedMatrix,
+    SymmetricSparseMatrix,
     degree,
     diffusion,
     eigenvector_centrality,
@@ -21,21 +19,21 @@ from centreg import (
 from centreg.centrality import _KRYLOV
 from centreg.errors import DegenerateGapWarning, DegenerateSpectrum, EmptyGraph, InvalidBound, NoConvergence
 
-K3 = SymmetricBinaryMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
-PATH3 = SymmetricBinaryMatrix.from_edges(3, [0, 1], [1, 2])
-STAR5 = SymmetricBinaryMatrix.from_edges(5, [0, 0, 0, 0], [1, 2, 3, 4])
+K3 = SymmetricSparseMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
+PATH3 = SymmetricSparseMatrix.from_edges(3, [0, 1], [1, 2])
+STAR5 = SymmetricSparseMatrix.from_edges(5, [0, 0, 0, 0], [1, 2, 3, 4])
 
 
 def random_binary(n, p, seed):
     rng = np.random.default_rng(seed)
     dense = np.triu(rng.random((n, n)) < p, k=1)
-    return SymmetricBinaryMatrix.from_dense(dense | dense.T)
+    return SymmetricSparseMatrix.from_dense(dense | dense.T)
 
 
 def test_degree_fixtures():
     assert np.array_equal(degree(K3).values, [2, 2, 2])
     assert np.array_equal(degree(PATH3).values, [1, 2, 1])
-    w = SymmetricWeightedMatrix(0.5 * (np.ones((3, 3)) - np.eye(3)))
+    w = SymmetricSparseMatrix.from_dense(0.5 * (np.ones((3, 3)) - np.eye(3)))
     assert np.allclose(degree(w).values, [1.0, 1.0, 1.0])
 
 
@@ -50,7 +48,7 @@ def test_diffusion_k3_fixture():
 
 
 def test_diffusion_empty_graph_zero():
-    empty = SymmetricBinaryMatrix.from_edges(4, [], [])
+    empty = SymmetricSparseMatrix.from_edges(4, [], [])
     d = diffusion(empty, DiffusionParams(delta=0.7, T=3))
     assert np.all(d.values == 0)
 
@@ -80,7 +78,7 @@ def test_leading_eigenpair_k3():
 
 
 def test_leading_eigenpair_single_edge():
-    m = SymmetricBinaryMatrix.from_edges(2, [0], [1])
+    m = SymmetricSparseMatrix.from_edges(2, [0], [1])
     lam, v = leading_eigenpair(m)
     assert lam == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(np.abs(v), np.ones(2) / np.sqrt(2), atol=1e-8)
@@ -98,7 +96,7 @@ def test_leading_eigenpair_star():
 
 def test_leading_eigenpair_zero_matrix():
     with pytest.raises(EmptyGraph):
-        leading_eigenpair(SymmetricBinaryMatrix.from_edges(3, [], []))
+        leading_eigenpair(SymmetricSparseMatrix.from_edges(3, [], []))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -123,7 +121,7 @@ def test_leading_eigenpair_near_tied_top_pair():
     # lambda3 = 0.011; keeping the second Ritz vector separates the top pair,
     # while a restart from the top Ritz vector alone takes about 28 000 products
     lo = list(range(49)) + list(range(50, 100))
-    m = SymmetricBinaryMatrix.from_edges(101, lo, [i + 1 for i in lo])
+    m = SymmetricSparseMatrix.from_edges(101, lo, [i + 1 for i in lo])
     lam, v = leading_eigenpair(m, max_iter=2000)
     w, V = np.linalg.eigh(m.toarray())
     assert lam == pytest.approx(w[-1], abs=1e-12)
@@ -188,7 +186,7 @@ def test_sqrt_lambda1_outer_product_is_best_rank_one(seed):
 def test_diffusion_approaches_eigenvector_in_t():
     # cosine similarity with the eigenvector direction increases in T and
     # exceeds 0.999 by T=200 once delta >= 1/lambda1
-    k5 = SymmetricBinaryMatrix.from_dense(np.ones((5, 5)) - np.eye(5))
+    k5 = SymmetricSparseMatrix.from_dense(np.ones((5, 5)) - np.eye(5))
     er20 = random_binary(20, 0.3, seed=4242)
     for m in (k5, er20):
         lam, v = leading_eigenpair(m)
@@ -216,29 +214,29 @@ def test_inverse_lambda1_delta_rule():
 def test_regularize_passthrough_when_degrees_small():
     spec = RegularizationSpec(mode="oracle", p_n=0.9)  # tau = 2*3*0.9 = 5.4 > all degrees
     out = regularize(K3, spec)
-    assert np.array_equal(out.entries, K3.toarray())
+    assert np.array_equal(out.toarray(), K3.toarray())
     assert np.all(out.node_weights == 1.0)
 
 
 def test_regularize_high_degree_node():
     # star with center degree 10 and tau = 5 -> lambda_center = 0.5
     n = 11
-    star = SymmetricBinaryMatrix.from_edges(n, [0] * 10, list(range(1, 11)))
+    star = SymmetricSparseMatrix.from_edges(n, [0] * 10, list(range(1, 11)))
     spec = RegularizationSpec(mode="oracle", p_n=5.0 / (2 * n))
     out = regularize(star, spec)
     lam = out.node_weights
     assert lam[0] == pytest.approx(0.5)
     assert np.all(lam[1:] == 1.0)
-    assert out.entries[0, 1] == pytest.approx(np.sqrt(0.5))
+    assert out.toarray()[0, 1] == pytest.approx(np.sqrt(0.5))
     # guaranteed invariant: lambda_i * deg_i <= tau
     deg = star.row_sums()
     assert np.all(lam * deg <= 5.0 + 1e-9)
 
 
 def test_regularize_empty_graph():
-    empty = SymmetricBinaryMatrix.from_edges(4, [], [])
+    empty = SymmetricSparseMatrix.from_edges(4, [], [])
     out = regularize(empty, RegularizationSpec(mode="oracle", p_n=0.5))
-    assert np.all(out.entries == 0)
+    assert np.all(out.toarray() == 0)
     assert np.all(out.node_weights == 1.0)
 
 
@@ -249,8 +247,8 @@ def test_regularize_sparse_matches_dense_formula():
     root = np.sqrt(out.node_weights)
     dense = m.toarray() * np.outer(root, root)
     assert (out.node_weights < 1.0).any()
-    assert sp.issparse(out.weighted) and out.weighted.nnz == 2 * m.n_edges
-    assert np.array_equal(out.entries, dense)
+    assert out.n_edges == m.n_edges and np.count_nonzero(out.toarray()) == 2 * m.n_edges
+    assert np.array_equal(out.toarray(), dense)
     v = np.random.default_rng(0).standard_normal(m.n)
     assert np.allclose(out.matvec(v), dense @ v, rtol=1e-12, atol=1e-12)
     assert np.allclose(out.row_sums(), dense.sum(axis=1), rtol=1e-12)
@@ -285,7 +283,7 @@ def test_sqrt_lambda1_rejects_nonpositive():
     ids=["two-edges", "two-triangles", "star", "path"],
 )
 def test_degenerate_gap_warning_on_tied_spectrum(edges, n, warns):
-    m = SymmetricBinaryMatrix.from_edges(n, *edges)
+    m = SymmetricSparseMatrix.from_edges(n, *edges)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         leading_eigenpair(m, gap_check=True)

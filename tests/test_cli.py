@@ -194,13 +194,13 @@ def test_centrality_huge_node_count_exit_two(tmp_path, capsys, edge, flags, mess
 
 def test_centrality_out_of_memory_exit_two(tmp_path, capsys, monkeypatch):
     # an id just under 2^31 passes the size check, but its n-long CSR arrays
-    # need about 16 GB each; the build is stubbed rather than attempted
+    # need about 8 GB each; the build is stubbed rather than attempted
     from centreg import graph_model
 
-    def no_memory(n, keys):
+    def no_memory(n, keys, data=None):
         raise MemoryError
 
-    monkeypatch.setattr(graph_model, "_symmetric_csr", no_memory)
+    monkeypatch.setattr(graph_model, "_from_keys", no_memory)
     edges = tmp_path / "edges.csv"
     edges.write_text("i,j\n0,1\n2147483646,1\n")
     code = main(["centrality", "--edges", str(edges)])
@@ -284,7 +284,7 @@ def test_dump_graph_round_trip(tmp_path):
     assert graph.exists()
 
     # recompute in memory and compare centralities after the file round trip
-    from centreg import Graphon, SymmetricBinaryMatrix, build_true_adjacency, degree, observe, sample_latent
+    from centreg import Graphon, SymmetricSparseMatrix, build_true_adjacency, degree, observe, sample_latent
     from centreg.io import read_edge_list
 
     ss = np.random.SeedSequence(entropy=(99, 0, 0))
@@ -293,7 +293,7 @@ def test_dump_graph_round_trip(tmp_path):
     a_hat = observe(build_true_adjacency(Graphon.constant(1.0), u, 0.2), seed_obs)
 
     rows, cols = read_edge_list(graph)
-    back = SymmetricBinaryMatrix.from_edges(40, rows, cols)
+    back = SymmetricSparseMatrix.from_edges(40, rows, cols)
     assert np.array_equal(degree(back).values, degree(a_hat).values)
 
 

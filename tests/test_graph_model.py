@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +13,13 @@ from centreg import (
     FactoredMatrix,
     Graphon,
     SparsityRule,
-    SymmetricBinaryMatrix,
-    SymmetricWeightedMatrix,
+    RegularizationSpec,
+    SymmetricSparseMatrix,
     build_true_adjacency,
+    graph_model,
     leading_eigenpair,
     observe,
+    regularize,
     sample_latent,
 )
 from centreg.errors import InvalidGraphon, InvalidSize, InvalidSparsity
@@ -188,7 +191,7 @@ def test_sparsity_rule_rejects_out_of_range():
 
 
 def test_binary_matrix_edge_arrays_upper_only():
-    m = SymmetricBinaryMatrix.from_edges(4, [2, 0], [1, 3])
+    m = SymmetricSparseMatrix.from_edges(4, [2, 0], [1, 3])
     rows, cols = m.edge_arrays()
     assert np.all(rows < cols)
     assert m.total() == 4.0
@@ -202,7 +205,7 @@ def _dense_reference(g, u, p):
     """A_ij = p f(U_i, U_j) evaluated entry by entry, zero diagonal."""
     vals = p * g.evaluate(u.u[:, None], u.u[None, :])
     np.fill_diagonal(vals, 0.0)
-    return SymmetricWeightedMatrix(vals)
+    return vals
 
 
 @pytest.mark.parametrize("g", [Graphon.constant(0.7), SBM3, RANK2], ids=["constant", "sbm3", "rank2"])
@@ -213,18 +216,18 @@ def test_block_matrix_matches_dense_build(g):
     ref = _dense_reference(g, u, p)
     assert isinstance(a, FactoredMatrix)
     if g.kind == "rank-r":  # a sum of products, rounded in another order
-        assert np.allclose(a.entries, ref.entries, rtol=1e-14, atol=0.0)
+        assert np.allclose(a.entries, ref, rtol=1e-14, atol=0.0)
     else:
-        assert np.array_equal(a.entries, ref.entries)
+        assert np.array_equal(a.entries, ref)
     assert not a.entries.flags.writeable
     v = np.random.default_rng(0).standard_normal(n)
-    assert np.allclose(a.matvec(v), ref.matvec(v), rtol=1e-12, atol=1e-12)
-    assert np.allclose(a.row_sums(), ref.row_sums(), rtol=1e-12)
-    assert a.total() == pytest.approx(ref.total(), rel=1e-12)
-    assert a.frobenius() == pytest.approx(ref.frobenius(), rel=1e-12)
-    assert a.noise_variance_total() == pytest.approx(ref.noise_variance_total(), rel=1e-12)
+    assert np.allclose(a.matvec(v), ref @ v, rtol=1e-12, atol=1e-12)
+    assert np.allclose(a.row_sums(), ref.sum(axis=1), rtol=1e-12)
+    assert a.total() == pytest.approx(ref.sum(), rel=1e-12)
+    assert a.frobenius() == pytest.approx(np.linalg.norm(ref), rel=1e-12)
+    assert a.noise_variance_total() == pytest.approx(np.sum(ref * (1.0 - ref)), rel=1e-12)
     lam, vec = leading_eigenpair(a)
-    lam_ref, vec_ref = leading_eigenpair(ref)
+    lam_ref, vec_ref = leading_eigenpair(SymmetricSparseMatrix.from_dense(ref))
     assert lam == pytest.approx(lam_ref, rel=1e-10)
     assert np.allclose(vec, vec_ref, atol=1e-8)
 
@@ -293,7 +296,7 @@ def test_sampled_grid_range_check(u):
 
 
 def test_from_edges_normalizes_like_from_dense():
-    # reversed pairs, repeats and self-loops reduce to the same canonical CSR
+    # reversed pairs, repeats and self-loops reduce to the same canonical upper triangle
     rng = np.random.default_rng(7)
     n = 30
     dense = np.triu(rng.random((n, n)) < 0.2, k=1)
@@ -302,14 +305,18 @@ def test_from_edges_normalizes_like_from_dense():
     flip = rng.random(len(lo)) < 0.5
     rows = np.concatenate([np.where(flip, hi, lo), hi[:10], [3, 3, 17]])
     cols = np.concatenate([np.where(flip, lo, hi), lo[:10], [3, 3, 17]])
-    got = SymmetricBinaryMatrix.from_edges(n, rows, cols)
-    want = SymmetricBinaryMatrix.from_dense(dense)
-    assert np.array_equal(got.keys, want.keys)
-    assert np.array_equal(got.keys, lo * n + hi)  # sorted, unique, strictly upper
-    for attr in ("indices", "indptr", "data"):
-        assert np.array_equal(getattr(got.full, attr), getattr(want.full, attr)), attr
-    assert _unflagged(got.full).has_canonical_format and np.all(got.full.data == 1.0)
+    got = SymmetricSparseMatrix.from_edges(n, rows, cols)
+    want = SymmetricSparseMatrix.from_dense(dense)
+    for attr in ("indptr", "rows", "cols", "data"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype and np.array_equal(g, w), attr
+    assert np.array_equal(got.rows, lo) and np.array_equal(got.cols, hi)  # sorted, unique, strictly upper
+    _assert_same_upper(got, _scipy_upper(n, rows, cols))
+    assert np.all(got.data == 1.0)
     assert np.array_equal(got.toarray(), dense.astype(np.float64))
+    v = rng.standard_normal(n)
+    assert np.array_equal(got.matvec(v), _scipy_full(n, rows, cols) @ v)
+    assert np.array_equal(got.row_sums(), dense.sum(axis=1))
 
 
 def _unflagged(m):
@@ -317,23 +324,29 @@ def _unflagged(m):
     return sp.csr_matrix((m.data.copy(), m.indices.copy(), m.indptr.copy()), shape=m.shape)
 
 
-def _scipy_full(n, rows, cols):
-    """scipy's own symmetric CSR of an edge list: the upper triangle U through COO, then U + U'."""
+def _scipy_upper(n, rows, cols):
+    """scipy's own upper triangle U of an edge list, through COO: unit entries, repeats summed then reset."""
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     keep = rows != cols
     upper = sp.csr_matrix((np.ones(int(keep.sum())), (np.minimum(rows, cols)[keep], np.maximum(rows, cols)[keep])),
                           shape=(n, n))
     upper.sum_duplicates()
     upper.data[:] = 1.0
+    return upper
+
+
+def _scipy_full(n, rows, cols):
+    """scipy's own symmetric CSR of an edge list, U + U'."""
+    upper = _scipy_upper(n, rows, cols)
     return (upper + upper.T).tocsr()
 
 
-def _assert_same_csr(got, want):
-    # compare the arrays before any product: a misplaced entry can crash csr_matvec
-    for attr in ("indptr", "indices", "data"):
-        g, w = getattr(got, attr), getattr(want, attr)
-        assert g.dtype == w.dtype and np.array_equal(g, w), attr
-    assert _unflagged(got).has_canonical_format
+def _assert_same_upper(m, upper):
+    # compare the arrays before any product: a misplaced entry can crash the kernels
+    for got, want in ((m.indptr, upper.indptr), (m.cols, upper.indices), (m.data, upper.data)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(m.rows, np.repeat(np.arange(m.n), np.diff(upper.indptr)))
+    assert _unflagged(sp.csr_matrix((m.data, m.cols, m.indptr), shape=(m.n, m.n))).has_canonical_format
 
 
 @settings(max_examples=200, deadline=None)
@@ -345,11 +358,38 @@ def _assert_same_csr(got, want):
 @example(n=9, pairs=[(0, 8), (3, 8)])  # isolated nodes at both ends and between
 def test_full_matches_scipy_construction(n, pairs):
     rows, cols = [a % n for a, _ in pairs], [b % n for _, b in pairs]
-    m = SymmetricBinaryMatrix.from_edges(n, rows, cols)
-    _assert_same_csr(m.full, _scipy_full(n, rows, cols))
-    assert np.all(np.diff(m.keys) > 0)
+    m = SymmetricSparseMatrix.from_edges(n, rows, cols)
+    _assert_same_upper(m, _scipy_upper(n, rows, cols))
     i, j = m.edge_arrays()
-    assert np.all(i < j) and np.array_equal(i * n + j, m.keys)
+    assert np.all(i < j) and np.all(np.diff(i * n + j) > 0)
+    assert np.array_equal(i, m.rows) and np.array_equal(j, m.cols)
+    full = _scipy_full(n, rows, cols)
+    assert np.array_equal(m.matvec(np.arange(n) - 0.5 * n), full @ (np.arange(n) - 0.5 * n))
+    assert np.array_equal(m.row_sums(), np.asarray(full.sum(axis=1)).ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 30), pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=60),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, pairs=[], seed=0)  # no edges
+@example(n=2, pairs=[(1, 0)], seed=0)
+@example(n=5, pairs=[(3, 3), (0, 0), (4, 4)], seed=0)  # only self-loops
+@example(n=6, pairs=[(1, 4), (4, 1), (1, 4), (2, 2), (5, 0), (0, 5)], seed=0)  # repeats in both orientations
+@example(n=9, pairs=[(0, 8), (3, 8)], seed=0)  # isolated nodes at both ends and between
+def test_matvec_kernels_match_scipy_product(n, pairs, seed):
+    # matvec calls scipy's private csc_matvec and csr_matvec kernels on U; the
+    # sum must equal scipy's symmetric product to the bit, unit and regularized
+    assert callable(_sparsetools.csr_matvec) and callable(_sparsetools.csc_matvec)
+    rows, cols = [a % n for a, _ in pairs], [b % n for _, b in pairs]
+    m = SymmetricSparseMatrix.from_edges(n, rows, cols)
+    full = _scipy_full(n, rows, cols)
+    v = np.random.default_rng(seed).standard_normal(n)
+    assert np.array_equal(m.matvec(v), full @ v)
+    reg = regularize(m, RegularizationSpec(mode="oracle", p_n=0.75 / n))  # tau = 1.5 caps every degree above 1
+    root = np.sqrt(reg.node_weights)
+    data = np.repeat(root, np.diff(full.indptr)) * root[full.indices]  # sqrt(lambda_i lambda_j) on entry (i, j)
+    weighted = sp.csr_matrix((data, full.indices, full.indptr), shape=(n, n))
+    assert np.array_equal(reg.matvec(v), weighted @ v)
 
 
 @pytest.mark.parametrize("g", [SBM3, RANK2], ids=["sbm3", "rank2"])
@@ -359,18 +399,32 @@ def test_observed_csr_matches_scipy_construction(g):
     a = build_true_adjacency(g, sample_latent(n, seed=3), 0.4)
     for seed in range(5):
         m = observe(a, seed=seed)
-        assert m.n_edges > 0 and np.all(np.diff(m.keys) > 0)
-        _assert_same_csr(m.full, _scipy_full(n, *m.edge_arrays()))
-        assert np.array_equal(m.row_sums(), np.asarray(_scipy_full(n, *m.edge_arrays()).sum(axis=1)).ravel())
+        i, j = m.edge_arrays()
+        assert m.n_edges > 0 and np.all(i < j) and np.all(np.diff(i * n + j) > 0)
+        _assert_same_upper(m, _scipy_upper(n, i, j))
+        full = _scipy_full(n, i, j)
+        v = np.random.default_rng(seed).standard_normal(n)
+        assert np.array_equal(m.matvec(v), full @ v)
+        assert np.array_equal(m.row_sums(), np.asarray(full.sum(axis=1)).ravel())
 
 
 def test_from_edges_rejects_ids_outside_range():
     # an unchecked id would alias another edge's key i * n + j: (0, 5) is (1, 2) at n = 3
     for rows, cols in (([0], [5]), ([-1], [2]), ([1, 0], [2, 3])):
         with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-            SymmetricBinaryMatrix.from_edges(3, rows, cols)
+            SymmetricSparseMatrix.from_edges(3, rows, cols)
     with pytest.raises(InvalidSize, match="2147483647"):
-        SymmetricBinaryMatrix.from_edges(2**31, [0], [1])
+        SymmetricSparseMatrix.from_edges(2**31, [0], [1])
+
+
+def test_edge_count_beyond_int32_indptr_rejected():
+    # a stub with the length of 2^31 keys stands in for the 16 GB array
+    class TooMany:
+        def __len__(self):
+            return 2**31
+
+    with pytest.raises(InvalidSize, match="2147483648 entries exceed 2147483647"):
+        graph_model._from_keys(70_000, TooMany())
 
 
 def test_graphon_equality_and_hash_by_value():

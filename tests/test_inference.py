@@ -8,7 +8,7 @@ import pytest
 from centreg import (
     DiffusionParams,
     ScalingPolicy,
-    SymmetricBinaryMatrix,
+    SymmetricSparseMatrix,
     bias_correct,
     confidence,
     degree,
@@ -31,13 +31,13 @@ from centreg.errors import (
 )
 from centreg.inference import RegressionFit
 
-K3 = SymmetricBinaryMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
+K3 = SymmetricSparseMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
 
 
 def random_binary(n, p, seed):
     rng = np.random.default_rng(seed)
     dense = np.triu(rng.random((n, n)) < p, k=1)
-    return SymmetricBinaryMatrix.from_dense(dense | dense.T)
+    return SymmetricSparseMatrix.from_dense(dense | dense.T)
 
 
 def make_fit(beta_hat=1.0, V0=1.0, B=None, V=None, mode="noisy-degree", n=10):

@@ -1,15 +1,15 @@
 """Edge-list, outcome, and graphon descriptor round trips."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centreg import Graphon, SymmetricBinaryMatrix
-from centreg.errors import DuplicateEdge, IdMismatch, NonFiniteOutcome
-from centreg.graph_model import SymmetricWeightedMatrix
+from centreg import Graphon, SymmetricSparseMatrix
+from centreg.errors import DuplicateEdge, IdMismatch, InvalidGraphon, NonFiniteOutcome
 from centreg.io import (
     _HASH_MULT,
     binary_matrix_from_files,
@@ -24,11 +24,11 @@ from centreg.io import (
 
 
 def test_edge_list_round_trip(tmp_path):
-    m = SymmetricBinaryMatrix.from_edges(5, [0, 1, 3], [2, 4, 4])
+    m = SymmetricSparseMatrix.from_edges(5, [0, 1, 3], [2, 4, 4])
     path = tmp_path / "edges.csv"
     write_edge_list(m, path)
     rows, cols = read_edge_list(path)
-    back = SymmetricBinaryMatrix.from_edges(5, rows, cols)
+    back = SymmetricSparseMatrix.from_edges(5, rows, cols)
     assert np.array_equal(back.toarray(), m.toarray())
 
 
@@ -84,11 +84,11 @@ def test_weighted_matrix_round_trip(tmp_path):
     dense = np.zeros((4, 4))
     dense[0, 1] = dense[1, 0] = 0.25
     dense[2, 3] = dense[3, 2] = 0.75
-    m = SymmetricWeightedMatrix(dense)
+    m = SymmetricSparseMatrix.from_dense(dense)
     path = tmp_path / "w.csv"
     write_weighted_matrix(m, path)
     back = read_weighted_matrix(path, 4)
-    assert np.array_equal(back.entries, dense)
+    assert np.array_equal(back.toarray(), dense)
 
 
 def test_graphon_json_round_trip():
@@ -144,6 +144,10 @@ def _weighted(path):
         (_weighted, "i,j,w\n0,1,0.5\n1,2\n", ValueError, "f.csv:3: malformed"),
         (_weighted, "i,j,w\n0,1,0.5\n1,4,1\n", IdMismatch, "f.csv:3: id outside [0, 4)"),
         (_weighted, "i,j,w\n0,1,0.5\n\n-1,2,1\n", IdMismatch, "f.csv:4: id outside [0, 4)"),
+        (_weighted, "i,j,w\n0,1,0.5\n\n1,2,nan\n", InvalidGraphon, "f.csv:4: weight nan outside [0, 1]"),
+        (_weighted, "i,j,w\n0,1,inf\n", InvalidGraphon, "f.csv:2: weight inf outside [0, 1]"),
+        (_weighted, "i,j,w\n0,1,0.5\n2,3,2.0\n1,2,0.5\n", InvalidGraphon, "f.csv:3: weight 2.0 outside [0, 1]"),
+        (_weighted, "i,j,w\n0,1,-0.25\n0,1,0.5\n", InvalidGraphon, "f.csv:2: weight -0.25 outside [0, 1]"),
     ],
 )
 def test_single_defect_names_its_line(tmp_path, read, text, error, where):
@@ -189,10 +193,27 @@ def test_quoted_header_and_cells_and_extra_columns(tmp_path):
 def test_weighted_matrix_last_row_wins(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("i,j,w\n0,1,0.25\n1,0,0.5\n2,2,0.75\n2,3,0.125\n")
-    back = read_weighted_matrix(path, 4).entries
+    back = read_weighted_matrix(path, 4).toarray()
     assert back[0, 1] == back[1, 0] == 0.5
     assert back[2, 3] == back[3, 2] == 0.125
     assert np.all(np.diag(back) == 0.0)
+
+
+def test_weighted_matrix_memory_is_linear_in_rows(tmp_path):
+    # 250 000 rows on 50 000 nodes: the n x n array of a dense reader would be 20 GB
+    n, rows = 50_000, 250_000
+    rng = np.random.default_rng(5)
+    i, j, w = rng.integers(0, n, rows), rng.integers(0, n, rows), rng.random(rows)
+    path = tmp_path / "w.csv"
+    path.write_text("i,j,w\n" + "".join(f"{a},{b},{c!r}\n" for a, b, c in zip(i.tolist(), j.tolist(), w.tolist())))
+    tracemalloc.start()
+    try:
+        m = read_weighted_matrix(path, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, peak
+    assert m.n == n and 0 < m.n_edges <= rows
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +242,7 @@ def test_edge_list_round_trip_property(tmp_path_factory, n, data):
                               .filter(lambda e: e[0] != e[1]), max_size=40))
     rows = [min(e) for e in pairs]
     cols = [max(e) for e in pairs]
-    m = SymmetricBinaryMatrix.from_edges(n, rows, cols)
+    m = SymmetricSparseMatrix.from_edges(n, rows, cols)
     path = tmp_path_factory.mktemp("edges") / "e.csv"
     write_edge_list(m, path)
     path.write_text(_scramble(path.read_text(), data, reverse=True))
@@ -309,6 +330,6 @@ def test_weighted_matrix_round_trip_property(tmp_path_factory, n, data):
     upper = np.triu(np.asarray(w, dtype=np.float64).reshape(n, n), 1)
     dense = upper + upper.T
     path = tmp_path_factory.mktemp("weights") / "w.csv"
-    write_weighted_matrix(SymmetricWeightedMatrix(dense), path)
-    back = read_weighted_matrix(path, n).entries
+    write_weighted_matrix(SymmetricSparseMatrix.from_dense(dense), path)
+    back = read_weighted_matrix(path, n).toarray()
     assert np.array_equal(back, dense)
