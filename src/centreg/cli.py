@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,6 +69,7 @@ def _estimator(args) -> Estimator:
     return est
 
 
+@functools.cache  # parse_args leaves the parser as it was; built once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="centreg",

@@ -180,19 +180,18 @@ def ols(
 
 
 def degree_bias_variance(a_hat: SymmetricSparseMatrix, fit: RegressionFit) -> Tuple[float, float]:
-    """Theorem-level estimators for the degree regression.
+    """Theorem-level estimators for the degree regression on a binary Ahat.
 
-    B_hat = iota' Ahat iota / sum C^2; V_hat is an edge-local sum over both
-    orientations of every edge, cost O(nnz).
+    B_hat = iota' Ahat iota / sum C^2.  V_hat sums (d_i + d_j)^2 over the edges
+    ij, once each (the ordered sum over j != i doubles it, and the leading 1/2
+    cancels that doubling).  Node i lies on d_i edges, so the sum is
+    sum_i d_i^3 + d' Ahat d: one product, cost O(n + nnz).  Every term is an
+    integer, so the sum is exact while it stays below 2^53.
     """
     deg = a_hat.row_sums()
     ssq = fit.ssq_c
     B_hat = float(deg.sum()) / ssq
-    rows, cols = a_hat.edge_arrays()
-    pair = (deg[rows] + deg[cols]) ** 2
-    # each undirected edge appears once in the upper triangle; the ordered sum
-    # over j != i doubles it, and the leading 1/2 cancels that doubling
-    V_hat = float(pair.sum()) / ssq**2
+    V_hat = (float(deg @ (deg * deg)) + float(deg @ a_hat.matvec(deg))) / ssq**2
     fit.B_hat, fit.V_hat = B_hat, V_hat
     return B_hat, V_hat
 
@@ -228,16 +227,14 @@ def diffusion_bias_variance(
     ssq = fit.ssq_c
     B_hat = evaluate_b(coeffs, delta, moments) / ssq
 
+    # M_ij = sum_t u_t[i] w_t[j] for each edge i < j.  Term t of M_ji is term
+    # 2T + 1 - t of M_ij, so the two orientations sum to 2 sum M_ij^2
     rows, cols = a_hat.edge_arrays()
-    m_upper = np.zeros(len(rows))
-    m_lower = np.zeros(len(rows))
-    for t in range(1, 2 * T + 1):
-        u = powers[2 * T - t]
-        w = powers[t - 1]
-        m_upper += u[rows] * w[cols]
-        m_lower += u[cols] * w[rows]
-    edge_sum = float(np.sum(m_upper**2) + np.sum(m_lower**2))
-    V_hat = 0.5 * delta ** (2 * T) * edge_sum / ssq**2
+    top = powers[2 * T - 1]
+    m = top[rows] + top[cols]  # t = 1 and t = 2T, where w_1 = u_2T = iota
+    for t in range(2, 2 * T):
+        m += powers[2 * T - t][rows] * powers[t - 1][cols]
+    V_hat = delta ** (2 * T) * float(m @ m) / ssq**2
     fit.B_hat, fit.V_hat = B_hat, V_hat
     return B_hat, V_hat
 
@@ -248,17 +245,17 @@ def eigen_bias_variance(
     a_hat: SymmetricSparseMatrix,
     fit: RegressionFit,
 ) -> Tuple[float, float]:
-    """B_hat = 1/lambda1 and the edge-local eigenvector variance estimator."""
+    """B_hat = 1/lambda1 and the eigenvector variance estimator on a binary Ahat.
+
+    V_hat sums c_i^2 + c_j^2 over both orientations of every edge ij; node i
+    lies on d_i edges, so that is 4 sum_i c_i^2 d_i / (lambda1 ssq)^2, O(n).
+    """
     if lambda1 <= 0:
         raise DegenerateSpectrum(f"eigenvector inference needs lambda1 > 0, got {lambda1}")
     values = np.asarray(c_hat, dtype=np.float64)
     ssq = fit.ssq_c
     B_hat = 1.0 / lambda1
-    rows, cols = a_hat.edge_arrays()
-    sq = values**2
-    pair = sq[rows] + sq[cols]
-    # ordered sum over j != i is twice the upper-triangle sum
-    V_hat = 2.0 * (2.0 * float(pair.sum())) / (lambda1 * ssq) ** 2
+    V_hat = 4.0 * float((values * values) @ a_hat.row_sums()) / (lambda1 * ssq) ** 2
     fit.B_hat, fit.V_hat = B_hat, V_hat
     return B_hat, V_hat
 

@@ -7,12 +7,12 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain, compress, count
-from operator import not_
+from itertools import chain, compress, count, islice
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy._core._multiarray_umath import _load_from_filelike  # pinned by the tests
 
 from .errors import DuplicateEdge, IdMismatch, InvalidGraphon, NonFiniteOutcome
 from .graph_model import Graphon, SymmetricSparseMatrix
@@ -37,47 +37,65 @@ def _read_table(path: PathLike, header: Sequence[str], types: Sequence[type]):
 
     Header names match case-insensitively; later columns are ignored and blank
     lines skipped.  A row that does not parse raises ValueError naming the first.
-    The lookup ``line(k)`` gives the file line of row k, computed only when a
-    row is reported.  The success path keeps no per-line record: a file whose
-    blank lines all come after its last row (a final newline, say) needs none,
-    and otherwise only the blank lines' numbers are kept.  The file is read
-    once, so a pipe works too.
+    The file is read once, so a pipe works too.  numpy's chunked C reader (the
+    one ``np.loadtxt`` runs on a path) parses the body straight from that text;
+    it skips empty lines itself.  Two kinds of input take the line-list parse
+    instead, which splits the body into lines, drops the whitespace-only ones
+    and bisects for a bad row: a body holding a ``"`` (a quoted cell may hold a
+    newline, which the C pass would read as part of the row), and a body the C
+    pass rejects (a whitespace-only line, or a malformed row).  The lookup
+    ``line(k)`` gives the file line of row k, computed from the text only when
+    a row is reported.
     """
     with open(path) as fh:
-        head, *body = fh.read().split("\n")
+        text = fh.read()
+    head = text.partition("\n")[0]
     got = next(csv.reader([head]))
     if [h.strip().lower() for h in got[: len(header)]] != list(header):
         raise ValueError(f"{path}: expected header '{','.join(header)}', got {got}")
-    rows = list(filter(str.strip, body))
-    interior = any(map(str.strip, body[len(rows):]))  # a blank line precedes some row
-    blanks = list(compress(count(2), map(not_, map(str.strip, body)))) if interior else []
-    del body  # free the line list before the parse
-    line = partial(_line_of, blanks)
-    dtype = np.dtype(list(zip(header, types)))
-    parse = partial(np.loadtxt, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                    usecols=range(len(header)), ndmin=1)
+    start = len(head) + 1
+    line = partial(_line_of, text, start)
+    parse = partial(_load_from_filelike, delimiter=",", comment=None, quote='"', imaginary_unit="j",
+                    usecols=list(range(len(header))), skiplines=0, max_rows=-1, converters=None,
+                    dtype=np.dtype(list(zip(header, types))), encoding=None, byte_converters=False)
+    if text.find('"', start) < 0:
+        try:
+            return parse(_TextReader(text, start), filelike=True), line
+        except ValueError:
+            pass
+    rows = list(filter(str.strip, text[start:].split("\n")))
     try:
-        return (parse(rows) if rows else np.empty(0, dtype=dtype)), line
+        return parse(iter(rows), filelike=False), line
     except ValueError:
         lo, hi = 0, len(rows)  # bisect: rows[:lo] parse, rows[lo:hi] hold a bad row
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                parse(rows[lo:mid])
+                parse(iter(rows[lo:mid]), filelike=False)
                 lo = mid
             except ValueError:
                 hi = mid
         raise ValueError(f"{path}:{line(lo)}: malformed row {rows[lo]!r}") from None
 
 
-def _line_of(blanks: List[int], k: int) -> int:
-    """The file line of row k: line k + 2, moved past each blank line up to it."""
-    n = k + 2
-    for b in blanks:  # ascending
-        if b > n:
-            break
-        n += 1
-    return n
+class _TextReader:
+    """``read(size)`` over ``text[start:]``, the file interface of numpy's C reader.
+
+    ``io.StringIO`` would copy the text at 4 bytes per character first.
+    """
+
+    def __init__(self, text: str, start: int):
+        self.text, self.pos = text, start
+
+    def read(self, size: int) -> str:
+        chunk = self.text[self.pos : self.pos + size]
+        self.pos += size
+        return chunk
+
+
+def _line_of(text: str, start: int, k: int) -> int:
+    """The file line of row k: the (k + 1)-th line after the header that is not blank."""
+    return next(islice(compress(count(2), map(str.strip, text[start:].split("\n"))), k, None))
 
 
 # odd multiplier (2^64 / golden ratio) folding key columns into one hash
@@ -89,16 +107,25 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
 
     The int64 key columns fold into one uint64 hash, h = h * _HASH_MULT + key,
     wrapping.  Equal tuples have equal hashes, so only rows whose hash occurs
-    more than once (found by one unstable sort) can repeat.  The exact, stable
-    compare runs on those candidate rows alone; a hash collision between
-    distinct tuples only adds a candidate, which the compare then clears.
+    more than once can repeat: one value sort tells whether any hash does, and
+    only then an index sort finds those rows.  The exact, stable compare runs
+    on those candidate rows alone; a hash collision between distinct tuples
+    only adds a candidate, which the compare then clears.
     """
     h = keys[0].astype(np.uint64)
     for k in keys[1:]:
         h *= _HASH_MULT
         h += k.view(np.uint64)
     s = np.sort(h)
-    cand = np.flatnonzero(np.isin(h, s[1:][s[1:] == s[:-1]]))
+    if not np.any(s[1:] == s[:-1]):
+        return np.zeros(len(h), dtype=bool)
+    by_hash = np.argsort(h)  # only now: it costs about 3x the value sort
+    s = h[by_hash]
+    eq = s[1:] == s[:-1]
+    rep = np.zeros(len(h), dtype=bool)
+    rep[1:] = eq
+    rep[:-1] |= eq
+    cand = np.sort(by_hash[rep])  # the rows whose hash occurs more than once, in file order
     sub = [k[cand] for k in keys]
     order = np.lexsort(sub[::-1])  # stable: equal keys keep their file order
     same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in sub])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from centreg.cli import main
+from centreg.cli import _build_parser, main
 
 
 def write_k3(tmp_path):
@@ -125,6 +125,21 @@ def test_regress_diffusion_t1_matches_degree(tmp_path):
     dif = json.loads(out_dif.read_text())
     for key in ("beta_hat", "B_hat", "V_hat", "V0_hat", "beta_check"):
         assert deg[key] == pytest.approx(dif[key], rel=1e-12)
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # one parser serves every call in a process; repeated flags of one call
+    # must not reach the next call's defaults
+    edges, outcomes = write_k3(tmp_path)
+    out = tmp_path / "fit.json"
+    assert _build_parser() is _build_parser()
+    base = ["regress", "--edges", str(edges), "--outcomes", str(outcomes), "--out", str(out)]
+    assert main(base + ["--beta0", "0", "--beta0", "1", "--alpha", "0.1", "--seed", "3"]) == 0
+    assert len(json.loads(out.read_text())["tests"]) == 2
+    assert main(base) == 0
+    fit = json.loads(out.read_text())
+    assert [t["beta0"] for t in fit["tests"]] == [0.0]
+    assert [iv["alpha"] for iv in fit["intervals"]] == [0.05]
 
 
 def test_regress_missing_outcome_exit_two(tmp_path):

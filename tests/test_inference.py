@@ -212,6 +212,43 @@ def test_diffusion_variance_matches_hadamard_formula(seed):
     assert V == pytest.approx(literal, rel=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_variance_estimators_match_two_sided_edge_sums(seed):
+    # each V_hat against its sum over both orientations (i, j) and (j, i) of
+    # every edge: degree to the bit, eigenvector and diffusion to 1e-12
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 80))
+    m = random_binary(n, float(rng.uniform(0.1, 0.5)), seed + 3000)
+    i, j = m.edge_arrays()
+    assert len(i) > 0
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    y = rng.standard_normal(n)
+
+    deg = m.row_sums()
+    fit = ols(y + deg, degree(m), mode="noisy-degree")
+    _, V = degree_bias_variance(m, fit)
+    assert V == 0.5 * float(np.sum((deg[rows] + deg[cols]) ** 2)) / fit.ssq_c**2
+
+    c = eigenvector_centrality(m, ScalingPolicy(kind="sqrt-n"))
+    fit = ols(y + c.values, c, mode="noisy-eigenvector-case-b")
+    _, V = eigen_bias_variance(c.lambda1, c, m, fit)
+    sq = c.values**2
+    want = 2.0 * float(np.sum(sq[rows] + sq[cols])) / (c.lambda1 * fit.ssq_c) ** 2
+    assert V == pytest.approx(want, rel=1e-12)
+
+    T, delta = int(rng.integers(1, 4)), float(rng.uniform(0.1, 1.0))
+    params = DiffusionParams(delta=delta, T=T)
+    c = diffusion(m, params)
+    fit = ols(y + c.values, c, mode="noisy-diffusion")
+    _, V = diffusion_bias_variance(m, params, fit)
+    powers = [np.ones(n)]
+    for _ in range(2 * T):
+        powers.append(m.matvec(powers[-1]))
+    M = sum(powers[2 * T - t][rows] * powers[t - 1][cols] for t in range(1, 2 * T + 1))
+    want = 0.5 * delta ** (2 * T) * float(np.sum(M**2)) / fit.ssq_c**2
+    assert V == pytest.approx(want, rel=1e-12)
+
+
 def test_eigen_bias_variance_k3():
     lam, _ = leading_eigenpair(K3)
     c = eigenvector_centrality(K3, ScalingPolicy(kind="sqrt-lambda1"))

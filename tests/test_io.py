@@ -2,16 +2,20 @@
 
 import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy._core import _multiarray_umath
 
 from centreg import Graphon, SymmetricSparseMatrix
+from centreg import io
 from centreg.errors import DuplicateEdge, IdMismatch, InvalidGraphon, NonFiniteOutcome
 from centreg.io import (
     _HASH_MULT,
+    _read_table,
     binary_matrix_from_files,
     graphon_from_json,
     graphon_to_json,
@@ -333,3 +337,110 @@ def test_weighted_matrix_round_trip_property(tmp_path_factory, n, data):
     write_weighted_matrix(SymmetricSparseMatrix.from_dense(dense), path)
     back = read_weighted_matrix(path, n).toarray()
     assert np.array_equal(back, dense)
+
+
+# ---------------------------------------------------------------------------
+# the C pass over the text and the line-list parse
+
+
+def _line_list_table(path, header, types):
+    """The line-list parse alone: np.loadtxt on the lines that are not blank,
+    and their file lines, or the message naming the first row that does not
+    parse (found by bisection, as the reader does)."""
+    head, *body = path.read_text().split("\n")
+    lines = [(k, line) for k, line in enumerate(body, start=2) if line.strip()]
+    rows = [line for _, line in lines]
+    dtype = np.dtype(list(zip(header, types)))
+    load = partial(np.loadtxt, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                   usecols=range(len(header)), ndmin=1)
+    try:
+        return (load(rows) if rows else np.empty(0, dtype=dtype)), [k for k, _ in lines]
+    except ValueError:
+        lo, hi = 0, len(rows)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                load(rows[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        return f"{path}:{lines[lo][0]}: malformed row {rows[lo]!r}", None
+
+
+_CELL = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(str),
+    st.sampled_from(["0", "7", "-3", "1.5", "nan", "-inf", "1e3", "x", "", "99999999999999999999",
+                     '"4"', '"1,2"', '"5', "\x00"]),
+)
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+_ROW = st.builds(lambda cells, pad: ",".join(pad + c + pad for c in cells), st.lists(_CELL, min_size=1, max_size=4), _PAD)
+_LINE = st.one_of(_ROW, _ROW, _ROW, st.sampled_from(["", " ", "\t", "  "]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINE, max_size=12), eol=st.sampled_from(["\n", "\r\n"]), final=st.booleans(),
+       floats=st.booleans(), extra=st.booleans())
+@example(lines=["0,1", "", "2,3"], eol="\n", final=True, floats=False, extra=False)  # the C pass
+@example(lines=["0,1", " ", "2,3"], eol="\n", final=True, floats=False, extra=False)  # whitespace-only line
+@example(lines=['"0",1', "2,x"], eol="\r\n", final=False, floats=True, extra=True)  # quoted cell, bad row
+@example(lines=["0,1", "", "x,3", "4"], eol="\n", final=True, floats=False, extra=False)  # first bad row
+def test_c_pass_matches_line_list_parse(tmp_path_factory, lines, eol, final, floats, extra):
+    # the same table, and the same file line for every row, or the same message
+    header, types = (("id", "y"), (np.int64, np.float64)) if floats else (("i", "j"), (np.int64, np.int64))
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    text = eol.join([",".join(header) + (",note" if extra else ""), *lines]) + (eol if final else "")
+    path.write_bytes(text.encode())
+    want, want_lines = _line_list_table(path, header, types)
+    try:
+        got, line = _read_table(path, header, types)
+    except ValueError as err:
+        assert str(err) == want
+        return
+    assert not isinstance(want, str), want
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # an unclosed quote joins the next lines into its cell, so rows can be fewer than lines
+    assert [line(k) for k in range(len(got))] == want_lines[: len(got)]
+
+
+def test_c_reader_is_pinned_and_serves_plain_bodies(tmp_path, monkeypatch):
+    # _read_table runs numpy's private chunked reader on the text; a plain body
+    # takes one C pass, a quoted one the line list, a rejected one both
+    assert io._load_from_filelike is _multiarray_umath._load_from_filelike
+    calls = []
+
+    def spy(data, **kwargs):
+        calls.append(kwargs["filelike"])
+        return _multiarray_umath._load_from_filelike(data, **kwargs)
+
+    monkeypatch.setattr(io, "_load_from_filelike", spy)
+    path = tmp_path / "e.csv"
+    for text, taken, want in [
+        ("i,j\n0,1\n\n2,3\n", [True], [(0, 1), (2, 3)]),
+        ('i,j\n"0",1\n2,3\n', [False], [(0, 1), (2, 3)]),
+        ("i,j\n0,1\n \n2,3\n", [True, False], [(0, 1), (2, 3)]),
+        ("i,j\n", [True], []),
+    ]:
+        calls.clear()
+        path.write_text(text)
+        table, _ = _read_table(path, ("i", "j"), (np.int64, np.int64))
+        assert calls == taken and table.tolist() == want
+
+
+def test_edge_list_read_memory(tmp_path):
+    # the regress workload's shape, 250 000 distinct edges on 50 000 nodes:
+    # the text is read once and parsed in place, with no list of its lines
+    n, m = 50_000, 250_000
+    rng = np.random.default_rng(12)
+    i, j = rng.integers(0, n, 2 * m), rng.integers(0, n, 2 * m)
+    keys = np.unique((np.minimum(i, j) * n + np.maximum(i, j))[i != j])
+    keys = rng.permutation(keys)[:m]
+    path = tmp_path / "e.csv"
+    path.write_text("i,j\n" + "".join(f"{a},{b}\n" for a, b in zip((keys // n).tolist(), (keys % n).tolist())))
+    tracemalloc.start()
+    try:
+        lo, hi = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lo) == m
+    assert peak < 18e6, peak
