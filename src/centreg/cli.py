@@ -24,14 +24,13 @@ from .centrality import (  # noqa: F401
     eigenvector_centrality,
     regularized_eigenvector_centrality,
 )
-from .errors import BudgetExceeded, CentregError
+from .errors import CentregError, ConfigError
 from .io import binary_matrix_from_files, read_outcomes, write_table
 from .monte_carlo import (
     DELTA_RULES,
     ESTIMATOR_KINDS,
     REG_MODES,
     SCALINGS,
-    ConfigError,
     Estimator,
     ExperimentConfig,
     run_experiment,
@@ -62,7 +61,7 @@ def _add_estimator_flags(parser: argparse.ArgumentParser, kind_flag: str) -> Non
 
 
 def _estimator(args) -> Estimator:
-    spec = {f.name: getattr(args, f.name, None) for f in fields(Estimator)}
+    spec = {f.name: getattr(args, f.name) for f in fields(Estimator) if getattr(args, f.name, None) is not None}
     est = Estimator.from_spec(spec, lambda name: _FLAGS.get(name, "--" + name.replace("_", "-")))
     if est.kind == "regularized-eigenvector" and est.reg_mode == "oracle" and est.p_n is None:
         raise ConfigError(_FLAGS["p_n"], "required for oracle regularization")
@@ -122,19 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_json_file(args.config)
-    except FileNotFoundError:
-        print(f"error: config file {args.config} not found", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.config}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    cfg = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
 
@@ -166,79 +153,67 @@ def _endpoints(iv) -> list:
 
 
 def _cmd_regress(args) -> int:
-    try:
-        ids, y = read_outcomes(args.outcomes)
-        order = np.argsort(ids)
-        ids, y = ids[order], y[order]
-        est = _estimator(args)
-        a_hat = binary_matrix_from_files(args.edges, ids)
-        c_hat = est.centrality(a_hat, seed=args.seed)
-        fit = est.fit(y, a_hat, c_hat)
+    ids, y = read_outcomes(args.outcomes)
+    order = np.argsort(ids)
+    ids, y = ids[order], y[order]
+    est = _estimator(args)
+    a_hat = binary_matrix_from_files(args.edges, ids)
+    c_hat = est.centrality(a_hat, seed=args.seed)
+    fit = est.fit(y, a_hat, c_hat)
 
-        beta0s = args.beta0 if args.beta0 else [0.0]
-        alphas = args.alpha if args.alpha else [0.05]
-        payload = fit.to_json_dict()
-        payload["centrality"] = est.kind
-        payload["tests"] = []
-        for b0 in beta0s:
-            tr = inference.test_beta(fit, b0, alphas=alphas)
-            payload["tests"].append(
-                {
-                    "beta0": b0,
-                    "statistic": tr.statistic,
-                    "p_value": tr.p_value,
-                    "branch": tr.branch,
-                    "reject_at": {str(a): r for a, r in tr.reject_at.items()},
-                }
-            )
-        payload["intervals"] = []
-        for a in alphas:
-            iv = inference.confidence(fit, a)
-            payload["intervals"].append(
-                {
-                    "alpha": a,
-                    "c0": _endpoints(iv.c0),
-                    "c": [_endpoints(piece) for piece in iv.c],
-                    "c_star": [_endpoints(piece) for piece in iv.c_star],
-                    "wraps": iv.wraps,
-                }
-            )
-        text = json.dumps(payload, indent=1, default=float, allow_nan=False)
-    except (CentregError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(args.out, text)
+    beta0s = args.beta0 if args.beta0 else [0.0]
+    alphas = args.alpha if args.alpha else [0.05]
+    payload = fit.to_json_dict()
+    payload["centrality"] = est.kind
+    payload["tests"] = []
+    for b0 in beta0s:
+        tr = inference.test_beta(fit, b0, alphas=alphas)
+        payload["tests"].append(
+            {
+                "beta0": b0,
+                "statistic": tr.statistic,
+                "p_value": tr.p_value,
+                "branch": tr.branch,
+                "reject_at": {str(a): r for a, r in tr.reject_at.items()},
+            }
+        )
+    payload["intervals"] = []
+    for a in alphas:
+        iv = inference.confidence(fit, a)
+        payload["intervals"].append(
+            {
+                "alpha": a,
+                "c0": _endpoints(iv.c0),
+                "c": [_endpoints(piece) for piece in iv.c],
+                "c_star": [_endpoints(piece) for piece in iv.c_star],
+                "wraps": iv.wraps,
+            }
+        )
+    _emit(args.out, json.dumps(payload, indent=1, default=float, allow_nan=False))
     return EXIT_OK
 
 
 def _cmd_centrality(args) -> int:
-    n = args.n
-    try:
-        from .io import read_edge_list
-        from .graph_model import SymmetricSparseMatrix
+    from .io import read_edge_list
+    from .graph_model import SymmetricSparseMatrix
 
-        est = _estimator(args)
-        rows, cols = read_edge_list(args.edges)
-        n = n if n is not None else (int(max(rows.max(), cols.max())) + 1 if len(rows) else 0)
-        if n < 2:
-            raise ValueError("need at least two nodes")
-        if len(cols) and cols.max() >= n:
-            raise ValueError(f"{args.edges}: edge endpoint {cols.max()} is not below --n {n}")
-        a_hat = SymmetricSparseMatrix.from_edges(n, rows, cols)
-        vec = est.centrality(a_hat, seed=args.seed)
-        if args.format == "json":
-            payload = {"recipe": vec.recipe, "values": [float(v) for v in vec.values]}
-            if vec.lambda1 is not None:
-                payload["lambda1"] = vec.lambda1
-            text = json.dumps(payload, indent=1, allow_nan=False)
-    except (CentregError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    est = _estimator(args)
+    rows, cols = read_edge_list(args.edges)
+    n = args.n if args.n is not None else (int(max(rows.max(), cols.max())) + 1 if len(rows) else 0)
+    if n < 2:
+        raise ValueError("need at least two nodes")
+    if len(cols) and cols.max() >= n:
+        raise ValueError(f"{args.edges}: edge endpoint {cols.max()} is not below --n {n}")
+    try:
+        vec = est.centrality(SymmetricSparseMatrix.from_edges(n, rows, cols), seed=args.seed)
     except MemoryError:
         print(f"error: {args.edges}: not enough memory for node count {n}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        _emit(args.out, text)
+        payload = {"recipe": vec.recipe, "values": [float(v) for v in vec.values]}
+        if vec.lambda1 is not None:
+            payload["lambda1"] = vec.lambda1
+        _emit(args.out, json.dumps(payload, indent=1, allow_nan=False))
     else:
         write_table(args.out, ["id", "value"], ([i, repr(float(v))] for i, v in enumerate(vec.values)))
     return EXIT_OK
@@ -247,22 +222,13 @@ def _cmd_centrality(args) -> int:
 def _cmd_derive(args) -> int:
     what = args.what or args.what_opt
     if what is None:
-        print("error: specify the table to derive (g or b)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("specify the table to derive (g or b)")
     if args.what and args.what_opt and args.what != args.what_opt:
-        print("error: conflicting positional and --what values", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("conflicting positional and --what values")
     top = args.max if args.max is not None else (10 if what == "g" else 4)
-    try:
-        if what == "g":
-            derived = {t: derive_g(t) for t in range(1, top + 1)}
-        else:
-            # the intrinsic budget cap (DERIVE_B_CAP) turns an over-large
-            # --max into a BudgetExceeded usage error
-            derived = {T: derive_b(T) for T in range(1, top + 1)}
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # the intrinsic budget cap (DERIVE_B_CAP) turns an over-large --max into
+    # a BudgetExceeded usage error
+    derived = {t: (derive_g if what == "g" else derive_b)(t) for t in range(1, top + 1)}
 
     mismatches = []
     if args.verify:
@@ -299,19 +265,18 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "regress": _cmd_regress, "centrality": _cmd_centrality,
+             "derive": _cmd_derive, "derive-coefficients": _cmd_derive}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "regress":
-        return _cmd_regress(args)
-    if args.command == "centrality":
-        return _cmd_centrality(args)
-    if args.command in ("derive", "derive-coefficients"):
-        return _cmd_derive(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    """Run one subcommand; bad input of any kind is one ``error:`` line and exit 2."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except (CentregError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

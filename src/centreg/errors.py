@@ -5,6 +5,14 @@ class CentregError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(CentregError, ValueError):
+    """Bad configuration field; the message starts with its JSON pointer or flag."""
+
+    def __init__(self, pointer: str, message: str):
+        super().__init__(f"{pointer}: {message}" if pointer else message)
+        self.pointer = pointer
+
+
 class InvalidSize(CentregError):
     """Node count too small for the requested operation."""
 

@@ -13,6 +13,7 @@ draw costs time and memory proportional to n plus the edge count.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -279,7 +280,10 @@ class Graphon:
     @classmethod
     def sbm(cls, pi: Sequence[float], P: Sequence[Sequence[float]]) -> "Graphon":
         pi = np.asarray(pi, dtype=np.float64)
-        P = np.asarray(P, dtype=np.float64)
+        try:
+            P = np.asarray(P, dtype=np.float64)
+        except ValueError:  # rows of unequal length
+            raise InvalidGraphon("SBM link matrix must be symmetric BxB") from None
         if pi.ndim != 1 or np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-9:
             raise InvalidGraphon("SBM proportions must be positive and sum to 1")
         B = len(pi)
@@ -353,13 +357,27 @@ class Graphon:
         raise InvalidGraphon(f"graphon kind {self.kind!r} has no JSON form")
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Graphon":
-        kind = d.get("kind")
-        if kind == "constant":
-            return cls.constant(d["c"])
-        if kind == "sbm":
-            return cls.sbm(d["pi"], d["P"])
-        raise InvalidGraphon(f"unknown graphon descriptor kind {kind!r}")
+    def from_json_dict(cls, d) -> "Graphon":
+        """The graphon a JSON descriptor gives; InvalidGraphon names a bad kind or field."""
+        # kind -> (constructor, {field: how many lists deep its numbers sit})
+        kinds = {"constant": (cls.constant, {"c": 0}), "sbm": (cls.sbm, {"pi": 1, "P": 2})}
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind not in tuple(kinds):  # a tuple compares, so an unhashable kind is no TypeError
+            raise InvalidGraphon(f"unknown graphon descriptor kind {kind!r}, expected one of {tuple(kinds)}")
+        make, needs = kinds[kind]
+        for name, depth in needs.items():
+            if not _is_number(d.get(name), depth):
+                what = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
+                raise InvalidGraphon(f"{kind} graphon needs {name} as {what}, got {d.get(name)!r}")
+        return make(*(d[name] for name in needs))
+
+
+def _is_number(x, depth: int = 0) -> bool:
+    """Whether x is a finite JSON number, not a boolean, or lists of them ``depth`` deep."""
+    if depth:
+        return isinstance(x, list) and all(_is_number(v, depth - 1) for v in x)
+    # compared, not math.isfinite: that raises OverflowError on a large int
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -379,6 +397,20 @@ class LatentSample:
     @property
     def n(self) -> int:
         return len(self.u)
+
+
+# sparsity kind -> p_n from n and the rule's parameter; custom, the one kind
+# with no JSON form, comes last.  log log n > 0 needs n >= 3, so below that
+# the delocalization threshold gives no p_n (NaN).
+_RULES = {
+    "constant": lambda n, p: p,
+    "inverse-n": lambda n, _: 1.0 / n,
+    "inverse-sqrt-n": lambda n, _: n ** -0.5,
+    "inverse-cbrt-n": lambda n, _: n ** (-1.0 / 3.0),
+    "delocalization-threshold": lambda n, _: (
+        math.sqrt(math.log(n) / math.log(math.log(n))) / n if n >= 3 else math.nan),
+    "custom": lambda n, fn: float(fn(n)),
+}
 
 
 @dataclass(frozen=True)
@@ -414,32 +446,21 @@ class SparsityRule:
 
     @classmethod
     def from_descriptor(cls, d) -> "SparsityRule":
+        """The rule a JSON descriptor names: a kind, or an object with its kind and, for constant, p."""
         if isinstance(d, SparsityRule):
             return d
-        if isinstance(d, dict):
-            kind = d["kind"]
-            if kind == "constant":
-                return cls.constant(d["p"])
-            return cls(kind)
-        if isinstance(d, str):
-            return cls(d)
-        raise InvalidSparsity(f"cannot interpret sparsity descriptor {d!r}")
+        kind = d.get("kind") if isinstance(d, dict) else d
+        if kind == "constant" and isinstance(d, dict) and _is_number(d.get("p")):
+            return cls.constant(d["p"])
+        if kind in ("constant", "custom") or kind not in tuple(_RULES):  # compares, never hashes
+            raise InvalidSparsity(f"cannot interpret sparsity descriptor {d!r}: expected a kind in "
+                                  f"{tuple(_RULES)[:-1]}, and for constant a number p")
+        return cls(kind)
 
     def resolve(self, n: int) -> float:
-        if self.kind == "constant":
-            p = self.param
-        elif self.kind == "inverse-n":
-            p = 1.0 / n
-        elif self.kind == "inverse-sqrt-n":
-            p = n ** -0.5
-        elif self.kind == "inverse-cbrt-n":
-            p = n ** (-1.0 / 3.0)
-        elif self.kind == "delocalization-threshold":
-            p = math.sqrt(math.log(n) / math.log(math.log(n))) / n
-        elif self.kind == "custom":
-            p = float(self.param(n))
-        else:
+        if self.kind not in _RULES:
             raise InvalidSparsity(f"unknown sparsity rule {self.kind!r}")
+        p = _RULES[self.kind](n, self.param)
         if not (0.0 < p <= 1.0):
             raise InvalidSparsity(f"rule {self.kind!r} gives p={p} outside (0, 1] at n={n}")
         return float(p)

@@ -39,13 +39,15 @@ def _read_table(path: PathLike, header: Sequence[str], types: Sequence[type]):
     lines skipped.  A row that does not parse raises ValueError naming the first.
     The file is read once, so a pipe works too.  numpy's chunked C reader (the
     one ``np.loadtxt`` runs on a path) parses the body straight from that text;
-    it skips empty lines itself.  Two kinds of input take the line-list parse
-    instead, which splits the body into lines, drops the whitespace-only ones
-    and bisects for a bad row: a body holding a ``"`` (a quoted cell may hold a
-    newline, which the C pass would read as part of the row), and a body the C
-    pass rejects (a whitespace-only line, or a malformed row).  The lookup
-    ``line(k)`` gives the file line of row k, computed from the text only when
-    a row is reported.
+    it skips empty lines itself, and it stops at the last character that is not
+    whitespace.  Two kinds of input take the line-list parse instead, which
+    splits the body into lines, drops the whitespace-only ones and bisects for
+    a bad row: a body holding a ``"`` (a quoted cell may hold a newline, which
+    the C pass would read as part of the row), and a body the C pass rejects
+    (a whitespace-only line between rows, or a malformed row).  There a row
+    with an odd number of ``"`` is bad too: its quote is never closed.  The
+    lookup ``line(k)`` gives the file line of row k, computed from the text
+    only when a row is reported.
     """
     with open(path) as fh:
         text = fh.read()
@@ -59,15 +61,20 @@ def _read_table(path: PathLike, header: Sequence[str], types: Sequence[type]):
                     usecols=list(range(len(header))), skiplines=0, max_rows=-1, converters=None,
                     dtype=np.dtype(list(zip(header, types))), encoding=None, byte_converters=False)
     if text.find('"', start) < 0:
+        end = len(text)
+        while end > start and text[end - 1].isspace():  # trailing blank lines need no fallback
+            end -= 1
         try:
-            return parse(_TextReader(text, start), filelike=True), line
+            return parse(_TextReader(text, start, end), filelike=True), line
         except ValueError:
             pass
     rows = list(filter(str.strip, text[start:].split("\n")))
+    # numpy's tokenizer would carry an open quote on into the next row
+    unclosed = next((k for k, row in enumerate(rows) if row.count('"') % 2), len(rows))
+    lo, hi = 0, unclosed  # bisect: rows[:lo] parse, rows[lo:hi] hold a bad row
     try:
-        return parse(iter(rows), filelike=False), line
+        table = parse(iter(rows[:hi]), filelike=False)
     except ValueError:
-        lo, hi = 0, len(rows)  # bisect: rows[:lo] parse, rows[lo:hi] hold a bad row
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
@@ -76,19 +83,22 @@ def _read_table(path: PathLike, header: Sequence[str], types: Sequence[type]):
             except ValueError:
                 hi = mid
         raise ValueError(f"{path}:{line(lo)}: malformed row {rows[lo]!r}") from None
+    if unclosed < len(rows):
+        raise ValueError(f"{path}:{line(unclosed)}: unclosed quote in row {rows[unclosed]!r}")
+    return table, line
 
 
 class _TextReader:
-    """``read(size)`` over ``text[start:]``, the file interface of numpy's C reader.
+    """``read(size)`` over ``text[start:end]``, the file interface of numpy's C reader.
 
     ``io.StringIO`` would copy the text at 4 bytes per character first.
     """
 
-    def __init__(self, text: str, start: int):
-        self.text, self.pos = text, start
+    def __init__(self, text: str, start: int, end: int):
+        self.text, self.pos, self.end = text, start, end
 
     def read(self, size: int) -> str:
-        chunk = self.text[self.pos : self.pos + size]
+        chunk = self.text[self.pos : min(self.pos + size, self.end)]
         self.pos += size
         return chunk
 

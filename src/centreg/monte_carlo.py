@@ -39,8 +39,8 @@ from .centrality import (  # noqa: F401
     regularize,
     regularized_eigenvector_centrality,
 )
-from .errors import CentregError
-from .graph_model import Graphon, SparsityRule, build_true_adjacency, observe, sample_latent
+from .errors import CentregError, ConfigError
+from .graph_model import Graphon, SparsityRule, _is_number, build_true_adjacency, observe, sample_latent
 from .io import write_edge_list, write_table
 from .walks import reference_b
 
@@ -63,30 +63,56 @@ SCALINGS = ("sqrt-lambda1", "sqrt-n", "fixed")
 REG_MODES = ("oracle", "plug-in")
 
 
-class ConfigError(ValueError):
-    """Configuration problem; message carries a JSON-pointer-style path."""
-
-    def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
-        self.pointer = pointer
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-# field -> (accepts, expectation) for the optional spec fields
+# field -> (accepts, expectation) for the optional spec fields; ``type(v) is
+# int`` leaves out bool
 _SPEC_CHECKS = {
     "delta": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "T": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an integer >= 1"),
+    "T": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "delta_rule": (lambda v: v in DELTA_RULES, f"one of {DELTA_RULES}"),
     "scaling": (lambda v: v in SCALINGS, f"one of {SCALINGS}"),
-    "a": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "a": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
     "reg_mode": (lambda v: v in REG_MODES, f"one of {REG_MODES}"),
     "p_n": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
     "M": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
     "mode": (lambda v: v in inference.MODES, f"one of {inference.MODES}"),
 }
+
+# the same for the optional top-level config fields and the error model's;
+# [accepts] wants a nonempty list of accepted items
+_CONFIG_CHECKS = {
+    "n_grid": ([lambda v: type(v) is int and 2 <= v < 2**31], "an integer in [2, 2^31)"),  # int32 ids
+    "beta_true": (_is_number, "a finite number"),
+    "beta0_grid": ([_is_number], "a finite number"),
+    "alpha_grid": ([lambda v: _is_number(v) and 0 < v < 1], "a number in (0, 1)"),
+    "error_model": (lambda v: isinstance(v, dict) and v.get("kind") == "gaussian",
+                    "an object with kind 'gaussian', the one built-in error model"),
+    "replications": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "master_seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "fit_no_error": (lambda v: isinstance(v, bool), "true or false"),
+    "threads": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+}
+_ERROR_MODEL_CHECKS = {"sigma": (lambda v: _is_number(v) and v > 0, "a finite number > 0")}
+
+
+def _checked(d: dict, checks: dict, where: Callable[[str], str]) -> dict:
+    """The fields of ``d`` that ``checks`` lists, each one accepted by its check.
+
+    A bad field raises ConfigError at ``where(field)``, a bad item of a list
+    field at ``where(field)/k``.
+    """
+    given = {k: v for k, v in d.items() if k in checks}
+    for name, value in given.items():
+        accepts, expected = checks[name]
+        if not isinstance(accepts, list):
+            items = [(where(name), value)]
+        elif not isinstance(value, list) or not value:
+            raise ConfigError(where(name), f"expected a nonempty list, got {value!r}")
+        else:
+            accepts, items = accepts[0], [(f"{where(name)}/{k}", v) for k, v in enumerate(value)]
+        for pointer, item in items:
+            if not accepts(item):
+                raise ConfigError(pointer, f"expected {expected}, got {item!r}")
+    return given
 
 
 @dataclass(frozen=True)
@@ -123,12 +149,7 @@ class Estimator:
         """Validate a spec mapping; ``where(field)`` names a bad field in the error."""
         if not isinstance(spec, dict) or spec.get("kind") not in ESTIMATOR_KINDS:
             raise ConfigError(where("kind"), f"expected one of {ESTIMATOR_KINDS}")
-        given = {k: v for k, v in spec.items() if k in _SPEC_CHECKS and v is not None}
-        for name, value in given.items():
-            accepts, expected = _SPEC_CHECKS[name]
-            if not accepts(value):
-                raise ConfigError(where(name), f"expected {expected}, got {value!r}")
-        est = cls(kind=spec["kind"], **given)
+        est = cls(kind=spec["kind"], **_checked(spec, _SPEC_CHECKS, where))
         if est.spectral and est.scaling == "fixed" and est.a is None:
             raise ConfigError(where("a"), "fixed scaling needs a")
         if est.kind == "regularized-eigenvector" and est.reg_mode == "plug-in" and est.M is None:
@@ -212,69 +233,41 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        def need(key, typ, pointer):
-            if key not in d:
-                raise ConfigError(pointer, "missing required field")
-            val = d[key]
-            if not isinstance(val, typ):
-                raise ConfigError(pointer, f"expected {typ.__name__}, got {type(val).__name__}")
-            return val
-
-        graphon_d = need("graphon", dict, "/graphon")
+        """Validate a parsed JSON config; a bad field raises ConfigError at its pointer."""
+        if not isinstance(d, dict):
+            raise ConfigError("", f"expected a JSON object, got {type(d).__name__}")
+        for name in ("graphon", "n_grid"):
+            if name not in d:
+                raise ConfigError(f"/{name}", "missing required field")
+        given = _checked(d, _CONFIG_CHECKS, lambda name: f"/{name}")
+        error_model = _checked(given.pop("error_model", {}), _ERROR_MODEL_CHECKS, lambda name: f"/error_model/{name}")
+        for name in ("beta0_grid", "alpha_grid"):
+            if name in given:
+                given[name] = [float(x) for x in given[name]]
         try:
-            graphon = Graphon.from_json_dict(graphon_d)
+            graphon = Graphon.from_json_dict(d["graphon"])
         except CentregError as exc:
             raise ConfigError("/graphon", str(exc)) from exc
-
-        n_grid = need("n_grid", list, "/n_grid")
-        if not n_grid:
-            raise ConfigError("/n_grid", "must list at least one node count")
-        for k, n in enumerate(n_grid):
-            if not isinstance(n, int) or n < 2:
-                raise ConfigError(f"/n_grid/{k}", f"expected integer >= 2, got {n!r}")
-
-        sparsity_d = d.get("sparsity", {"kind": "constant", "p": 0.5})
         try:
-            sparsity = SparsityRule.from_descriptor(sparsity_d)
+            sparsity = SparsityRule.from_descriptor(d.get("sparsity", {"kind": "constant", "p": 0.5}))
+            for n in given["n_grid"]:
+                sparsity.resolve(n)  # fails early if the rule leaves (0, 1]
         except CentregError as exc:
             raise ConfigError("/sparsity", str(exc)) from exc
-
-        reps = d.get("replications", 1000)
-        if not isinstance(reps, int) or reps < 1:
-            raise ConfigError("/replications", f"expected integer >= 1, got {reps!r}")
-
-        error_model = d.get("error_model", {"kind": "gaussian", "sigma": 1.0})
-        if not isinstance(error_model, dict) or error_model.get("kind") != "gaussian":
-            raise ConfigError("/error_model/kind", "only the gaussian error model is built in")
-        sigma = float(error_model.get("sigma", 1.0))
-        if sigma <= 0:
-            raise ConfigError("/error_model/sigma", f"expected sigma > 0, got {sigma}")
-
-        cfg = cls(
-            graphon=graphon,
-            n_grid=list(n_grid),
-            sparsity=sparsity,
-            beta_true=float(d.get("beta_true", 1.0)),
-            beta0_grid=[float(b) for b in d.get("beta0_grid", [0.0, 1.0])],
-            alpha_grid=[float(a) for a in d.get("alpha_grid", [0.05])],
-            estimators=d.get("estimators", [{"kind": "degree"}]),
-            sigma=sigma,
-            replications=reps,
-            master_seed=int(d.get("master_seed", 0)),
-            fit_no_error=bool(d.get("fit_no_error", False)),
-            threads=int(d.get("threads", 0) or 0),
-        )
-        for k, a in enumerate(cfg.alpha_grid):
-            if not (0 < a < 1):
-                raise ConfigError(f"/alpha_grid/{k}", f"alpha must lie in (0,1), got {a}")
-        for n in cfg.n_grid:
-            cfg.sparsity.resolve(n)  # fails early if the rule leaves (0, 1]
-        return cfg
+        return cls(graphon=graphon, sparsity=sparsity, estimators=d.get("estimators", [{"kind": "degree"}]),
+                   sigma=float(error_model.get("sigma", 1.0)), **given)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        """Read and validate a config file; a ConfigError's message starts with the path."""
+        try:
+            with open(path) as fh:
+                return cls.from_json_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(str(path), f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except ConfigError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 @dataclass
@@ -287,14 +280,18 @@ class CellResult:
     replications: int
     estimators: List[str]
     draws: Dict[str, Dict[str, np.ndarray]]
-    failures: List[Tuple[int, str, str]]
     runtime: float = 0.0
-    # one record per failure, in the order of ``failures``: the exception
-    # message and, for NoConvergence, the last residual
+    # one record per failure, by replication and estimator: its replication,
+    # estimator, error class, message and, for NoConvergence, the last residual
     failure_detail: List[dict] = field(default_factory=list)
     # label -> inference mode, the key of the "ours" statistic
     modes: Dict[str, str] = field(default_factory=dict)
     threads: int = 1  # worker threads the replications ran on
+
+    @property
+    def failures(self) -> List[Tuple[int, str, str]]:
+        """(replication, estimator, error class) of each failure record."""
+        return [(d["replication"], d["estimator"], d["error"]) for d in self.failure_detail]
 
     def ok_mask(self, label: str) -> np.ndarray:
         return ~np.isnan(self.draws[label]["beta_hat"])
@@ -452,7 +449,6 @@ def run_cell(
         replications=len(reps),
         estimators=labels,
         draws=draws,
-        failures=[(d["replication"], d["estimator"], d["error"]) for d in detail],
         runtime=time.perf_counter() - start,
         failure_detail=detail,
         modes={e.label: e.mode for e in cfg.estimators},
@@ -620,7 +616,6 @@ def write_outputs(
         gdir = out_dir / "graphs"
         gdir.mkdir(exist_ok=True)
         for cell in result.cells:
-            p = cell.p
             _, a_hat, _ = _draw(cfg, cell.n, cell.p, cell.cell_index, 0)
             path = gdir / f"cell{cell.cell_index}_rep0.csv"
             write_edge_list(a_hat, path)

@@ -281,6 +281,94 @@ def test_simulate_schema_violation_pointer(tmp_path, capsys):
     assert "/n_grid/0" in capsys.readouterr().err
 
 
+_CONFIG = {
+    "graphon": {"kind": "constant", "c": 1.0},
+    "n_grid": [20],
+    "sparsity": {"kind": "constant", "p": 0.3},
+    "replications": 2,
+    "estimators": [{"kind": "degree"}],
+}
+
+
+@pytest.mark.parametrize(
+    "change,pointer",
+    [
+        ({"sparsity": {"kind": "bogus"}}, "/sparsity"),
+        ({"sparsity": {"p": 0.5}}, "/sparsity"),
+        ({"sparsity": {"kind": "constant"}}, "/sparsity"),
+        ({"sparsity": {"kind": "constant", "p": 2}}, "/sparsity"),
+        ({"beta0_grid": ["x"]}, "/beta0_grid/0"),
+        ({"beta0_grid": 5}, "/beta0_grid"),
+        ({"error_model": {"kind": "gaussian", "sigma": "x"}}, "/error_model/sigma"),
+        ({"master_seed": "abc"}, "/master_seed"),
+        ({"threads": "x"}, "/threads"),
+        ({"beta_true": None}, "/beta_true"),
+        ({"graphon": {"kind": "constant"}}, "/graphon"),
+        ({"graphon": {"kind": "constant", "c": "x"}}, "/graphon"),
+        ({"graphon": {"kind": "sbm", "pi": [1.0]}}, "/graphon"),
+        ({"graphon": {"kind": "sbm", "pi": [1.0], "P": [["x"]]}}, "/graphon"),
+        ({"replications": True}, "/replications"),
+        ({"fit_no_error": "false"}, "/fit_no_error"),
+        ({"sparsity": {"kind": "delocalization-threshold"}, "n_grid": [2]}, "/sparsity"),
+        ({"sparsity": "custom"}, "/sparsity"),
+        ({"graphon": 5}, "/graphon"),
+        (None, None),
+    ],
+    ids=["sparsity-kind", "sparsity-no-kind", "constant-no-p", "p-2", "beta0-item", "beta0-scalar", "sigma",
+         "master-seed", "threads", "beta-true-null", "no-c", "c-string", "no-P", "P-string", "replications-bool",
+         "fit-string", "delocalization-n2", "custom", "graphon-number", "not-an-object"],
+)
+def test_simulate_malformed_config_exit_two(tmp_path, capsys, change, pointer):
+    # every malformed config is one error line naming the file and the pointer
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(5 if change is None else {**_CONFIG, **change}))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {cfg_path}: " + (f"{pointer}: " if pointer else ""))
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "probe", ["edges-dir", "config-dir", "regress-out", "centrality-out", "derive-out", "simulate-out-file"]
+)
+def test_filesystem_errors_exit_two(tmp_path, capsys, probe):
+    edges, outcomes = write_k3(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_CONFIG))
+    missing = str(tmp_path / "missing" / "out")
+    argv = {
+        "edges-dir": ["regress", "--edges", str(tmp_path), "--outcomes", str(outcomes)],
+        "config-dir": ["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "out")],
+        "regress-out": ["regress", "--edges", str(edges), "--outcomes", str(outcomes), "--out", missing],
+        "centrality-out": ["centrality", "--edges", str(edges), "--out", missing],
+        "derive-out": ["derive", "g", "--max", "2", "--out", missing],
+        "simulate-out-file": ["simulate", "--config", str(cfg_path), "--out", str(edges)],
+    }[probe]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "missing").exists()
+    assert edges.read_text() == "i,j\n0,1\n0,2\n1,2\n"
+
+
+def test_unclosed_quote_exit_two(tmp_path, capsys):
+    # the quote would join the next line's text onto its cell: (0, 50)
+    edges = tmp_path / "edges.csv"
+    edges.write_text('i,j\n0,"5\n0\n')
+    code = main(["centrality", "--edges", str(edges)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {edges}:2: unclosed quote in row '0,\"5'\n"
+
+
 def test_dump_graph_round_trip(tmp_path):
     cfg = {
         "graphon": {"kind": "constant", "c": 1.0},

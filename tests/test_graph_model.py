@@ -24,7 +24,7 @@ from centreg import (
 )
 from centreg.errors import InvalidGraphon, InvalidSize, InvalidSparsity
 from centreg.graph_model import LatentSample, _pair_from_index
-from centreg.monte_carlo import ExperimentConfig
+from centreg.monte_carlo import ConfigError, ExperimentConfig
 
 SBM3 = Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]])
 # f(u, v) = 0.5 + 0.15 phi(u) phi(v), phi(u) = sqrt(3) (2u - 1): values in [0.05, 0.95]
@@ -181,6 +181,39 @@ def test_delocalization_threshold_rule():
     n = 1000
     p = SparsityRule.delocalization_threshold().resolve(n)
     assert p == pytest.approx(math.sqrt(math.log(n) / math.log(math.log(n))) / n)
+
+
+def test_delocalization_threshold_has_no_value_below_three():
+    # log log 2 < 0: the rule is undefined there, an InvalidSparsity, not a math domain error
+    for n in (1, 2):
+        with pytest.raises(InvalidSparsity, match=f"at n={n}"):
+            SparsityRule.delocalization_threshold().resolve(n)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_json_dict({"graphon": {"kind": "constant", "c": 1.0}, "n_grid": [2],
+                                         "sparsity": {"kind": "delocalization-threshold"}})
+    assert err.value.pointer == "/sparsity"
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["bogus", "custom", "constant", {"p": 0.5}, {"kind": "constant"}, {"kind": "constant", "p": "0.5"},
+     {"kind": "constant", "p": True}, {"kind": ["inverse-n"]}, 5, None],
+)
+def test_sparsity_descriptor_errors(descriptor):
+    with pytest.raises(InvalidSparsity):
+        SparsityRule.from_descriptor(descriptor)
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [{"kind": "constant"}, {"kind": "constant", "c": "0.5"}, {"kind": "constant", "c": [0.5]},
+     {"kind": "constant", "c": 10**400}, {"kind": "sbm", "pi": [1.0]}, {"kind": "sbm", "pi": [1.0], "P": [["x"]]},
+     {"kind": "sbm", "pi": [0.5, 0.5], "P": [[0.5], [0.5, 0.5]]}, {"kind": "sbm", "pi": [1.0], "P": [[None]]},
+     {"kind": "rank-r"}, {"kind": {}}, {"c": 1.0}, [], "constant"],
+)
+def test_graphon_descriptor_errors(descriptor):
+    with pytest.raises(InvalidGraphon):
+        Graphon.from_json_dict(descriptor)
 
 
 def test_sparsity_rule_rejects_out_of_range():

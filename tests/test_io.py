@@ -346,17 +346,22 @@ def test_weighted_matrix_round_trip_property(tmp_path_factory, n, data):
 def _line_list_table(path, header, types):
     """The line-list parse alone: np.loadtxt on the lines that are not blank,
     and their file lines, or the message naming the first row that does not
-    parse (found by bisection, as the reader does)."""
+    parse (found by bisection, as the reader does) or, failing that, the
+    first row with an unclosed quote (an odd number of '"')."""
     head, *body = path.read_text().split("\n")
     lines = [(k, line) for k, line in enumerate(body, start=2) if line.strip()]
     rows = [line for _, line in lines]
     dtype = np.dtype(list(zip(header, types)))
     load = partial(np.loadtxt, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                    usecols=range(len(header)), ndmin=1)
+    unclosed = next((k for k, row in enumerate(rows) if row.count('"') % 2), len(rows))
     try:
-        return (load(rows) if rows else np.empty(0, dtype=dtype)), [k for k, _ in lines]
+        table = load(rows[:unclosed]) if unclosed else np.empty(0, dtype=dtype)
+        if unclosed < len(rows):
+            return f"{path}:{lines[unclosed][0]}: unclosed quote in row {rows[unclosed]!r}", None
+        return table, [k for k, _ in lines]
     except ValueError:
-        lo, hi = 0, len(rows)
+        lo, hi = 0, unclosed
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
@@ -419,6 +424,7 @@ def test_c_reader_is_pinned_and_serves_plain_bodies(tmp_path, monkeypatch):
         ('i,j\n"0",1\n2,3\n', [False], [(0, 1), (2, 3)]),
         ("i,j\n0,1\n \n2,3\n", [True, False], [(0, 1), (2, 3)]),
         ("i,j\n", [True], []),
+        ("i,j\n0,1\n2,3\n \n\t\n", [True], [(0, 1), (2, 3)]),  # trailing whitespace-only lines
     ]:
         calls.clear()
         path.write_text(text)

@@ -1,9 +1,12 @@
 """Simulation harness: determinism, failure handling, and summaries."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centreg import (
     Estimator,
@@ -129,6 +132,61 @@ def test_config_json_validation_pointers():
             }
         )
     assert "/estimators/0/kind" in str(err.value)
+
+
+_VALID = {
+    "graphon": {"kind": "sbm", "pi": [0.5, 0.5], "P": [[0.6, 0.2], [0.2, 0.5]]},
+    "n_grid": [30, 60],
+    "sparsity": {"kind": "constant", "p": 0.3},
+    "beta_true": 1.0,
+    "beta0_grid": [0.0, 1.0],
+    "alpha_grid": [0.05],
+    "estimators": [{"kind": "degree"}, {"kind": "diffusion", "delta": 0.5, "T": 2}],
+    "error_model": {"kind": "gaussian", "sigma": 1.0},
+    "replications": 3,
+    "master_seed": 5,
+    "fit_no_error": False,
+    "threads": 1,
+}
+# every field of _VALID, the nested ones included
+_FIELDS = [(k,) for k in _VALID] + [
+    ("graphon", "kind"), ("graphon", "pi"), ("graphon", "P"), ("graphon", "P", 0), ("sparsity", "kind"),
+    ("sparsity", "p"), ("n_grid", 0), ("beta0_grid", 1), ("alpha_grid", 0), ("estimators", 0),
+    ("estimators", 1, "delta"), ("estimators", 1, "T"), ("error_model", "kind"), ("error_model", "sigma"),
+]
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["constant", "sbm", "gaussian", "degree", "inverse-n", "delocalization-threshold"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["kind", "p", "c", "pi", "P", "sigma"])
+                                                              | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(_FIELDS), value=_JSON_VALUE)
+def test_config_field_replaced_by_any_json_value(path, value):
+    # a config or a ConfigError, never another exception
+    d = copy.deepcopy(_VALID)
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        cfg = ExperimentConfig.from_json_dict(d)
+    except ConfigError as err:
+        assert err.pointer.startswith("/" + path[0])
+        return
+    assert isinstance(cfg.fit_no_error, bool) and all(isinstance(x, float) for x in cfg.beta0_grid)
+
+
+def test_config_rejects_coercible_values():
+    # a boolean or string is not a number, nor a string a boolean
+    for field, value in [("replications", True), ("fit_no_error", "false"), ("master_seed", "3"),
+                         ("beta_true", None), ("threads", None), ("n_grid", [30.0])]:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_json_dict({**_VALID, field: value})
+        assert err.value.pointer.startswith("/" + field)
 
 
 def test_config_round_trip_from_json(tmp_path):
