@@ -25,6 +25,7 @@ from .centrality import (  # noqa: F401
     regularized_eigenvector_centrality,
 )
 from .errors import CentregError, ConfigError
+from .graph_model import SymmetricSparseMatrix, _is_number
 from .io import binary_matrix_from_files, read_outcomes, write_table
 from .monte_carlo import (
     DELTA_RULES,
@@ -33,6 +34,7 @@ from .monte_carlo import (
     SCALINGS,
     Estimator,
     ExperimentConfig,
+    _checked,
     run_experiment,
     write_outputs,
 )
@@ -62,10 +64,18 @@ def _add_estimator_flags(parser: argparse.ArgumentParser, kind_flag: str) -> Non
 
 def _estimator(args) -> Estimator:
     spec = {f.name: getattr(args, f.name) for f in fields(Estimator) if getattr(args, f.name, None) is not None}
-    est = Estimator.from_spec(spec, lambda name: _FLAGS.get(name, "--" + name.replace("_", "-")))
+    est = Estimator.from_spec(spec, lambda k: _FLAGS.get(k, "--" + k.replace("_", "-")), args.command == "regress")
     if est.kind == "regularized-eigenvector" and est.reg_mode == "oracle" and est.p_n is None:
         raise ConfigError(_FLAGS["p_n"], "required for oracle regularization")
     return est
+
+
+_FLAG_CHECKS = {  # numeric flags -> (accepts, expectation), checked by ``main`` before any command runs
+    "beta0": (lambda v: all(map(_is_number, v)), "finite numbers"),
+    "alpha": (lambda v: all(_is_number(a) and 0 < a < 1 for a in v), "numbers in (0, 1)"),
+    "seed": (lambda v: v >= 0, "an integer >= 0"),
+    "threads": (lambda v: v >= 0, "an integer >= 0"),
+}
 
 
 @functools.cache  # parse_args leaves the parser as it was; built once per process
@@ -124,6 +134,7 @@ def _cmd_simulate(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before any replication runs
 
     result = run_experiment(cfg, threads=args.threads)
     write_outputs(result, args.out, fmt=args.format, dump_graph=args.dump_graph)
@@ -153,10 +164,10 @@ def _endpoints(iv) -> list:
 
 
 def _cmd_regress(args) -> int:
+    est = _estimator(args)
     ids, y = read_outcomes(args.outcomes)
     order = np.argsort(ids)
     ids, y = ids[order], y[order]
-    est = _estimator(args)
     a_hat = binary_matrix_from_files(args.edges, ids)
     c_hat = est.centrality(a_hat, seed=args.seed)
     fit = est.fit(y, a_hat, c_hat)
@@ -195,7 +206,6 @@ def _cmd_regress(args) -> int:
 
 def _cmd_centrality(args) -> int:
     from .io import read_edge_list
-    from .graph_model import SymmetricSparseMatrix
 
     est = _estimator(args)
     rows, cols = read_edge_list(args.edges)
@@ -273,6 +283,7 @@ def main(argv=None) -> int:
     """Run one subcommand; bad input of any kind is one ``error:`` line and exit 2."""
     args = _build_parser().parse_args(argv)
     try:
+        _checked({k: v for k, v in vars(args).items() if v is not None}, _FLAG_CHECKS, lambda name: "--" + name)
         return _COMMANDS[args.command](args)
     except (CentregError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

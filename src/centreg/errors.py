@@ -77,7 +77,7 @@ class NonFiniteCentrality(CentregError):
 
 
 class ConfigMismatch(CentregError):
-    """Inconsistent (delta, T) configuration between centrality and coefficients."""
+    """Arguments that do not fit together, such as a B_hat/V_hat estimator and the centrality of its fit."""
 
 
 class MissingComponents(CentregError):

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .centrality import CentralityVector, DiffusionParams
+from .centrality import CentralityVector
 from .errors import (
     ConfigMismatch,
     DegenerateSpectrum,
@@ -28,7 +28,7 @@ from .errors import (
     ZeroRegressor,
 )
 from .graph_model import SymmetricSparseMatrix
-from .walks import BiasPolynomial, evaluate_b, reference_b
+from .walks import evaluate_b, reference_b
 
 __all__ = [
     "RegressionFit",
@@ -67,8 +67,8 @@ class RegressionFit:
     n: int
     B_hat: Optional[float] = None
     V_hat: Optional[float] = None
-    lambda1: Optional[float] = None
-    recipe: dict = field(default_factory=dict)
+    # the centrality regressed on; None for a plain array
+    centrality: Optional[CentralityVector] = field(default=None, compare=False)
 
     @property
     def attenuation(self) -> Optional[float]:
@@ -165,8 +165,6 @@ def ols(
     beta_hat = float(y @ values) / ssq
     residuals = y - beta_hat * values
     V0 = float(np.sum(values**2 * residuals**2)) / ssq**2
-    recipe = dict(c.recipe) if isinstance(c, CentralityVector) else {}
-    lam1 = c.lambda1 if isinstance(c, CentralityVector) else None
     return RegressionFit(
         beta_hat=beta_hat,
         ssq_c=ssq,
@@ -174,20 +172,32 @@ def ols(
         V0_hat=V0,
         mode=mode,
         n=len(y),
-        lambda1=lam1,
-        recipe=recipe,
+        centrality=c if isinstance(c, CentralityVector) else None,
     )
+
+
+def _fitted(fit: RegressionFit, kinds: Tuple[Optional[str], ...]) -> Optional[CentralityVector]:
+    """The fit's centrality, whose kind (None for a plain array) must be one of ``kinds``."""
+    c = fit.centrality
+    kind = None if c is None else c.recipe.get("kind")
+    if kind not in kinds:
+        got = "a plain array" if c is None else f"a {kind} centrality"
+        want = " or ".join(filter(None, kinds))
+        raise ConfigMismatch(f"{kinds[0]} B_hat/V_hat needs a fit on a {want} centrality, got {got}")
+    return c
 
 
 def degree_bias_variance(a_hat: SymmetricSparseMatrix, fit: RegressionFit) -> Tuple[float, float]:
     """Theorem-level estimators for the degree regression on a binary Ahat.
 
-    B_hat = iota' Ahat iota / sum C^2.  V_hat sums (d_i + d_j)^2 over the edges
-    ij, once each (the ordered sum over j != i doubles it, and the leading 1/2
-    cancels that doubling).  Node i lies on d_i edges, so the sum is
+    The fit is on a degree centrality or a plain array.  B_hat = iota' Ahat
+    iota / sum C^2.  V_hat sums (d_i + d_j)^2 over the edges ij, once each
+    (the ordered sum over j != i doubles it, and the leading 1/2 cancels
+    that doubling).  Node i lies on d_i edges, so the sum is
     sum_i d_i^3 + d' Ahat d: one product, cost O(n + nnz).  Every term is an
     integer, so the sum is exact while it stays below 2^53.
     """
+    _fitted(fit, ("degree", None))
     deg = a_hat.row_sums()
     ssq = fit.ssq_c
     B_hat = float(deg.sum()) / ssq
@@ -196,28 +206,17 @@ def degree_bias_variance(a_hat: SymmetricSparseMatrix, fit: RegressionFit) -> Tu
     return B_hat, V_hat
 
 
-def diffusion_bias_variance(
-    a_hat: SymmetricSparseMatrix,
-    params: DiffusionParams,
-    fit: RegressionFit,
-    coeffs: Optional[BiasPolynomial] = None,
-) -> Tuple[float, float]:
+def diffusion_bias_variance(a_hat: SymmetricSparseMatrix, fit: RegressionFit) -> Tuple[float, float]:
     """Theorem-level estimators for the diffusion regression.
 
-    The bias combines the moments iota' Ahat^t iota (t <= 2T - 1) through
-    b_T(t, delta); the variance is computed edge-locally from the vectors
-    u_t = Ahat^(2T-t) iota and w_t = Ahat^(t-1) iota, total cost O(T nnz).
+    delta and T are the fit's.  The bias combines the moments iota' Ahat^t
+    iota (t <= 2T - 1) through b_T(t, delta); the variance is computed
+    edge-locally from the vectors u_t = Ahat^(2T-t) iota and
+    w_t = Ahat^(t-1) iota, total cost O(T nnz).
     """
-    T = params.T
-    if fit.recipe.get("T") is not None and fit.recipe["T"] != T:
-        raise ConfigMismatch(f"fit built at T={fit.recipe['T']}, estimator called with T={T}")
-    if coeffs is None:
-        coeffs = reference_b(T)
-    if coeffs.T != T:
-        raise ConfigMismatch(f"coefficients are for T={coeffs.T}, centrality has T={T}")
-    delta = fit.recipe.get("delta")
-    if delta is None:
-        delta = params.resolve(a_hat)
+    recipe = _fitted(fit, ("diffusion",)).recipe
+    T, delta = recipe["T"], recipe["delta"]
+    coeffs = reference_b(T)
 
     powers = [np.ones(a_hat.n)]
     for _ in range(2 * T):
@@ -239,20 +238,18 @@ def diffusion_bias_variance(
     return B_hat, V_hat
 
 
-def eigen_bias_variance(
-    lambda1: float,
-    c_hat: CentralityVector,
-    a_hat: SymmetricSparseMatrix,
-    fit: RegressionFit,
-) -> Tuple[float, float]:
+def eigen_bias_variance(a_hat: SymmetricSparseMatrix, fit: RegressionFit) -> Tuple[float, float]:
     """B_hat = 1/lambda1 and the eigenvector variance estimator on a binary Ahat.
 
-    V_hat sums c_i^2 + c_j^2 over both orientations of every edge ij; node i
-    lies on d_i edges, so that is 4 sum_i c_i^2 d_i / (lambda1 ssq)^2, O(n).
+    c and lambda1 are the fit's.  V_hat sums c_i^2 + c_j^2 over both
+    orientations of every edge ij; node i lies on d_i edges, so that is
+    4 sum_i c_i^2 d_i / (lambda1 ssq)^2, O(n).
     """
-    if lambda1 <= 0:
+    c_hat = _fitted(fit, ("eigenvector", "regularized-eigenvector"))
+    lambda1 = c_hat.lambda1
+    if lambda1 is None or not lambda1 > 0:
         raise DegenerateSpectrum(f"eigenvector inference needs lambda1 > 0, got {lambda1}")
-    values = np.asarray(c_hat, dtype=np.float64)
+    values = c_hat.values
     ssq = fit.ssq_c
     B_hat = 1.0 / lambda1
     V_hat = 4.0 * float((values * values) @ a_hat.row_sums()) / (lambda1 * ssq) ** 2

@@ -25,8 +25,9 @@ import numpy as np
 import scipy
 
 from . import inference
-# ``regularize`` is not called here but stays a name of this module:
-# perfbench/tracing.py wraps the centrality layer by these module attributes
+from ._tables import B_ROWS
+# ``regularize`` and ``reference_b`` are not called here but stay names of this module:
+# perfbench/tracing.py wraps the centrality and walks layers by these module attributes
 from .centrality import (  # noqa: F401
     CentralityVector,
     DiffusionParams,
@@ -42,7 +43,7 @@ from .centrality import (  # noqa: F401
 from .errors import CentregError, ConfigError
 from .graph_model import Graphon, SparsityRule, _is_number, build_true_adjacency, observe, sample_latent
 from .io import write_edge_list, write_table
-from .walks import reference_b
+from .walks import reference_b  # noqa: F401
 
 __all__ = [
     "Estimator",
@@ -145,11 +146,14 @@ class Estimator:
             object.__setattr__(self, "mode", mode)
 
     @classmethod
-    def from_spec(cls, spec, where: Callable[[str], str]) -> "Estimator":
-        """Validate a spec mapping; ``where(field)`` names a bad field in the error."""
+    def from_spec(cls, spec, where: Callable[[str], str], fitted: bool = True) -> "Estimator":
+        """Validate a spec; ``where(field)`` names a bad field, and a ``fitted`` diffusion needs T in the b table."""
         if not isinstance(spec, dict) or spec.get("kind") not in ESTIMATOR_KINDS:
             raise ConfigError(where("kind"), f"expected one of {ESTIMATOR_KINDS}")
         est = cls(kind=spec["kind"], **_checked(spec, _SPEC_CHECKS, where))
+        if fitted and est.kind == "diffusion" and est.T not in B_ROWS:
+            raise ConfigError(where("T"), f"expected an integer in [1, {max(B_ROWS)}] (the reference b table)"
+                                          f" for a diffusion fit, got {est.T}")
         if est.spectral and est.scaling == "fixed" and est.a is None:
             raise ConfigError(where("a"), "fixed scaling needs a")
         if est.kind == "regularized-eigenvector" and est.reg_mode == "plug-in" and est.M is None:
@@ -169,34 +173,23 @@ class Estimator:
     def spectral(self) -> bool:
         return self.kind in ("eigenvector", "regularized-eigenvector")
 
-    @property
-    def scaling_policy(self) -> ScalingPolicy:
-        return ScalingPolicy(kind=self.scaling, a=self.a)
-
-    @property
-    def diffusion_params(self) -> DiffusionParams:
-        return DiffusionParams(delta=self.delta, T=self.T, delta_rule=self.delta_rule)
-
     def centrality(self, m, p: Optional[float] = None, **eig_kwargs) -> CentralityVector:
         """This estimator's centrality of ``m``; ``p`` stands in for a missing oracle p_n."""
         if self.kind == "degree":
             return degree(m)
         if self.kind == "diffusion":
-            return diffusion(m, self.diffusion_params, **eig_kwargs)
+            return diffusion(m, DiffusionParams(self.delta, self.T, self.delta_rule), **eig_kwargs)
+        scaling = ScalingPolicy(self.scaling, self.a)
         if self.kind == "eigenvector":
-            return eigenvector_centrality(m, self.scaling_policy, **eig_kwargs)
+            return eigenvector_centrality(m, scaling, **eig_kwargs)
         spec = RegularizationSpec(self.reg_mode, p_n=self.p_n if self.p_n is not None else p, M=self.M)
-        return regularized_eigenvector_centrality(m, self.scaling_policy, spec, **eig_kwargs)
+        return regularized_eigenvector_centrality(m, scaling, spec, **eig_kwargs)
 
     def fit(self, y, a_hat, c_hat: CentralityVector) -> inference.RegressionFit:
-        """OLS of y on c_hat in this estimator's mode, with B_hat and V_hat filled in."""
+        """OLS of y on c_hat in this estimator's mode, with B_hat and V_hat read off c_hat and Ahat."""
         fit = inference.ols(y, c_hat, mode=self.mode)
-        if self.kind == "degree":
-            inference.degree_bias_variance(a_hat, fit)
-        elif self.kind == "diffusion":
-            inference.diffusion_bias_variance(a_hat, self.diffusion_params, fit, reference_b(self.T))
-        else:
-            inference.eigen_bias_variance(c_hat.lambda1, c_hat, a_hat, fit)
+        # inference.<kind>_bias_variance, looked up at call time: perfbench/tracing.py wraps it there
+        getattr(inference, f"{'eigen' if self.spectral else self.kind}_bias_variance")(a_hat, fit)
         return fit
 
 
@@ -214,7 +207,6 @@ class ExperimentConfig:
     replications: int = 1000
     master_seed: int = 0
     fit_no_error: bool = False
-    fit_noisy: bool = True
     threads: int = 0  # 0: CENTREG_THREADS, else 1
     eig_max_iter: int = 50_000
     eig_tol: float = 1e-10
@@ -343,18 +335,18 @@ _DRAW_KEYS = (
 )
 
 
-def _draw(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: int, noisy: bool = True):
-    """Replication rep's true A, observed Ahat (None unless noisy) and outcome noise."""
+def _draw(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: int):
+    """Replication rep's true A, observed Ahat and outcome noise."""
     ss = np.random.SeedSequence(entropy=(cfg.master_seed, cell_index, rep))
     seed_latent, seed_obs, seed_eps = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
     a_true = build_true_adjacency(cfg.graphon, sample_latent(n, seed_latent), p)
-    a_hat = observe(a_true, seed_obs) if noisy else None
+    a_hat = observe(a_true, seed_obs)
     eps = np.random.default_rng(np.random.SeedSequence(seed_eps)).standard_normal(n) * cfg.sigma
     return a_true, a_hat, eps
 
 
 def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: int):
-    a_true, a_hat, eps = _draw(cfg, n, p, cell_index, rep, cfg.fit_noisy)
+    a_true, a_hat, eps = _draw(cfg, n, p, cell_index, rep)
     out: Dict[str, Dict[str, float]] = {}
     failures: List[dict] = []  # manifest failure records, less the replication
     eig_kwargs = {"max_iter": cfg.eig_max_iter, "tol": cfg.eig_tol}
@@ -363,30 +355,28 @@ def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: in
     for est in cfg.estimators:
         rec: Dict[str, float] = dict.fromkeys(_DRAW_KEYS, np.nan)
         try:
-            c_hat = None if a_hat is None else est.centrality(a_hat, p, **eig_kwargs)
-            # outcomes come from the centrality on A; with Ahat observed, the
-            # eigenvector kinds scale v1(A) by the a_n resolved on Ahat
+            c_hat = est.centrality(a_hat, p, **eig_kwargs)
+            # outcomes come from the centrality on A; the eigenvector kinds
+            # scale v1(A) by the a_n resolved on Ahat
             if est.spectral:
                 if not true_pair:
                     true_pair.append(leading_eigenpair(a_true, **eig_kwargs))
-                lam_true, v_true = true_pair[0]
-                a_n = est.scaling_policy.resolve(n, lam_true if c_hat is None else c_hat.lambda1)
+                a_n, v_true = c_hat.recipe["a_n"], true_pair[0][1]
                 c_true, y = a_n * v_true, cfg.beta_true * a_n * v_true + eps
             else:
                 c_true = est.centrality(a_true, p, **eig_kwargs).values
                 y = cfg.beta_true * c_true + eps
 
-            if c_hat is not None:
-                fit = est.fit(y, a_hat, c_hat)
-                rec.update(beta_hat=fit.beta_hat, B_hat=fit.B_hat, V_hat=fit.V_hat, V0_hat=fit.V0_hat,
-                           ssq=fit.ssq_c, beta_check=np.nan if fit.beta_check is None else fit.beta_check)
-                if est.kind == "degree":
-                    # conditional center of the degree noise term, available because the
-                    # simulator knows A: E[iota' xi^2 iota | U] = sum_{i != j} A_ij (1 - A_ij)
-                    rec["oracle_center"] = a_true.noise_variance_total()
-                if est.spectral:
-                    rec["lambda1"] = c_hat.lambda1
-            if a_hat is None or cfg.fit_no_error:
+            fit = est.fit(y, a_hat, c_hat)
+            rec.update(beta_hat=fit.beta_hat, B_hat=fit.B_hat, V_hat=fit.V_hat, V0_hat=fit.V0_hat,
+                       ssq=fit.ssq_c, beta_check=np.nan if fit.beta_check is None else fit.beta_check)
+            if est.kind == "degree":
+                # conditional center of the degree noise term, available because the
+                # simulator knows A: E[iota' xi^2 iota | U] = sum_{i != j} A_ij (1 - A_ij)
+                rec["oracle_center"] = a_true.noise_variance_total()
+            if est.spectral:
+                rec["lambda1"] = c_hat.lambda1
+            if cfg.fit_no_error:
                 fit_t = inference.ols(y, c_true, mode="no-error")
                 rec["beta_tilde"] = fit_t.beta_hat
                 rec["V0_tilde"] = fit_t.V0_hat

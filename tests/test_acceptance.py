@@ -214,7 +214,7 @@ def test_criterion_3_oracle_equivalences():
         c = diffusion(m, params)
         y = np.random.default_rng(1).standard_normal(n) + c.values
         fit = ols(y, c, mode="noisy-diffusion")
-        _, V = diffusion_bias_variance(m, params, fit)
+        _, V = diffusion_bias_variance(m, fit)
         dense = m.toarray()
         iota = np.ones(n)
         M = np.zeros((n, n))
@@ -311,7 +311,6 @@ def test_criterion_6_consistency(main_cell):
             replications=200,
             master_seed=MASTER_SEED,
             fit_no_error=True,
-            fit_noisy=False,
             estimators=[{"kind": "degree"}],
         )
         cell = run_cell(cfg, n, cell_index=10 + i, threads=THREADS)

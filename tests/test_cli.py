@@ -335,7 +335,13 @@ def test_simulate_malformed_config_exit_two(tmp_path, capsys, change, pointer):
 @pytest.mark.parametrize(
     "probe", ["edges-dir", "config-dir", "regress-out", "centrality-out", "derive-out", "simulate-out-file"]
 )
-def test_filesystem_errors_exit_two(tmp_path, capsys, probe):
+def test_filesystem_errors_exit_two(tmp_path, capsys, monkeypatch, probe):
+    import centreg.cli
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran before the output directory was made")
+
+    monkeypatch.setattr(centreg.cli, "run_experiment", no_replications)
     edges, outcomes = write_k3(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_CONFIG))
@@ -446,8 +452,9 @@ def _simulate_with(tmp_path, estimators):
             [{"kind": "eigenvector", "scaling": "fixed", "a": 2}, {"kind": "eigenvector", "scaling": "fixed", "a": 5}],
             "/estimators/1: duplicate label 'eigenvector(fixed)'",
         ),
+        ([{"kind": "diffusion", "T": 11}], "/estimators/0/T: expected an integer in [1, 10]"),
     ],
-    ids=["scaling", "delta", "T", "plug-in-M", "fixed-a", "mode", "duplicate"],
+    ids=["scaling", "delta", "T", "plug-in-M", "fixed-a", "mode", "duplicate", "T-beyond-b-table"],
 )
 def test_simulate_bad_estimator_spec_exit_two(tmp_path, capsys, estimators, pointer):
     code, out_dir = _simulate_with(tmp_path, estimators)
@@ -465,6 +472,7 @@ def test_simulate_bad_estimator_spec_exit_two(tmp_path, capsys, estimators, poin
         (["--kind", "regularized-eigenvector"], "--reg-p"),
         (["--kind", "regularized-eigenvector", "--reg-mode", "plug-in"], "--reg-M"),
         (["--kind", "diffusion", "--delta", "2"], "--delta"),
+        (["--kind", "eigenvector", "--seed", "-1"], "--seed: expected an integer >= 0"),
     ],
 )
 def test_centrality_bad_estimator_flags_exit_two(tmp_path, capsys, flags, flag):
@@ -475,6 +483,38 @@ def test_centrality_bad_estimator_flags_exit_two(tmp_path, capsys, flags, flag):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert flag in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["regress", "--beta0", "inf"], "--beta0"),
+        (["regress", "--beta0", "1", "--beta0", "nan"], "--beta0"),
+        (["regress", "--alpha", "2"], "--alpha"),
+        (["regress", "--centrality", "diffusion", "--T", "11"], "--T"),
+        (["regress", "--seed", "-1"], "--seed"),
+        (["simulate", "--threads", "-1"], "--threads"),
+    ],
+    ids=["beta0-inf", "beta0-nan", "alpha", "T-beyond-b-table", "regress-seed", "threads"],
+)
+def test_out_of_range_flag_exit_two_before_any_read(tmp_path, capsys, argv, flag):
+    # the input paths do not exist: the flag must be rejected before they are read
+    missing = str(tmp_path / "missing.csv")
+    inputs = ["--config", missing, "--out", str(tmp_path / "out")] if argv[0] == "simulate" else \
+        ["--edges", missing, "--outcomes", missing]
+    code = main([argv[0], *inputs, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {flag}: expected ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_centrality_fits_nothing_so_takes_any_diffusion_T(tmp_path, capsys):
+    edges, _ = write_k3(tmp_path)
+    assert main(["centrality", "--edges", str(edges), "--kind", "diffusion", "--T", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,8190.0"  # 2 + 4 + ... + 2^12 walks
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from centreg import (
     test_beta,
 )
 from centreg.errors import (
+    ConfigMismatch,
     DegenerateVariance,
     MissingComponents,
     NonFiniteCentrality,
@@ -130,8 +131,8 @@ def test_eigenvector_statistic_invariant_to_a_n():
     stats = []
     for a_n in (2.0, 7.4):
         c = a_n * v
-        fit = ols(y, c, mode="noisy-eigenvector-case-b")
-        eigen_bias_variance(lam, _wrap(c, lam), m, fit)
+        fit = ols(y, _wrap(c, lam), mode="noisy-eigenvector-case-b")
+        eigen_bias_variance(m, fit)
         stats.append(test_beta(fit, 0.5 / a_n).statistic)
     assert stats[0] == pytest.approx(stats[1], rel=1e-10)
 
@@ -166,7 +167,7 @@ def test_degree_diffusion_agreement_at_t1_delta1(seed):
     Bd, Vd = degree_bias_variance(m, fit_deg)
     params = DiffusionParams(delta=1.0, T=1)
     fit_dif = ols(y, diffusion(m, params), mode="noisy-diffusion")
-    Bt, Vt = diffusion_bias_variance(m, params, fit_dif)
+    Bt, Vt = diffusion_bias_variance(m, fit_dif)
     assert fit_deg.beta_hat == pytest.approx(fit_dif.beta_hat, rel=1e-12)
     assert Bd == pytest.approx(Bt, rel=1e-12)
     assert Vd == pytest.approx(Vt, rel=1e-12)
@@ -180,7 +181,7 @@ def test_diffusion_bias_k3_t2():
     params = DiffusionParams(delta=d, T=2)
     c = diffusion(K3, params)
     fit = ols(np.array([1.0, 2.0, 3.0]), c, mode="noisy-diffusion")
-    B, _ = diffusion_bias_variance(K3, params, fit)
+    B, _ = diffusion_bias_variance(K3, fit)
     numer = (d**2 - 3 * d**3 + 3 * d**4) * 6 + (3 * d**3 - 2 * d**4) * 12 + 2 * d**4 * 24
     assert B == pytest.approx(numer / fit.ssq_c, rel=1e-12)
 
@@ -199,7 +200,7 @@ def test_diffusion_variance_matches_hadamard_formula(seed):
     c = diffusion(m, params)
     y = rng.standard_normal(n) + c.values
     fit = ols(y, c, mode="noisy-diffusion")
-    _, V = diffusion_bias_variance(m, params, fit)
+    _, V = diffusion_bias_variance(m, fit)
 
     dense = m.toarray()
     iota = np.ones(n)
@@ -231,7 +232,7 @@ def test_variance_estimators_match_two_sided_edge_sums(seed):
 
     c = eigenvector_centrality(m, ScalingPolicy(kind="sqrt-n"))
     fit = ols(y + c.values, c, mode="noisy-eigenvector-case-b")
-    _, V = eigen_bias_variance(c.lambda1, c, m, fit)
+    _, V = eigen_bias_variance(m, fit)
     sq = c.values**2
     want = 2.0 * float(np.sum(sq[rows] + sq[cols])) / (c.lambda1 * fit.ssq_c) ** 2
     assert V == pytest.approx(want, rel=1e-12)
@@ -240,7 +241,7 @@ def test_variance_estimators_match_two_sided_edge_sums(seed):
     params = DiffusionParams(delta=delta, T=T)
     c = diffusion(m, params)
     fit = ols(y + c.values, c, mode="noisy-diffusion")
-    _, V = diffusion_bias_variance(m, params, fit)
+    _, V = diffusion_bias_variance(m, fit)
     powers = [np.ones(n)]
     for _ in range(2 * T):
         powers.append(m.matvec(powers[-1]))
@@ -253,9 +254,44 @@ def test_eigen_bias_variance_k3():
     lam, _ = leading_eigenpair(K3)
     c = eigenvector_centrality(K3, ScalingPolicy(kind="sqrt-lambda1"))
     fit = ols(c.values + 0.0, c, mode="noisy-eigenvector-case-b")
-    B, V = eigen_bias_variance(lam, c, K3, fit)
+    B, V = eigen_bias_variance(K3, fit)
     assert B == pytest.approx(0.5, rel=1e-9)
     assert V == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("estimator", [diffusion_bias_variance, eigen_bias_variance])
+@pytest.mark.parametrize("regressor,got", [("degree", "a degree centrality"), ("array", "a plain array")])
+def test_bias_variance_needs_a_fit_on_its_own_centrality(estimator, regressor, got):
+    c = degree(K3)
+    fit = ols(np.array([1.0, 2.0, 4.0]), c if regressor == "degree" else c.values, mode="noisy-degree")
+    with pytest.raises(ConfigMismatch, match=f"got {got}$"):
+        estimator(K3, fit)
+    assert fit.B_hat is None and fit.V_hat is None
+
+
+def test_degree_bias_variance_takes_a_degree_or_plain_array_fit_only():
+    y = np.array([1.0, 2.0, 4.0])
+    on_vector, on_array = ols(y, degree(K3), mode="noisy-degree"), ols(y, degree(K3).values, mode="noisy-degree")
+    assert degree_bias_variance(K3, on_vector) == degree_bias_variance(K3, on_array)
+    fit = ols(y, diffusion(K3, DiffusionParams(delta=0.5, T=2)), mode="noisy-degree")
+    with pytest.raises(ConfigMismatch, match="got a diffusion centrality$"):
+        degree_bias_variance(K3, fit)
+
+
+def test_bias_variance_reads_delta_t_and_lambda1_from_the_fit():
+    # the diffusion fit at delta = 0.5, T = 2 gives the K3 numerator of
+    # test_diffusion_bias_k3_t2; the eigenvector one divides by its own lambda1
+    d = 0.5
+    c = diffusion(K3, DiffusionParams(delta=d, T=2))
+    fit = ols(np.array([1.0, 2.0, 3.0]), c, mode="noisy-diffusion")
+    assert fit.centrality is c
+    B, _ = diffusion_bias_variance(K3, fit)
+    numer = (d**2 - 3 * d**3 + 3 * d**4) * 6 + (3 * d**3 - 2 * d**4) * 12 + 2 * d**4 * 24
+    assert B == numer / fit.ssq_c
+    c = eigenvector_centrality(K3, ScalingPolicy(kind="sqrt-n"))
+    fit = ols(np.array([1.0, 2.0, 3.0]), c, mode="noisy-eigenvector-case-a")
+    B, _ = eigen_bias_variance(K3, fit)
+    assert B == 1.0 / c.lambda1
 
 
 # ---------------------------------------------------------------------------
