@@ -49,14 +49,15 @@ for label, m in (("true", a_true), ("observed", a_hat)):
 rho = np.corrcoef(degree(a_true).values, degree(a_hat).values)[0, 1]
 print(f"\ncorr(true degree, observed degree) = {rho:.3f}")
 
-# a rank-2 graphon, f(u, v) = 0.5 + 0.15 phi(u) phi(v) with phi(u) = sqrt(3) (2u - 1):
+# a rank-2 graphon on the shifted Legendre basis, f(u, v) = 0.5 + 0.15 phi(u) phi(v)
+# with phi(u) = sqrt(3) (2u - 1):
 # every node has the same expected degree, but types on the same side of 1/2
 # link more often.  A stays factored as n x 2 features and the draw thins a
 # block sampler, so no n x n array is built; at this n a dense A and its
 # Bernoulli draw would take 6.4 GB.
 n_big = 20_000
 p_big = n_big ** -0.5
-rank2 = Graphon.rank_r([0.5, 0.15], [np.ones_like, lambda u: np.sqrt(3.0) * (2.0 * u - 1.0)])
+rank2 = Graphon.rank_r([0.5, 0.15])
 u_big = sample_latent(n_big, seed=9)
 a_big = build_true_adjacency(rank2, u_big, p_big)
 a_hat_big = observe(a_big, seed=10)

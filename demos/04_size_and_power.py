@@ -15,7 +15,7 @@ from centreg.monte_carlo import rejection_table, write_outputs
 cfg = ExperimentConfig(
     graphon=Graphon.constant(1.0),
     n_grid=[200],
-    sparsity=SparsityRule.inverse_sqrt_n(),
+    sparsity=SparsityRule("inverse-sqrt-n"),
     beta_true=1.0,
     beta0_grid=[0.0, 1.0],
     alpha_grid=[0.05],

@@ -22,6 +22,11 @@ from .graph_model import FactoredMatrix, SymmetricSparseMatrix
 
 _KRYLOV = 8  # products per Lanczos restart cycle
 
+# the values of the estimator spec fields delta_rule, scaling and reg_mode
+DELTA_RULES = ("fixed", "inverse-lambda1", "inverse-sqrt-lambda1")
+SCALINGS = ("sqrt-lambda1", "sqrt-n", "fixed")
+REG_MODES = ("oracle", "plug-in")
+
 Matrix = Union[FactoredMatrix, SymmetricSparseMatrix]
 
 __all__ = [
@@ -57,7 +62,7 @@ class DiffusionParams:
         if self.delta_rule == "fixed":
             if self.delta is None or not (0.0 <= self.delta <= 1.0):
                 raise ConfigMismatch(f"fixed delta must lie in [0, 1], got {self.delta}")
-        elif self.delta_rule not in ("inverse-lambda1", "inverse-sqrt-lambda1"):
+        elif self.delta_rule not in DELTA_RULES:
             raise ConfigMismatch(f"unknown delta rule {self.delta_rule!r}")
 
     def resolve(self, m: Matrix, **eig_kwargs) -> float:
@@ -79,7 +84,7 @@ class ScalingPolicy:
         if self.kind == "fixed":
             if self.a is None or self.a <= 0:
                 raise ConfigMismatch("fixed scaling needs a > 0")
-        elif self.kind not in ("sqrt-n", "sqrt-lambda1"):
+        elif self.kind not in SCALINGS:
             raise ConfigMismatch(f"unknown scaling policy {self.kind!r}")
 
     def resolve(self, n: int, lam1: float) -> float:
@@ -106,14 +111,12 @@ class RegularizationSpec:
     M: Optional[float] = None
 
     def __post_init__(self):
-        if self.mode == "oracle":
-            if self.p_n is None or not (0.0 < self.p_n <= 1.0):
-                raise InvalidBound(f"oracle regularization needs p_n in (0,1], got {self.p_n}")
-        elif self.mode == "plug-in":
-            if self.M is None or not (0.0 < self.M <= 1.0):
-                raise InvalidBound(f"plug-in regularization needs M in (0,1], got {self.M}")
-        else:
+        if self.mode not in REG_MODES:
             raise InvalidBound(f"unknown regularization mode {self.mode!r}")
+        if self.mode == "oracle" and (self.p_n is None or not (0.0 < self.p_n <= 1.0)):
+            raise InvalidBound(f"oracle regularization needs p_n in (0,1], got {self.p_n}")
+        if self.mode == "plug-in" and (self.M is None or not (0.0 < self.M <= 1.0)):
+            raise InvalidBound(f"plug-in regularization needs M in (0,1], got {self.M}")
 
     def threshold(self, m: SymmetricSparseMatrix) -> float:
         if self.mode == "oracle":

@@ -16,9 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import inference
-# not called here but kept as names of this module: perfbench/tracing.py
-# wraps the centrality layer by these module attributes
+# the four centralities are not called here but kept as names of this module:
+# perfbench/tracing.py wraps the centrality layer by these module attributes
 from .centrality import (  # noqa: F401
+    DELTA_RULES,
+    REG_MODES,
+    SCALINGS,
     degree,
     diffusion,
     eigenvector_centrality,
@@ -28,10 +31,7 @@ from .errors import CentregError, ConfigError
 from .graph_model import SymmetricSparseMatrix, _is_number
 from .io import binary_matrix_from_files, read_outcomes, write_table
 from .monte_carlo import (
-    DELTA_RULES,
     ESTIMATOR_KINDS,
-    REG_MODES,
-    SCALINGS,
     Estimator,
     ExperimentConfig,
     _checked,
@@ -75,6 +75,8 @@ _FLAG_CHECKS = {  # numeric flags -> (accepts, expectation), checked by ``main``
     "alpha": (lambda v: all(_is_number(a) and 0 < a < 1 for a in v), "numbers in (0, 1)"),
     "seed": (lambda v: v >= 0, "an integer >= 0"),
     "threads": (lambda v: v >= 0, "an integer >= 0"),
+    "max": (lambda v: v >= 1, "an integer >= 1"),
+    "n": (lambda v: v >= 2, "an integer >= 2"),
 }
 
 

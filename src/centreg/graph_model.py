@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec  # pinned by the tests
 
 from .errors import InvalidGraphon, InvalidSize, InvalidSparsity
@@ -34,8 +34,7 @@ __all__ = [
     "observe",
 ]
 
-_ORTHO_PROBE_TOL = 1e-2
-_ORTHO_PROBE_SIZE = 20000
+_RANK_R_MAX = 32  # longest rank-r eigenvalue list
 _RANK_R_BINS = 16  # equal-width sampler bins on [0, 1] for rank-r graphons
 _RANGE_CHUNK = 1 << 20  # entries per block of the entry-by-entry range check
 _MAX_ENTRIES = 2**31 - 1  # stored entries an int32 indptr can address
@@ -242,11 +241,11 @@ def _from_keys(n: int, keys: np.ndarray, data: np.ndarray = None) -> SymmetricSp
 class Graphon:
     """Symmetric link-intensity function f(u, v) = phi(u) M phi(v)' on [0,1]^2.
 
-    Use the ``constant``, ``sbm`` or ``rank_r`` constructors.  ``features``
-    adds a trailing axis of r features to an array of latent types, ``core``
-    is the r x r M, and ``cuts`` splits [0, 1] into the sampler's bins.
-    Graphons compare and hash by kind and parameters: arrays by value,
-    rank-r eigenfunctions by identity.
+    Use the ``constant``, ``sbm`` or ``rank_r`` constructors, or the JSON
+    descriptor they take (``from_json_dict``).  ``features`` adds a trailing
+    axis of r features to an array of latent types, ``core`` is the r x r M,
+    and ``cuts`` splits [0, 1] into the sampler's bins.  Graphons compare
+    and hash by their descriptor.
     """
 
     kind: str
@@ -255,19 +254,11 @@ class Graphon:
     core: np.ndarray = None
     cuts: np.ndarray = None
 
-    def _key(self) -> tuple:
-        def value(x):
-            if isinstance(x, np.ndarray):
-                return x.shape, tuple(x.ravel().tolist())
-            return tuple(x) if isinstance(x, list) else x
-
-        return self.kind, tuple((name, value(x)) for name, x in sorted(self.params.items()))
-
     def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Graphon) else NotImplemented
+        return self.to_json_dict() == other.to_json_dict() if isinstance(other, Graphon) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._key())
+    def __hash__(self):  # the descriptor's numbers as floats, so 0.0 and -0.0 hash alike as they compare
+        return hash((self.kind, *np.concatenate([np.ravel(x) for x in self.params.values()]).tolist()))
 
     @classmethod
     def constant(cls, c: float) -> "Graphon":
@@ -301,37 +292,27 @@ class Graphon:
         return cls(kind="sbm", params={"pi": pi, "P": P}, features=membership, core=P, cuts=cuts)
 
     @classmethod
-    def rank_r(
-        cls,
-        eigenvalues: Sequence[float],
-        eigenfunctions: Sequence[Callable[[np.ndarray], np.ndarray]],
-        probe_seed: int = 0,
-    ) -> "Graphon":
-        """f(u,v) = sum_r lam_r phi_r(u) phi_r(v) with user-supplied callables.
+    def rank_r(cls, eigenvalues: Sequence[float]) -> "Graphon":
+        """f(u, v) = sum_k lam_k phi_k(u) phi_k(v) over k < r, phi_k(u) = sqrt(2k + 1) P_k(2u - 1).
 
-        Orthonormality of the eigenfunctions cannot be verified exactly;
-        it is spot-checked by Monte Carlo quadrature and violations beyond
-        1e-2 only raise a warning.
+        The phi_k, shifted Legendre polynomials, are orthonormal on [0, 1].
+        r is at most ``_RANK_R_MAX``: the r x r core is built from the list.
         """
-        lam = np.asarray(eigenvalues, dtype=np.float64)
-        funcs = list(eigenfunctions)
-        if len(lam) != len(funcs) or len(lam) == 0:
-            raise InvalidGraphon("need one eigenfunction per eigenvalue")
+        try:
+            lam = np.asarray(eigenvalues, dtype=np.float64)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            lam = np.empty(0)
+        if lam.ndim != 1 or not 0 < len(lam) <= _RANK_R_MAX or not np.isfinite(lam).all():
+            raise InvalidGraphon(f"rank-r graphon needs 1 to {_RANK_R_MAX} finite eigenvalues")
+        r = len(lam)
+        scale = np.sqrt(2.0 * np.arange(r) + 1.0)
 
-        def phi(u):
-            return np.stack([np.asarray(f(u), dtype=np.float64) for f in funcs], axis=-1)
+        def legendre(u):  # legvander makes a 0-d u 1-d; the reshape restores u.shape + (r,)
+            return (legvander(2.0 * u - 1.0, r - 1) * scale).reshape(np.shape(u) + (r,))
 
-        vals = phi(np.random.default_rng(probe_seed).random(_ORTHO_PROBE_SIZE))
-        deviation = np.abs(vals.T @ vals / _ORTHO_PROBE_SIZE - np.eye(len(funcs))).max()
-        if deviation > _ORTHO_PROBE_TOL:
-            warnings.warn(
-                f"rank-R eigenfunctions fail the Monte Carlo orthonormality probe (max deviation {deviation:.3g})",
-                stacklevel=2,
-            )
-
-        g = cls(kind="rank-r", params={"eigenvalues": lam, "eigenfunctions": funcs}, features=phi,
-                core=np.diag(lam), cuts=np.arange(1, _RANK_R_BINS) / _RANK_R_BINS)
-        g._probe(probe_seed)
+        g = cls(kind="rank-r", params={"eigenvalues": lam}, features=legendre, core=np.diag(lam),
+                cuts=np.arange(1, _RANK_R_BINS) / _RANK_R_BINS)
+        g._probe()
         return g
 
     def _probe(self, seed: int = 0, size: int = 4096) -> None:
@@ -346,21 +327,14 @@ class Graphon:
                          self.features(np.asarray(v, dtype=np.float64)))
 
     def to_json_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "c": self.params["c"]}
-        if self.kind == "sbm":
-            return {
-                "kind": "sbm",
-                "pi": [float(x) for x in self.params["pi"]],
-                "P": [[float(x) for x in row] for row in self.params["P"]],
-            }
-        raise InvalidGraphon(f"graphon kind {self.kind!r} has no JSON form")
+        return {"kind": self.kind, **{k: np.asarray(x).tolist() for k, x in self.params.items()}}  # lists of Python floats
 
     @classmethod
     def from_json_dict(cls, d) -> "Graphon":
         """The graphon a JSON descriptor gives; InvalidGraphon names a bad kind or field."""
         # kind -> (constructor, {field: how many lists deep its numbers sit})
-        kinds = {"constant": (cls.constant, {"c": 0}), "sbm": (cls.sbm, {"pi": 1, "P": 2})}
+        kinds = {"constant": (cls.constant, {"c": 0}), "sbm": (cls.sbm, {"pi": 1, "P": 2}),
+                 "rank-r": (cls.rank_r, {"eigenvalues": 1})}
         kind = d.get("kind") if isinstance(d, dict) else None
         if kind not in tuple(kinds):  # a tuple compares, so an unhashable kind is no TypeError
             raise InvalidGraphon(f"unknown graphon descriptor kind {kind!r}, expected one of {tuple(kinds)}")
@@ -399,9 +373,8 @@ class LatentSample:
         return len(self.u)
 
 
-# sparsity kind -> p_n from n and the rule's parameter; custom, the one kind
-# with no JSON form, comes last.  log log n > 0 needs n >= 3, so below that
-# the delocalization threshold gives no p_n (NaN).
+# sparsity kind -> p_n from n and the rule's parameter.  log log n > 0 needs
+# n >= 3, so below that the delocalization threshold gives no p_n (NaN).
 _RULES = {
     "constant": lambda n, p: p,
     "inverse-n": lambda n, _: 1.0 / n,
@@ -409,68 +382,40 @@ _RULES = {
     "inverse-cbrt-n": lambda n, _: n ** (-1.0 / 3.0),
     "delocalization-threshold": lambda n, _: (
         math.sqrt(math.log(n) / math.log(math.log(n))) / n if n >= 3 else math.nan),
-    "custom": lambda n, fn: float(fn(n)),
 }
 
 
 @dataclass(frozen=True)
 class SparsityRule:
-    """Maps node count n to the sparsity scale p_n."""
+    """Maps node count n to the sparsity scale p_n: a kind in ``_RULES`` and, for constant alone, its p."""
 
     kind: str
-    param: object = None
+    param: Optional[float] = None
 
-    @classmethod
-    def constant(cls, p: float) -> "SparsityRule":
-        return cls("constant", float(p))
-
-    @classmethod
-    def inverse_n(cls) -> "SparsityRule":
-        return cls("inverse-n")
-
-    @classmethod
-    def inverse_sqrt_n(cls) -> "SparsityRule":
-        return cls("inverse-sqrt-n")
-
-    @classmethod
-    def inverse_cbrt_n(cls) -> "SparsityRule":
-        return cls("inverse-cbrt-n")
-
-    @classmethod
-    def delocalization_threshold(cls) -> "SparsityRule":
-        return cls("delocalization-threshold")
-
-    @classmethod
-    def custom(cls, fn: Callable[[int], float]) -> "SparsityRule":
-        return cls("custom", fn)
+    def __post_init__(self):
+        # a tuple compares, so an unhashable kind is no TypeError
+        if self.kind not in tuple(_RULES) or not (_is_number(self.param) if self.kind == "constant"
+                                                  else self.param is None):
+            raise InvalidSparsity(f"cannot interpret sparsity rule {self.kind!r} with p = {self.param!r}: "
+                                  f"expected a kind in {tuple(_RULES)}, and for constant alone a number p")
+        if self.param is not None:
+            object.__setattr__(self, "param", float(self.param))
 
     @classmethod
     def from_descriptor(cls, d) -> "SparsityRule":
         """The rule a JSON descriptor names: a kind, or an object with its kind and, for constant, p."""
-        if isinstance(d, SparsityRule):
-            return d
-        kind = d.get("kind") if isinstance(d, dict) else d
-        if kind == "constant" and isinstance(d, dict) and _is_number(d.get("p")):
-            return cls.constant(d["p"])
-        if kind in ("constant", "custom") or kind not in tuple(_RULES):  # compares, never hashes
-            raise InvalidSparsity(f"cannot interpret sparsity descriptor {d!r}: expected a kind in "
-                                  f"{tuple(_RULES)[:-1]}, and for constant a number p")
-        return cls(kind)
+        if not isinstance(d, dict):
+            return cls(d)
+        return cls(d.get("kind"), d.get("p") if d.get("kind") == "constant" else None)
 
     def resolve(self, n: int) -> float:
-        if self.kind not in _RULES:
-            raise InvalidSparsity(f"unknown sparsity rule {self.kind!r}")
         p = _RULES[self.kind](n, self.param)
         if not (0.0 < p <= 1.0):
             raise InvalidSparsity(f"rule {self.kind!r} gives p={p} outside (0, 1] at n={n}")
         return float(p)
 
     def to_json_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "p": self.param}
-        if self.kind == "custom":
-            raise InvalidSparsity("custom sparsity rules have no JSON form")
-        return {"kind": self.kind}
+        return {"kind": self.kind} if self.param is None else {"kind": self.kind, "p": self.param}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ zero null (V0_hat).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,9 +55,9 @@ MODES = (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class RegressionFit:
-    """Slope estimate plus everything needed for tests and intervals."""
+    """Slope estimate plus everything needed for tests and intervals; compared by identity."""
 
     beta_hat: float
     ssq_c: float
@@ -68,7 +68,7 @@ class RegressionFit:
     B_hat: Optional[float] = None
     V_hat: Optional[float] = None
     # the centrality regressed on; None for a plain array
-    centrality: Optional[CentralityVector] = field(default=None, compare=False)
+    centrality: Optional[CentralityVector] = None
 
     @property
     def attenuation(self) -> Optional[float]:

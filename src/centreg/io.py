@@ -1,9 +1,8 @@
-"""CSV and JSON interchange: edge lists, weighted matrices, outcomes, graphons."""
+"""CSV interchange: edge lists, weighted matrices, outcomes."""
 
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -15,7 +14,7 @@ import numpy as np
 from numpy._core._multiarray_umath import _load_from_filelike  # pinned by the tests
 
 from .errors import DuplicateEdge, IdMismatch, InvalidGraphon, NonFiniteOutcome
-from .graph_model import Graphon, SymmetricSparseMatrix
+from .graph_model import SymmetricSparseMatrix
 
 __all__ = [
     "read_edge_list",
@@ -25,8 +24,6 @@ __all__ = [
     "write_table",
     "read_outcomes",
     "binary_matrix_from_files",
-    "graphon_from_json",
-    "graphon_to_json",
 ]
 
 PathLike = Union[str, Path]
@@ -236,14 +233,3 @@ def binary_matrix_from_files(edges_path: PathLike, outcome_ids: Sequence[int]) -
         raise IdMismatch(f"edge endpoint {cols.max()} has no outcome row (n={n})")
     return SymmetricSparseMatrix.from_edges(n, rows, cols)
 
-
-def graphon_from_json(source: Union[str, dict, PathLike]) -> Graphon:
-    """Accepts a JSON string, a parsed dict, or a path to a JSON file."""
-    if not isinstance(source, dict):
-        text = str(source)
-        source = json.loads(text if text.strip().startswith("{") else Path(source).read_text())
-    return Graphon.from_json_dict(source)
-
-
-def graphon_to_json(g: Graphon) -> str:
-    return json.dumps(g.to_json_dict())

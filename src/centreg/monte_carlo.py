@@ -29,6 +29,9 @@ from ._tables import B_ROWS
 # ``regularize`` and ``reference_b`` are not called here but stay names of this module:
 # perfbench/tracing.py wraps the centrality and walks layers by these module attributes
 from .centrality import (  # noqa: F401
+    DELTA_RULES,
+    REG_MODES,
+    SCALINGS,
     CentralityVector,
     DiffusionParams,
     RegularizationSpec,
@@ -59,9 +62,6 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("degree", "diffusion", "eigenvector", "regularized-eigenvector")
-DELTA_RULES = ("fixed", "inverse-lambda1", "inverse-sqrt-lambda1")
-SCALINGS = ("sqrt-lambda1", "sqrt-n", "fixed")
-REG_MODES = ("oracle", "plug-in")
 
 
 # field -> (accepts, expectation) for the optional spec fields; ``type(v) is

@@ -72,7 +72,7 @@ def _flat_config(**kw):
     base = dict(
         graphon=Graphon.constant(1.0),
         n_grid=[N_MAIN],
-        sparsity=SparsityRule.inverse_sqrt_n(),
+        sparsity=SparsityRule("inverse-sqrt-n"),
         beta_true=1.0,
         replications=R_MAIN,
         master_seed=MASTER_SEED,
@@ -307,7 +307,7 @@ def test_criterion_6_consistency(main_cell):
         cfg = ExperimentConfig(
             graphon=Graphon.constant(1.0),
             n_grid=[n],
-            sparsity=SparsityRule.inverse_n(),
+            sparsity=SparsityRule("inverse-n"),
             replications=200,
             master_seed=MASTER_SEED,
             fit_no_error=True,
@@ -322,7 +322,7 @@ def test_criterion_6_consistency(main_cell):
     cfg_b = ExperimentConfig(
         graphon=Graphon.constant(1.0),
         n_grid=[2000],
-        sparsity=SparsityRule.inverse_n(),
+        sparsity=SparsityRule("inverse-n"),
         replications=200,
         master_seed=MASTER_SEED,
         estimators=[{"kind": "degree"}],
@@ -336,7 +336,7 @@ def test_criterion_6_consistency(main_cell):
     cfg_c = ExperimentConfig(
         graphon=Graphon.constant(1.0),
         n_grid=[2000],
-        sparsity=SparsityRule.inverse_n(),
+        sparsity=SparsityRule("inverse-n"),
         replications=200,
         master_seed=MASTER_SEED,
         estimators=[{"kind": "eigenvector", "scaling": "sqrt-n"}],

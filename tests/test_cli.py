@@ -264,6 +264,38 @@ def test_simulate_minimal_config(tmp_path):
     assert manifest["resolved_p"]["100"] == pytest.approx(0.01)
 
 
+def test_simulate_rank2_config_draws_what_run_cell_draws(tmp_path):
+    # a rank-r graphon is a JSON descriptor like the others
+    from centreg import Graphon, SparsityRule
+    from centreg.monte_carlo import ExperimentConfig, run_cell
+
+    cfg = {
+        "graphon": {"kind": "rank-r", "eigenvalues": [0.5, 0.15]},
+        "n_grid": [200],
+        "sparsity": {"kind": "inverse-sqrt-n"},
+        "replications": 3,
+        "master_seed": 11,
+        "estimators": [
+            {"kind": "degree"},
+            {"kind": "diffusion", "delta": 0.5, "T": 2},
+            {"kind": "eigenvector", "scaling": "sqrt-lambda1"},
+            {"kind": "regularized-eigenvector", "scaling": "sqrt-lambda1"},
+        ],
+    }
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    assert set(json.loads((out_dir / "manifest.json").read_text())["cells"][0]["failures"].values()) == {0}
+    cell = run_cell(ExperimentConfig(**{**cfg, "graphon": Graphon.rank_r([0.5, 0.15]),
+                                        "sparsity": SparsityRule("inverse-sqrt-n")}), 200)
+    assert cell.failures == []
+    for label in cell.estimators:
+        safe = label.replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
+        rows = list(csv.DictReader((out_dir / f"dist_{safe}_n200.csv").open()))
+        for key in ("beta_hat", "beta_check", "B_hat", "V_hat", "V0_hat"):
+            assert np.array_equal([float(r[key]) for r in rows], cell.draws[label][key]), (label, key)
+
+
 def test_simulate_malformed_json_exit_two(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"graphon": {"kind": "constant", }')
@@ -494,14 +526,19 @@ def test_centrality_bad_estimator_flags_exit_two(tmp_path, capsys, flags, flag):
         (["regress", "--centrality", "diffusion", "--T", "11"], "--T"),
         (["regress", "--seed", "-1"], "--seed"),
         (["simulate", "--threads", "-1"], "--threads"),
+        (["derive", "g", "--max", "-3"], "--max"),
+        (["derive", "g", "--max", "-3", "--verify"], "--max"),
+        (["derive", "b", "--max", "0", "--verify"], "--max"),
+        (["centrality", "--n", "-5"], "--n"),
     ],
-    ids=["beta0-inf", "beta0-nan", "alpha", "T-beyond-b-table", "regress-seed", "threads"],
+    ids=["beta0-inf", "beta0-nan", "alpha", "T-beyond-b-table", "regress-seed", "threads", "derive-g-max",
+         "derive-g-max-verify", "derive-b-max-verify", "centrality-n"],
 )
 def test_out_of_range_flag_exit_two_before_any_read(tmp_path, capsys, argv, flag):
     # the input paths do not exist: the flag must be rejected before they are read
-    missing = str(tmp_path / "missing.csv")
-    inputs = ["--config", missing, "--out", str(tmp_path / "out")] if argv[0] == "simulate" else \
-        ["--edges", missing, "--outcomes", missing]
+    missing, out = str(tmp_path / "missing.csv"), str(tmp_path / "out")
+    inputs = {"simulate": ["--config", missing, "--out", out], "centrality": ["--edges", missing, "--out", out],
+              "derive": ["--out", out]}.get(argv[0], ["--edges", missing, "--outcomes", missing])
     code = main([argv[0], *inputs, *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2

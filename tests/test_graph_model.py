@@ -1,6 +1,7 @@
 """Graphon construction, latent sampling, and adjacency generation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from centreg.monte_carlo import ConfigError, ExperimentConfig
 
 SBM3 = Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]])
 # f(u, v) = 0.5 + 0.15 phi(u) phi(v), phi(u) = sqrt(3) (2u - 1): values in [0.05, 0.95]
-RANK2 = Graphon.rank_r([0.5, 0.15], [np.ones_like, lambda u: np.sqrt(3.0) * (2.0 * u - 1.0)])
+RANK2 = Graphon.rank_r([0.5, 0.15])
 
 
 def test_sample_latent_deterministic():
@@ -67,18 +68,32 @@ def test_degenerate_sbm_is_constant():
 
 
 def test_rank_one_graphon_direct_evaluation():
-    # f(u, v) = u v; the identity eigenfunction has norm 1/sqrt(3), so the
-    # orthonormality probe warns but construction succeeds
-    with pytest.warns(UserWarning):
-        g = Graphon.rank_r([1.0], [lambda u: np.asarray(u)])
+    # phi_0 = 1, so f(u, v) = lam_0; the features keep u's shape, a 0-d u included
+    g = Graphon.rank_r([0.6])
     u = LatentSample(u=np.array([0.5, 1.0]), seed=0)
     a = build_true_adjacency(g, u, 1.0)
-    assert a.entries[0, 1] == pytest.approx(0.5)
+    assert a.entries[0, 1] == pytest.approx(0.6)
+    assert g.features(0.5).shape == (1,) and g.features(np.zeros((2, 3))).shape == (2, 3, 1)
 
 
-def test_rank_r_orthonormality_probe_warns():
-    with pytest.warns(UserWarning):
-        Graphon.rank_r([0.5, 0.5], [lambda u: np.ones_like(u), lambda u: np.ones_like(u)])
+def test_rank_r_features_are_orthonormal_shifted_legendre():
+    g = Graphon.rank_r([0.5] + [0.0] * 31)
+    u = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+    x = 2.0 * u - 1.0
+    want = np.stack([np.ones_like(u), np.sqrt(3.0) * x, np.sqrt(5.0) * (1.5 * x**2 - 0.5)], axis=-1)
+    assert np.allclose(g.features(u)[:, :3], want, rtol=1e-14, atol=1e-15)
+    assert np.array_equal(Graphon.rank_r([0.5, 0.15]).features(u), np.stack([np.ones_like(u), np.sqrt(3.0) * x], -1))
+    nodes, weights = np.polynomial.legendre.leggauss(40)  # exact for degree < 80: every product phi_j phi_k
+    phi = g.features((nodes + 1.0) / 2.0)
+    assert np.allclose(phi.T @ (phi * weights[:, None] / 2.0), np.eye(32), atol=1e-12)
+
+
+@pytest.mark.parametrize("eigenvalues", [[np.nan], [0.5, np.inf], [[0.5]], 0.5, ["x"]],
+                         ids=["nan", "inf", "nested", "scalar", "string"])
+def test_rank_r_rejects_bad_eigenvalues(eigenvalues):
+    # inputs a JSON descriptor cannot carry to rank_r; test_graphon_descriptor_errors has the rest
+    with pytest.raises(InvalidGraphon, match="1 to 32 finite eigenvalues"):
+        Graphon.rank_r(eigenvalues)
 
 
 def test_zero_graphon_rejected():
@@ -165,10 +180,10 @@ def test_reproducibility_end_to_end():
 @pytest.mark.parametrize(
     "rule,n,expected",
     [
-        (SparsityRule.constant(0.25), 123, 0.25),
-        (SparsityRule.inverse_n(), 100, 0.01),
-        (SparsityRule.inverse_sqrt_n(), 400, 0.05),
-        (SparsityRule.inverse_cbrt_n(), 1000, 0.1),
+        (SparsityRule("constant", 0.25), 123, 0.25),
+        (SparsityRule("inverse-n"), 100, 0.01),
+        (SparsityRule("inverse-sqrt-n"), 400, 0.05),
+        (SparsityRule("inverse-cbrt-n"), 1000, 0.1),
     ],
 )
 def test_sparsity_rules(rule, n, expected):
@@ -179,7 +194,7 @@ def test_delocalization_threshold_rule():
     import math
 
     n = 1000
-    p = SparsityRule.delocalization_threshold().resolve(n)
+    p = SparsityRule("delocalization-threshold").resolve(n)
     assert p == pytest.approx(math.sqrt(math.log(n) / math.log(math.log(n))) / n)
 
 
@@ -187,7 +202,7 @@ def test_delocalization_threshold_has_no_value_below_three():
     # log log 2 < 0: the rule is undefined there, an InvalidSparsity, not a math domain error
     for n in (1, 2):
         with pytest.raises(InvalidSparsity, match=f"at n={n}"):
-            SparsityRule.delocalization_threshold().resolve(n)
+            SparsityRule("delocalization-threshold").resolve(n)
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_json_dict({"graphon": {"kind": "constant", "c": 1.0}, "n_grid": [2],
                                          "sparsity": {"kind": "delocalization-threshold"}})
@@ -209,7 +224,9 @@ def test_sparsity_descriptor_errors(descriptor):
     [{"kind": "constant"}, {"kind": "constant", "c": "0.5"}, {"kind": "constant", "c": [0.5]},
      {"kind": "constant", "c": 10**400}, {"kind": "sbm", "pi": [1.0]}, {"kind": "sbm", "pi": [1.0], "P": [["x"]]},
      {"kind": "sbm", "pi": [0.5, 0.5], "P": [[0.5], [0.5, 0.5]]}, {"kind": "sbm", "pi": [1.0], "P": [[None]]},
-     {"kind": "rank-r"}, {"kind": {}}, {"c": 1.0}, [], "constant"],
+     {"kind": "rank-r"}, {"kind": {}}, {"c": 1.0}, [], "constant", {"kind": "rank-r", "eigenvalues": []},
+     {"kind": "rank-r", "eigenvalues": ["x"]}, {"kind": "rank-r", "eigenvalues": [0.5, 0.6]},
+     {"kind": "rank-r", "eigenvalues": [0.5] + [0.0] * 32}],
 )
 def test_graphon_descriptor_errors(descriptor):
     with pytest.raises(InvalidGraphon):
@@ -218,9 +235,9 @@ def test_graphon_descriptor_errors(descriptor):
 
 def test_sparsity_rule_rejects_out_of_range():
     with pytest.raises(InvalidSparsity):
-        SparsityRule.constant(0.0).resolve(10)
+        SparsityRule("constant", 0.0).resolve(10)
     with pytest.raises(InvalidSparsity):
-        SparsityRule.custom(lambda n: 2.0).resolve(10)
+        SparsityRule("constant", 2.0).resolve(10)
 
 
 def test_binary_matrix_edge_arrays_upper_only():
@@ -315,15 +332,15 @@ def test_rank2_pair_frequencies_match_a():
     assert abs(edges - want.sum()) <= 5 * np.sqrt(np.sum(want * (1.0 - want)) / reps)
 
 
-@pytest.mark.parametrize("u", [[0.1, 0.7, 0.7 + 1e-7, 0.9], [0.1, 0.7, 0.9]], ids=["pair", "diagonal"])
+@pytest.mark.parametrize("u", [[0.1, 1.0, 1.0 - 1e-7, 0.9], [0.1, 1.0, 0.9]], ids=["pair", "diagonal"])
 def test_sampled_grid_range_check(u):
-    # f = 0.5 + 0.5 phi(u) phi(v) with phi = 3 on a 2e-6 window around 0.7 and 0
-    # elsewhere: the 4096 random probes miss the window, so construction
-    # succeeds, but f = 5 wherever both types fall in it, here on the diagonal
-    # alone or also on a node pair
-    with pytest.warns(UserWarning):  # phi is far from unit norm
-        g = Graphon.rank_r([0.5, 0.5], [np.ones_like, lambda u: np.where(np.abs(u - 0.7) < 1e-6, 3.0, 0.0)])
+    # f = 0.5 + 0.7 P_20(2u - 1) P_20(2v - 1): P_20 is small away from the ends of
+    # [-1, 1], so the 4096 random probes stay below 0.63 and construction
+    # succeeds, but f(1, 1) = 1.2 while f(1, 0.1) = f(1, 0.9) = 0.657: the grid
+    # leaves [0, 1] on the diagonal alone or also on a node pair
+    g = Graphon.rank_r([0.5] + [0.0] * 19 + [0.7 / 41])
     assert np.max(g.evaluate(*np.random.default_rng(0).random((2, 4096)))) <= 1.0
+    assert g.evaluate(1.0, 1.0) == pytest.approx(1.2)
     with pytest.raises(InvalidGraphon, match="sampled grid"):
         build_true_adjacency(g, LatentSample(u=np.array(u), seed=0), 1.0)
 
@@ -466,8 +483,29 @@ def test_graphon_equality_and_hash_by_value():
     assert hash(Graphon.constant(0.5)) == hash(Graphon.constant(0.5))
     assert Graphon.constant(0.5) != Graphon.constant(0.6) and Graphon.constant(0.5) != SBM3
     assert Graphon.sbm([0.5, 0.5], [[0.9, 0.2], [0.2, 0.7]]) != SBM3
-    phi = RANK2.params["eigenfunctions"]
-    assert Graphon.rank_r([0.5, 0.15], phi) == RANK2 and hash(Graphon.rank_r([0.5, 0.15], phi)) == hash(RANK2)
-    assert Graphon.rank_r([0.5, 0.15], [np.ones_like, lambda u: phi[1](u)]) != RANK2  # callables by identity
-    config = lambda: ExperimentConfig(graphon=Graphon.sbm(pi, P), n_grid=[50], sparsity=SparsityRule.inverse_n())
+    assert Graphon.rank_r([0.5, 0.15]) == RANK2 and hash(Graphon.rank_r([0.5, 0.15])) == hash(RANK2)
+    assert Graphon.rank_r([0.5, 0.1]) != RANK2 and Graphon.rank_r([0.5]) != Graphon.constant(0.5)
+    config = lambda: ExperimentConfig(graphon=Graphon.sbm(pi, P), n_grid=[50], sparsity=SparsityRule("inverse-n"))
     assert config() == config()
+
+
+def test_graphon_hash_agrees_with_equality_on_signed_zeros():
+    # 0.0 == -0.0, so the two descriptors are one graphon and hash alike
+    plus, minus = Graphon.sbm([0.5, 0.5], [[0.5, 0.0], [0.0, 0.5]]), Graphon.sbm([0.5, 0.5], [[0.5, -0.0], [-0.0, 0.5]])
+    assert plus == minus and hash(plus) == hash(minus)
+    assert Graphon.rank_r([0.5, 0.0]) == Graphon.rank_r([0.5, -0.0])
+    assert hash(Graphon.rank_r([0.5, 0.0])) == hash(Graphon.rank_r([0.5, -0.0]))
+
+
+@pytest.mark.parametrize("kind,param", [("inverse-n", 0.5), ("constant", None), ("constant", "0.5"), ("constant", True),
+                                        ("custom", None), (["inverse-n"], None), ("constant", math.inf)])
+def test_sparsity_rule_checks_its_fields(kind, param):
+    with pytest.raises(InvalidSparsity, match="cannot interpret sparsity rule"):
+        SparsityRule(kind, param)
+
+
+def test_sparsity_rule_json_round_trip():
+    kinds = ("inverse-n", "inverse-sqrt-n", "inverse-cbrt-n", "delocalization-threshold")
+    for rule in (SparsityRule("constant", 1), *map(SparsityRule, kinds)):
+        assert SparsityRule.from_descriptor(rule.to_json_dict()) == rule
+    assert SparsityRule("constant", 1).to_json_dict() == {"kind": "constant", "p": 1.0}

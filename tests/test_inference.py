@@ -71,6 +71,13 @@ def test_ols_k3_example():
     assert fit.beta_hat == pytest.approx(1.0)
 
 
+def test_fits_compare_by_identity():
+    # a fit holds arrays and is filled in after construction: == is identity, a bool
+    y = np.array([1.0, 2.0, 3.0])
+    fit, same = ols(y, degree(K3)), ols(y, degree(K3))
+    assert (fit == same) is False and (fit == fit) is True and (fit != same) is True
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_ols_rejects_non_finite_centrality(bad):
     with pytest.raises(NonFiniteCentrality, match="centrality 1 "):

@@ -30,7 +30,7 @@ def small_config(**overrides):
     base = dict(
         graphon=Graphon.constant(1.0),
         n_grid=[50],
-        sparsity=SparsityRule.constant(0.2),
+        sparsity=SparsityRule("constant", 0.2),
         beta_true=1.0,
         replications=24,
         master_seed=424242,
@@ -67,7 +67,7 @@ def test_failures_recorded_not_raised():
     # the cell completes, and failures are itemized
     cfg = small_config(
         n_grid=[8],
-        sparsity=SparsityRule.constant(0.02),
+        sparsity=SparsityRule("constant", 0.02),
         replications=30,
         estimators=[{"kind": "eigenvector", "scaling": "sqrt-lambda1"}],
     )
@@ -102,7 +102,7 @@ def test_power_curve_grid():
 def test_attenuation_study_plim_reference():
     cfg = small_config(
         n_grid=[80, 160],
-        sparsity=SparsityRule.inverse_n(),
+        sparsity=SparsityRule("inverse-n"),
         replications=40,
         estimators=[{"kind": "degree"}],
     )
@@ -252,12 +252,12 @@ def test_block_graphon_cell_never_builds_dense_a(monkeypatch):
     monkeypatch.setattr(FactoredMatrix, "entries", property(no_dense))
     for graphon in (
         Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]]),
-        Graphon.rank_r([0.5, 0.15], [np.ones_like, lambda u: np.sqrt(3.0) * (2.0 * u - 1.0)]),
+        Graphon.rank_r([0.5, 0.15]),
     ):
         cfg = small_config(
             graphon=graphon,
             n_grid=[200],
-            sparsity=SparsityRule.inverse_sqrt_n(),
+            sparsity=SparsityRule("inverse-sqrt-n"),
             replications=3,
             fit_no_error=True,
             estimators=[

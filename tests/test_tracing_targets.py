@@ -2,7 +2,8 @@
 
 The benchmark's tracer replaces module attributes (``LAYER_TARGETS``); a
 renamed function or a call that bypasses the module attribute would silently
-stop it from timing a layer.
+stop it from timing a layer.  Its edge-count gate reads the graphon's JSON
+descriptor, which must keep the fields and values it reads.
 """
 
 import importlib
@@ -12,16 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from centreg import SymmetricSparseMatrix, inference
+from centreg import Graphon, SymmetricSparseMatrix, build_true_adjacency, inference, sample_latent
 from centreg.monte_carlo import Estimator
 
 
-def _layer_targets():
+def _tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYER_TARGETS
+    return module
+
+
+def _layer_targets():
+    return _tracing().LAYER_TARGETS
 
 
 def test_every_layer_target_resolves():
@@ -62,3 +67,18 @@ def test_estimator_fit_calls_bias_variance_by_module_attribute(monkeypatch, spec
     fit = est.fit(c_hat.values + rng.standard_normal(30), a_hat, c_hat)
     assert seen == names
     assert fit.B_hat is not None and fit.V_hat is not None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graphon.constant(0.7), Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]])],
+    ids=["constant", "sbm3"],
+)
+def test_edge_gate_moments_match_the_true_adjacency(g):
+    # tracing.edge_moments computes the Ahat edge count's mean and variance from
+    # the descriptor alone; the factored A gives them as half its sums over i != j
+    u, p = sample_latent(300, seed=1), 0.3
+    a = build_true_adjacency(g, u, p)
+    mean, var = _tracing().edge_moments(g.to_json_dict(), u.u, p)
+    assert mean == pytest.approx(a.total() / 2.0, rel=1e-12)
+    assert var == pytest.approx(a.noise_variance_total() / 2.0, rel=1e-12)
