@@ -232,4 +232,3 @@ def binary_matrix_from_files(edges_path: PathLike, outcome_ids: Sequence[int]) -
     if len(cols) and cols.max() >= n:
         raise IdMismatch(f"edge endpoint {cols.max()} has no outcome row (n={n})")
     return SymmetricSparseMatrix.from_edges(n, rows, cols)
-
