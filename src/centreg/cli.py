@@ -72,7 +72,7 @@ def _estimator(args) -> Estimator:
 
 _FLAG_CHECKS = {  # numeric flags -> (accepts, expectation), checked by ``main`` before any command runs
     "beta0": (lambda v: all(map(_is_number, v)), "finite numbers"),
-    "alpha": (lambda v: all(_is_number(a) and 0 < a < 1 for a in v), "numbers in (0, 1)"),
+    "alpha": (lambda v: all(_is_number(a) and inference.ALPHA_MIN < a < 1 for a in v), "numbers in (2^-53, 1)"),
     "seed": (lambda v: v >= 0, "an integer >= 0"),
     "threads": (lambda v: v >= 0, "an integer >= 0"),
     "max": (lambda v: v >= 1, "an integer >= 1"),

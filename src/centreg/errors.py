@@ -85,7 +85,7 @@ class MissingComponents(CentregError):
 
 
 class InvalidLevel(CentregError):
-    """Confidence level alpha outside (0, 1)."""
+    """Confidence level alpha outside (0, 1), or too small for a finite normal quantile."""
 
 
 class NonpositiveAttenuation(CentregError):

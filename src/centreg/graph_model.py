@@ -12,14 +12,17 @@ draw costs time and memory proportional to n plus the edge count.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy
 from numpy.polynomial.legendre import legvander
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec  # pinned by the tests
 
 from .errors import InvalidGraphon, InvalidSize, InvalidSparsity
 
@@ -38,6 +41,24 @@ _RANK_R_MAX = 32  # longest rank-r eigenvalue list
 _RANK_R_BINS = 16  # equal-width sampler bins on [0, 1] for rank-r graphons
 _RANGE_CHUNK = 1 << 20  # entries per block of the entry-by-entry range check
 _MAX_ENTRIES = 2**31 - 1  # stored entries an int32 indptr can address
+
+
+def _sparsetools_kernels():
+    """``csc_matvec`` and ``csr_matvec`` of scipy's ``_sparsetools`` C extension, loaded from its file.
+
+    ``import scipy.sparse`` would run the package init first: about 0.2 s
+    of imports on a 2-vCPU host (``numpy.f2py`` and ``numpy.testing`` among
+    them) that no product uses.  The kernels are the same either way.
+    """
+    spec = PathFinder.find_spec("_sparsetools", [os.path.join(scipy.__path__[0], "sparse")])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no sparse/_sparsetools extension")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.csc_matvec, module.csr_matvec
+
+
+csc_matvec, csr_matvec = _sparsetools_kernels()  # tests pin products to scipy.sparse, bit for bit
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +296,7 @@ class Graphon:
             P = np.asarray(P, dtype=np.float64)
         except ValueError:  # rows of unequal length
             raise InvalidGraphon("SBM link matrix must be symmetric BxB") from None
-        if pi.ndim != 1 or np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-9:
+        if pi.ndim != 1 or np.any(pi <= 0) or not abs(pi.sum() - 1.0) <= 1e-9:  # NaN fails the sum
             raise InvalidGraphon("SBM proportions must be positive and sum to 1")
         B = len(pi)
         if P.shape != (B, B) or not np.allclose(P, P.T):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .centrality import CentralityVector
 from .errors import (
@@ -42,6 +42,7 @@ __all__ = [
     "statistic",
     "test_beta",
     "confidence",
+    "critical_value",
     "bias_correct",
 ]
 
@@ -323,11 +324,11 @@ def test_beta(
         raise ConfigMismatch(f"sided must be two|left|right, got {sided!r}")
     stat, branch = statistic(fit.mode, beta0, fit.beta_hat, fit.V0_hat, fit.B_hat, fit.V_hat)
     if sided == "two":
-        p = 2.0 * (1.0 - ndtr(abs(stat)))
+        p = 2.0 * (1.0 - _NORMAL.cdf(abs(stat)))
     elif sided == "right":
-        p = float(1.0 - ndtr(stat))
+        p = 1.0 - _NORMAL.cdf(stat)
     else:
-        p = float(ndtr(stat))
+        p = _NORMAL.cdf(stat)
     reject = {float(a): bool(p <= a) for a in alphas}
     return TestResult(
         statistic=float(stat),
@@ -340,6 +341,18 @@ def test_beta(
 
 
 test_beta.__test__ = False  # keep pytest from collecting the library function
+
+
+_NORMAL = NormalDist()
+ALPHA_MIN = 2.0**-53  # at or below it 1 - alpha / 2 rounds to 1, whose normal quantile is infinite
+
+
+def critical_value(alpha: float, sided: str = "two") -> float:
+    """The standard normal quantile z with P(|Z| > z) = alpha, or P(Z > z) = alpha one-sided."""
+    q = 1.0 - alpha / 2.0 if sided == "two" else 1.0 - alpha
+    if not 0.0 < q < 1.0:
+        raise InvalidLevel(f"alpha = {alpha} has no finite normal quantile")
+    return _NORMAL.inv_cdf(q)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +392,7 @@ def confidence(
     if sided not in ("two", "upper", "lower"):
         raise ConfigMismatch(f"interval sided must be two|upper|lower, got {sided!r}")
 
-    z = float(ndtri(1.0 - alpha / 2.0)) if sided == "two" else float(ndtri(1.0 - alpha))
+    z = critical_value(alpha, sided)
     c_set = _invert(fit.beta_hat, _form(fit.mode, fit.B_hat, fit.V0_hat, fit.V_hat), z, sided)
     if c0_policy == "singleton-zero":
         c0 = Interval(0.0, 0.0)

@@ -84,7 +84,7 @@ _CONFIG_CHECKS = {
     "n_grid": ([lambda v: type(v) is int and 2 <= v < 2**31], "an integer in [2, 2^31)"),  # int32 ids
     "beta_true": (_is_number, "a finite number"),
     "beta0_grid": ([_is_number], "a finite number"),
-    "alpha_grid": ([lambda v: _is_number(v) and 0 < v < 1], "a number in (0, 1)"),
+    "alpha_grid": ([lambda v: _is_number(v) and inference.ALPHA_MIN < v < 1], "a number in (2^-53, 1)"),
     "error_model": (lambda v: isinstance(v, dict) and v.get("kind") == "gaussian",
                     "an object with kind 'gaussian', the one built-in error model"),
     "replications": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
@@ -467,8 +467,6 @@ def rejection_table(
     "ours" is ``inference.statistic`` in the estimator's mode, the statistic
     ``test_beta`` computes; "robust" is the robust t (the no-error mode).
     """
-    from scipy.special import ndtri
-
     rows = []
     for label in cell.estimators:
         d = cell.draws[label]
@@ -479,7 +477,7 @@ def rejection_table(
             for stat_name, mode in (("ours", cell.modes[label]), ("robust", "no-error")):
                 stat, _ = inference.statistic(mode, beta0, **parts)
                 for alpha in alpha_grid:
-                    z = ndtri(1.0 - alpha / 2.0)
+                    z = inference.critical_value(alpha)
                     rej = np.abs(stat) >= z
                     rate = float(rej.mean()) if n_ok else float("nan")
                     se = float(np.sqrt(rate * (1 - rate) / n_ok)) if n_ok else float("nan")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from centreg.cli import _build_parser, main
 
@@ -331,6 +332,7 @@ _CONFIG = {
         ({"sparsity": {"kind": "constant", "p": 2}}, "/sparsity"),
         ({"beta0_grid": ["x"]}, "/beta0_grid/0"),
         ({"beta0_grid": 5}, "/beta0_grid"),
+        ({"alpha_grid": [0.05, 1e-300]}, "/alpha_grid/1"),
         ({"error_model": {"kind": "gaussian", "sigma": "x"}}, "/error_model/sigma"),
         ({"master_seed": "abc"}, "/master_seed"),
         ({"threads": "x"}, "/threads"),
@@ -346,7 +348,7 @@ _CONFIG = {
         ({"graphon": 5}, "/graphon"),
         (None, None),
     ],
-    ids=["sparsity-kind", "sparsity-no-kind", "constant-no-p", "p-2", "beta0-item", "beta0-scalar", "sigma",
+    ids=["sparsity-kind", "sparsity-no-kind", "constant-no-p", "p-2", "beta0-item", "beta0-scalar", "alpha-1e-300", "sigma",
          "master-seed", "threads", "beta-true-null", "no-c", "c-string", "no-P", "P-string", "replications-bool",
          "fit-string", "delocalization-n2", "custom", "graphon-number", "not-an-object"],
 )
@@ -523,6 +525,8 @@ def test_centrality_bad_estimator_flags_exit_two(tmp_path, capsys, flags, flag):
         (["regress", "--beta0", "inf"], "--beta0"),
         (["regress", "--beta0", "1", "--beta0", "nan"], "--beta0"),
         (["regress", "--alpha", "2"], "--alpha"),
+        (["regress", "--alpha", "0.05", "--alpha", "1e-300"], "--alpha"),
+        (["regress", "--alpha", repr(2.0**-53)], "--alpha"),
         (["regress", "--centrality", "diffusion", "--T", "11"], "--T"),
         (["regress", "--seed", "-1"], "--seed"),
         (["simulate", "--threads", "-1"], "--threads"),
@@ -531,7 +535,7 @@ def test_centrality_bad_estimator_flags_exit_two(tmp_path, capsys, flags, flag):
         (["derive", "b", "--max", "0", "--verify"], "--max"),
         (["centrality", "--n", "-5"], "--n"),
     ],
-    ids=["beta0-inf", "beta0-nan", "alpha", "T-beyond-b-table", "regress-seed", "threads", "derive-g-max",
+    ids=["beta0-inf", "beta0-nan", "alpha", "alpha-1e-300", "alpha-2^-53", "T-beyond-b-table", "regress-seed", "threads", "derive-g-max",
          "derive-g-max-verify", "derive-b-max-verify", "centrality-n"],
 )
 def test_out_of_range_flag_exit_two_before_any_read(tmp_path, capsys, argv, flag):
@@ -656,3 +660,37 @@ def test_simulate_and_regress_never_import_sparse_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_runs_never_import_scipy_sparse_or_special(tmp_path):
+    # the package inits of scipy.sparse and scipy.special (with the numpy.f2py and
+    # numpy.testing they pull in) took over half of a cold start; the two product
+    # kernels come from scipy's _sparsetools file and the normal quantile from statistics
+    edges, outcomes = write_k3(tmp_path)
+    cfg = {"graphon": {"kind": "constant", "c": 1.0}, "n_grid": [30], "sparsity": {"kind": "constant", "p": 0.3},
+           "replications": 2, "estimators": [{"kind": "degree"}, {"kind": "eigenvector", "scaling": "sqrt-n"}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    script = "\n".join(
+        [
+            "import sys",
+            "from centreg import graph_model",
+            "from centreg.cli import main",
+            f"assert main(['simulate', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0",
+            f"assert main(['regress', '--edges', {str(edges)!r}, '--outcomes', {str(outcomes)!r},"
+            f" '--beta0', '1', '--out', {str(tmp_path / 'fit.json')!r}]) == 0",
+            "print([m for m in ('scipy.sparse', 'scipy.special', 'numpy.f2py', 'numpy.testing') if m in sys.modules])",
+            "print(graph_model.csr_matvec.__self__.__file__)",
+            "print(graph_model.csc_matvec.__self__.__file__)",
+        ]
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded, *kernel_files = proc.stdout.strip().splitlines()
+    assert loaded == "[]"
+    sparse_dir = Path(scipy.__path__[0]) / "sparse"
+    for file in map(Path, kernel_files):
+        assert file.parent == sparse_dir and file.name.startswith("_sparsetools"), file

@@ -104,8 +104,9 @@ def test_zero_graphon_rejected():
 
 
 def test_sbm_validation():
-    with pytest.raises(InvalidGraphon):
-        Graphon.sbm([0.6, 0.6], [[0.5, 0.5], [0.5, 0.5]])
+    for pi in ([0.6, 0.6], [np.nan, np.nan], [0.5, np.nan], [np.inf, 0.5], [np.inf, np.inf]):
+        with pytest.raises(InvalidGraphon):
+            Graphon.sbm(pi, [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(InvalidGraphon):
         Graphon.sbm([0.5, 0.5], [[0.5, 0.2], [0.3, 0.5]])
 
@@ -440,6 +441,14 @@ def test_matvec_kernels_match_scipy_product(n, pairs, seed):
     data = np.repeat(root, np.diff(full.indptr)) * root[full.indices]  # sqrt(lambda_i lambda_j) on entry (i, j)
     weighted = sp.csr_matrix((data, full.indices, full.indptr), shape=(n, n))
     assert np.array_equal(reg.matvec(v), weighted @ v)
+
+
+def test_missing_sparsetools_extension_names_the_scipy_version(tmp_path, monkeypatch):
+    # the kernels are loaded from scipy's sparse directory by path, with no other way in
+    fake = type("FakeScipy", (), {"__path__": [str(tmp_path)], "__version__": "0.0.test"})
+    monkeypatch.setattr(graph_model, "scipy", fake)
+    with pytest.raises(ImportError, match=r"scipy 0\.0\.test has no sparse/_sparsetools"):
+        graph_model._sparsetools_kernels()
 
 
 @pytest.mark.parametrize("g", [SBM3, RANK2], ids=["sbm3", "rank2"])

@@ -30,7 +30,7 @@ from centreg.errors import (
     InvalidLevel,
     ZeroRegressor,
 )
-from centreg.inference import RegressionFit
+from centreg.inference import RegressionFit, critical_value
 
 K3 = SymmetricSparseMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
 
@@ -384,9 +384,7 @@ def test_confidence_coincides_when_b_zero():
 
 
 def test_confidence_halfline_at_zero_denominator():
-    from scipy.special import ndtri
-
-    z = float(ndtri(0.975))
+    z = critical_value(0.05)  # the z that confidence uses
     V = 0.25
     B = 1.0 - z * math.sqrt(V)  # makes 1 - B - z sqrt(V) == 0 exactly
     fit = make_fit(beta_hat=2.0, B=B, V=V, V0=0.01)
@@ -424,6 +422,31 @@ def test_confidence_invalid_level():
     for alpha in (0.0, 1.0, -0.5):
         with pytest.raises(InvalidLevel):
             confidence(fit, alpha)
+
+
+def test_level_without_finite_quantile_is_invalid():
+    # at alpha <= 2^-53, 1 - alpha / 2 rounds to 1: no NaN interval ends, an error
+    fit = make_fit(beta_hat=1.0, B=0.1, V=0.1)
+    for alpha in (1e-300, 2.0**-53, math.nan):
+        with pytest.raises(InvalidLevel):
+            confidence(fit, alpha)
+        with pytest.raises(InvalidLevel):
+            critical_value(alpha)
+    assert math.isfinite(critical_value(2.0**-52))
+    assert math.isfinite(critical_value(2.0**-53, sided="upper"))  # 1 - 2^-53 is a double
+
+
+def test_normal_quantile_and_p_value_match_scipy():
+    from scipy.special import ndtr, ndtri
+
+    alphas = np.concatenate([np.geomspace(1e-12, 0.5, 2000), np.linspace(1e-3, 0.5, 500)])
+    for sided, q in (("two", 1.0 - alphas / 2.0), ("upper", 1.0 - alphas)):
+        z = np.array([critical_value(float(a), sided) for a in alphas])
+        want = ndtri(q)
+        assert np.all(np.abs(z - want) <= 8 * np.spacing(want)), sided
+    for t in np.concatenate([np.linspace(-12.0, 12.0, 4001), [0.0, 1e-300]]):
+        p = test_beta(make_fit(beta_hat=float(t), V0=1.0), 0.0).p_value  # the robust t is beta_hat
+        assert abs(p - 2.0 * (1.0 - ndtr(abs(t)))) <= 5e-16, t
 
 
 def test_confidence_singleton_policy():
