@@ -8,9 +8,7 @@ each side.
 import numpy as np
 
 from centreg import (
-    DiffusionParams,
     Graphon,
-    ScalingPolicy,
     build_true_adjacency,
     degree,
     diffusion,
@@ -37,8 +35,8 @@ print(f"observed edges         : {a_hat.n_edges}")
 # centralities on the true and observed networks
 for label, m in (("true", a_true), ("observed", a_hat)):
     deg = degree(m).values
-    dif = diffusion(m, DiffusionParams(delta=0.5, T=2)).values
-    eig = eigenvector_centrality(m, ScalingPolicy(kind="sqrt-lambda1"))
+    dif = diffusion(m, delta=0.5, T=2).values
+    eig = eigenvector_centrality(m, scaling="sqrt-lambda1")
     print(f"\n{label} network:")
     print(f"  degree    top-5 nodes: {np.argsort(deg)[-5:][::-1]}")
     print(f"  diffusion top-5 nodes: {np.argsort(dif)[-5:][::-1]}")
@@ -65,6 +63,6 @@ print(f"\nrank-2 graphon, n = {n_big}: {a_hat_big.n_edges} edges, expected {a_bi
 side = u_big.u > 0.5
 i_big, j_big = a_hat_big.edge_arrays()
 print(f"  share of edges within one side of 1/2: {np.mean(side[i_big] == side[j_big]):.3f} (0.6125 expected, 0.5 if f were constant)")
-eig_big = eigenvector_centrality(a_big, ScalingPolicy(kind="sqrt-lambda1"))
-eig_hat_big = eigenvector_centrality(a_hat_big, ScalingPolicy(kind="sqrt-lambda1"))
+eig_big = eigenvector_centrality(a_big, scaling="sqrt-lambda1")
+eig_hat_big = eigenvector_centrality(a_hat_big, scaling="sqrt-lambda1")
 print(f"  lambda1 true {eig_big.lambda1:.2f}, observed {eig_hat_big.lambda1:.2f}")

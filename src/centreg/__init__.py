@@ -9,9 +9,6 @@ remain valid when the network is sparse and noisily measured.
 from . import errors
 from .centrality import (
     CentralityVector,
-    DiffusionParams,
-    RegularizationSpec,
-    ScalingPolicy,
     degree,
     diffusion,
     eigenvector_centrality,
@@ -47,8 +44,6 @@ from .monte_carlo import (
     Estimator,
     ExperimentConfig,
     ExperimentResult,
-    attenuation_study,
-    power_curve,
     rejection_table,
     run_cell,
     run_experiment,

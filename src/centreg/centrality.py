@@ -6,17 +6,18 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import (
-    ConfigMismatch,
+    ConfigError,
     DegenerateGapWarning,
     DegenerateSpectrum,
     EmptyGraph,
-    InvalidBound,
     NoConvergence,
+    _checked,
+    _is_number,
 )
 from .graph_model import FactoredMatrix, SymmetricSparseMatrix
 
@@ -27,12 +28,24 @@ DELTA_RULES = ("fixed", "inverse-lambda1", "inverse-sqrt-lambda1")
 SCALINGS = ("sqrt-lambda1", "sqrt-n", "fixed")
 REG_MODES = ("oracle", "plug-in")
 
+# estimator spec field -> (accepts, expectation), for configs, flags and the
+# keywords of the centralities below; ``type(v) is int`` leaves out bool
+SPEC_CHECKS = {
+    "delta": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "T": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "delta_rule": (lambda v: v in DELTA_RULES, f"one of {DELTA_RULES}"),
+    "scaling": (lambda v: v in SCALINGS, f"one of {SCALINGS}"),
+    "a": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "reg_mode": (lambda v: v in REG_MODES, f"one of {REG_MODES}"),
+    "p_n": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "M": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+}
+# (field, value, the field that value requires)
+_REQUIRES = (("scaling", "fixed", "a"), ("reg_mode", "plug-in", "M"), ("reg_mode", "oracle", "p_n"))
+
 Matrix = Union[FactoredMatrix, SymmetricSparseMatrix]
 
 __all__ = [
-    "DiffusionParams",
-    "ScalingPolicy",
-    "RegularizationSpec",
     "CentralityVector",
     "degree",
     "diffusion",
@@ -42,87 +55,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiffusionParams:
-    """Decay delta in [0,1] and horizon T >= 1.
+def check_spec(where: Callable[[str], str] = str, **fields) -> None:
+    """Check estimator spec fields; a bad one raises ConfigError at ``where(field)``.
 
-    ``delta_rule`` lets delta be tied to the observed spectrum:
-    "fixed", "inverse-lambda1" (1/lam1) or "inverse-sqrt-lambda1" (1/sqrt(lam1)).
-    The inference theory is implemented for fixed delta; the spectral rules
-    are provided as conveniences for empirical work.
+    A field given as None is unset, and each set one must pass SPEC_CHECKS.
+    A field that another one's value requires must be set where it is given:
+    ``a`` under fixed scaling, ``M`` under plug-in and ``p_n`` under oracle
+    regularization.  By default the error names the field itself.
     """
-
-    delta: Optional[float] = None
-    T: int = 1
-    delta_rule: str = "fixed"
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ConfigMismatch(f"diffusion horizon must satisfy T >= 1, got {self.T}")
-        if self.delta_rule == "fixed":
-            if self.delta is None or not (0.0 <= self.delta <= 1.0):
-                raise ConfigMismatch(f"fixed delta must lie in [0, 1], got {self.delta}")
-        elif self.delta_rule not in DELTA_RULES:
-            raise ConfigMismatch(f"unknown delta rule {self.delta_rule!r}")
-
-    def resolve(self, m: Matrix, **eig_kwargs) -> float:
-        if self.delta_rule == "fixed":
-            return float(self.delta)
-        lam1, _ = leading_eigenpair(m, **eig_kwargs)  # raises DegenerateSpectrum unless lam1 > 0
-        d = 1.0 / lam1 if self.delta_rule == "inverse-lambda1" else 1.0 / math.sqrt(lam1)
-        return min(d, 1.0)
-
-
-@dataclass(frozen=True)
-class ScalingPolicy:
-    """Eigenvector length a_n: fixed(a), sqrt-n, or sqrt-lambda1."""
-
-    kind: str = "sqrt-lambda1"
-    a: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "fixed":
-            if self.a is None or self.a <= 0:
-                raise ConfigMismatch("fixed scaling needs a > 0")
-        elif self.kind not in SCALINGS:
-            raise ConfigMismatch(f"unknown scaling policy {self.kind!r}")
-
-    def resolve(self, n: int, lam1: float) -> float:
-        if self.kind == "fixed":
-            return float(self.a)
-        if self.kind == "sqrt-n":
-            return math.sqrt(n)
-        if lam1 <= 0:
-            raise DegenerateSpectrum(f"sqrt-lambda1 scaling needs lambda1 > 0, got {lam1}")
-        return math.sqrt(lam1)
-
-
-@dataclass(frozen=True)
-class RegularizationSpec:
-    """Edge down-weighting for high-degree vertices.
-
-    Oracle mode uses the known sparsity scale (threshold 2 n p_n); plug-in
-    mode estimates the scale from edge density and needs an explicit lower
-    bound M on the graphon mass (threshold 3 n rho_hat / M).
-    """
-
-    mode: str
-    p_n: Optional[float] = None
-    M: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in REG_MODES:
-            raise InvalidBound(f"unknown regularization mode {self.mode!r}")
-        if self.mode == "oracle" and (self.p_n is None or not (0.0 < self.p_n <= 1.0)):
-            raise InvalidBound(f"oracle regularization needs p_n in (0,1], got {self.p_n}")
-        if self.mode == "plug-in" and (self.M is None or not (0.0 < self.M <= 1.0)):
-            raise InvalidBound(f"plug-in regularization needs M in (0,1], got {self.M}")
-
-    def threshold(self, m: SymmetricSparseMatrix) -> float:
-        if self.mode == "oracle":
-            return 2.0 * m.n * self.p_n
-        rho_hat = m.total() / (m.n * (m.n - 1))
-        return 3.0 * m.n * rho_hat / self.M
+    given = _checked({k: v for k, v in fields.items() if v is not None}, SPEC_CHECKS, where)
+    for by, value, name in _REQUIRES:
+        if given.get(by) == value and name in fields and name not in given:
+            raise ConfigError(where(name), f"{value} {'scaling' if by == 'scaling' else 'regularization'} needs {name}")
 
 
 @dataclass(frozen=True)
@@ -154,23 +98,31 @@ def degree(m: Matrix) -> CentralityVector:
     return CentralityVector(values=m.row_sums(), recipe={"kind": "degree"})
 
 
-def diffusion(m: Matrix, params: DiffusionParams, **eig_kwargs) -> CentralityVector:
+def diffusion(m: Matrix, delta: float = 1.0, T: int = 2, delta_rule: str = "fixed", **eig_kwargs) -> CentralityVector:
     """C = sum_{t=1..T} delta^t A^t iota via repeated mat-vec products.
 
-    Never forms matrix powers; cost is O(T * nnz).  ``eig_kwargs`` reach
-    the eigensolve of a spectral delta rule.
+    Never forms matrix powers; cost is O(T * nnz).  ``delta_rule`` ties delta
+    to the spectrum: "inverse-lambda1" takes min(1/lambda1, 1) and
+    "inverse-sqrt-lambda1" min(1/sqrt(lambda1), 1) in place of ``delta``;
+    ``eig_kwargs`` reach that eigensolve.  The inference theory is for a
+    fixed delta.
     """
-    delta = params.resolve(m, **eig_kwargs)
+    check_spec(delta=delta, T=T, delta_rule=delta_rule)
+    if delta_rule == "fixed":
+        delta = float(delta)
+    else:
+        lam1, _ = leading_eigenpair(m, **eig_kwargs)  # raises DegenerateSpectrum unless lam1 > 0
+        delta = min(1.0 / lam1 if delta_rule == "inverse-lambda1" else 1.0 / math.sqrt(lam1), 1.0)
     v = np.ones(m.n)
     out = np.zeros(m.n)
     scale = 1.0
-    for _ in range(params.T):
+    for _ in range(T):
         v = m.matvec(v)
         scale *= delta
         out += scale * v
     return CentralityVector(
         values=out,
-        recipe={"kind": "diffusion", "delta": delta, "T": params.T, "delta_rule": params.delta_rule},
+        recipe={"kind": "diffusion", "delta": delta, "T": T, "delta_rule": delta_rule},
     )
 
 
@@ -274,20 +226,28 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return x
 
 
-def eigenvector_centrality(m: Matrix, scaling: ScalingPolicy, **eig_kwargs) -> CentralityVector:
-    """C = a_n v1(A) with a_n resolved per policy; ||C|| = a_n by construction."""
-    lam1, v1 = leading_eigenpair(m, **eig_kwargs)
-    a_n = scaling.resolve(m.n, lam1)
+def eigenvector_centrality(
+    m: Matrix, scaling: str = "sqrt-lambda1", a: Optional[float] = None, **eig_kwargs
+) -> CentralityVector:
+    """C = a_n v1(A), so ||C|| = a_n: ``a`` under "fixed" scaling, else sqrt(n) or sqrt(lambda1)."""
+    check_spec(scaling=scaling, a=a)
+    lam1, v1 = leading_eigenpair(m, **eig_kwargs)  # raises DegenerateSpectrum unless lam1 > 0
+    a_n = float(a) if scaling == "fixed" else math.sqrt(m.n if scaling == "sqrt-n" else lam1)
     return CentralityVector(
         values=a_n * v1,
-        recipe={"kind": "eigenvector", "scaling": scaling.kind, "a_n": a_n},
+        recipe={"kind": "eigenvector", "scaling": scaling, "a_n": a_n},
         lambda1=lam1,
     )
 
 
-def regularize(m: SymmetricSparseMatrix, spec: RegularizationSpec) -> SymmetricSparseMatrix:
+def regularize(
+    m: SymmetricSparseMatrix, reg_mode: str = "oracle", p_n: Optional[float] = None, M: Optional[float] = None
+) -> SymmetricSparseMatrix:
     """Down-weight edges of high-degree vertices.
 
+    The threshold is tau = 2 n p_n in "oracle" mode, from the known sparsity
+    scale, and tau = 3 n rho_hat / M in "plug-in" mode, from the edge density
+    and a lower bound M on the graphon mass.
     lambda_i = min(tau / deg_i, 1) with lambda_i = 1 for isolated nodes;
     output entries are sqrt(lambda_i lambda_j) * A_ij, the diagonal scaling
     D^1/2 Ahat D^1/2 of Le, Levina & Vershynin (2017), in O(n + nnz): a
@@ -296,7 +256,12 @@ def regularize(m: SymmetricSparseMatrix, spec: RegularizationSpec) -> SymmetricS
     bound is lambda_i * deg_i <= tau per node, not a bound on the
     reweighted degrees themselves.
     """
-    tau = spec.threshold(m)
+    check_spec(reg_mode=reg_mode, p_n=p_n, M=M)
+    if reg_mode == "oracle":
+        tau = 2.0 * m.n * p_n
+    else:
+        rho_hat = m.total() / (m.n * (m.n - 1))
+        tau = 3.0 * m.n * rho_hat / M
     deg = m.row_sums()
     lam = np.ones(m.n)
     busy = deg > 0
@@ -309,10 +274,16 @@ def regularize(m: SymmetricSparseMatrix, spec: RegularizationSpec) -> SymmetricS
 
 
 def regularized_eigenvector_centrality(
-    m: SymmetricSparseMatrix, scaling: ScalingPolicy, spec: RegularizationSpec, **eig_kwargs
+    m: SymmetricSparseMatrix,
+    scaling: str = "sqrt-lambda1",
+    a: Optional[float] = None,
+    reg_mode: str = "oracle",
+    p_n: Optional[float] = None,
+    M: Optional[float] = None,
+    **eig_kwargs,
 ) -> CentralityVector:
-    """Leading eigenvector of the regularized adjacency, scaled by policy."""
-    reg = regularize(m, spec)
-    c = eigenvector_centrality(reg, scaling, **eig_kwargs)
-    recipe = {**c.recipe, "kind": "regularized-eigenvector", "mode": spec.mode}
+    """Eigenvector centrality of ``regularize(m, reg_mode, p_n, M)``."""
+    reg = regularize(m, reg_mode, p_n, M)
+    c = eigenvector_centrality(reg, scaling, a, **eig_kwargs)
+    recipe = {**c.recipe, "kind": "regularized-eigenvector", "mode": reg_mode}
     return CentralityVector(c.values, recipe, c.lambda1, node_weights=reg.node_weights)

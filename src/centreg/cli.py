@@ -22,19 +22,19 @@ from .centrality import (  # noqa: F401
     DELTA_RULES,
     REG_MODES,
     SCALINGS,
+    check_spec,
     degree,
     diffusion,
     eigenvector_centrality,
     regularized_eigenvector_centrality,
 )
-from .errors import CentregError, ConfigError
-from .graph_model import SymmetricSparseMatrix, _is_number
+from .errors import CentregError, _checked, _is_number
+from .graph_model import SymmetricSparseMatrix
 from .io import binary_matrix_from_files, read_outcomes, write_table
 from .monte_carlo import (
     ESTIMATOR_KINDS,
     Estimator,
     ExperimentConfig,
-    _checked,
     run_experiment,
     write_outputs,
 )
@@ -47,6 +47,10 @@ EXIT_USAGE = 2
 
 # estimator spec fields whose flag is not "--" + the field name
 _FLAGS = {"a": "--scale-a", "p_n": "--reg-p", "M": "--reg-M"}
+
+
+def _flag(field: str) -> str:
+    return _FLAGS.get(field, "--" + field.replace("_", "-"))
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser, kind_flag: str) -> None:
@@ -64,9 +68,9 @@ def _add_estimator_flags(parser: argparse.ArgumentParser, kind_flag: str) -> Non
 
 def _estimator(args) -> Estimator:
     spec = {f.name: getattr(args, f.name) for f in fields(Estimator) if getattr(args, f.name, None) is not None}
-    est = Estimator.from_spec(spec, lambda k: _FLAGS.get(k, "--" + k.replace("_", "-")), args.command == "regress")
-    if est.kind == "regularized-eigenvector" and est.reg_mode == "oracle" and est.p_n is None:
-        raise ConfigError(_FLAGS["p_n"], "required for oracle regularization")
+    est = Estimator.from_spec(spec, _flag, args.command == "regress")
+    if est.kind == "regularized-eigenvector":  # no cell's p stands in for an oracle's p_n
+        check_spec(_flag, reg_mode=est.reg_mode, p_n=est.p_n)
     return est
 
 

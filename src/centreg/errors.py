@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the field check that raises ConfigError."""
+
+import sys
+from typing import Callable
 
 
 class CentregError(Exception):
@@ -13,6 +16,36 @@ class ConfigError(CentregError, ValueError):
         self.pointer = pointer
 
 
+def _is_number(x, depth: int = 0) -> bool:
+    """Whether x is a finite JSON number, not a boolean, or lists of them ``depth`` deep."""
+    if depth:
+        return isinstance(x, list) and all(_is_number(v, depth - 1) for v in x)
+    # compared, not math.isfinite: that raises OverflowError on a large int
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _checked(d: dict, checks: dict, where: Callable[[str], str]) -> dict:
+    """The fields of ``d`` that ``checks`` lists, each one accepted by its check.
+
+    ``checks`` maps a field to (accepts, expectation); [accepts] wants a
+    nonempty list of accepted items.  A bad field raises ConfigError at
+    ``where(field)``, a bad item of a list field at ``where(field)/k``.
+    """
+    given = {k: v for k, v in d.items() if k in checks}
+    for name, value in given.items():
+        accepts, expected = checks[name]
+        if not isinstance(accepts, list):
+            items = [(where(name), value)]
+        elif not isinstance(value, list) or not value:
+            raise ConfigError(where(name), f"expected a nonempty list, got {value!r}")
+        else:
+            accepts, items = accepts[0], [(f"{where(name)}/{k}", v) for k, v in enumerate(value)]
+        for pointer, item in items:
+            if not accepts(item):
+                raise ConfigError(pointer, f"expected {expected}, got {item!r}")
+    return given
+
+
 class InvalidSize(CentregError):
     """Node count too small for the requested operation."""
 
@@ -23,10 +56,6 @@ class InvalidSparsity(CentregError):
 
 class InvalidGraphon(CentregError):
     """Graphon violates its construction invariants (range, symmetry, mass)."""
-
-
-class InvalidBound(CentregError):
-    """Plug-in regularization bound M outside (0, 1]."""
 
 
 class EmptyGraph(CentregError):

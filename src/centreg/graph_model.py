@@ -15,7 +15,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
 from typing import Callable, Optional, Sequence
@@ -24,7 +23,7 @@ import numpy as np
 import scipy
 from numpy.polynomial.legendre import legvander
 
-from .errors import InvalidGraphon, InvalidSize, InvalidSparsity
+from .errors import InvalidGraphon, InvalidSize, InvalidSparsity, _is_number
 
 __all__ = [
     "Graphon",
@@ -365,14 +364,6 @@ class Graphon:
                 what = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
                 raise InvalidGraphon(f"{kind} graphon needs {name} as {what}, got {d.get(name)!r}")
         return make(*(d[name] for name in needs))
-
-
-def _is_number(x, depth: int = 0) -> bool:
-    """Whether x is a finite JSON number, not a boolean, or lists of them ``depth`` deep."""
-    if depth:
-        return isinstance(x, list) and all(_is_number(v, depth - 1) for v in x)
-    # compared, not math.isfinite: that raises OverflowError on a large int
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,9 @@ from ._tables import B_ROWS
 # ``regularize`` and ``reference_b`` are not called here but stay names of this module:
 # perfbench/tracing.py wraps the centrality and walks layers by these module attributes
 from .centrality import (  # noqa: F401
-    DELTA_RULES,
-    REG_MODES,
-    SCALINGS,
+    SPEC_CHECKS,
     CentralityVector,
-    DiffusionParams,
-    RegularizationSpec,
-    ScalingPolicy,
+    check_spec,
     degree,
     diffusion,
     eigenvector_centrality,
@@ -43,8 +39,8 @@ from .centrality import (  # noqa: F401
     regularize,
     regularized_eigenvector_centrality,
 )
-from .errors import CentregError, ConfigError
-from .graph_model import Graphon, SparsityRule, _is_number, build_true_adjacency, observe, sample_latent
+from .errors import CentregError, ConfigError, _checked, _is_number
+from .graph_model import Graphon, SparsityRule, build_true_adjacency, observe, sample_latent
 from .io import write_edge_list, write_table
 from .walks import reference_b  # noqa: F401
 
@@ -56,30 +52,17 @@ __all__ = [
     "run_cell",
     "run_experiment",
     "rejection_table",
-    "power_curve",
-    "attenuation_study",
     "write_outputs",
 ]
 
 ESTIMATOR_KINDS = ("degree", "diffusion", "eigenvector", "regularized-eigenvector")
 
 
-# field -> (accepts, expectation) for the optional spec fields; ``type(v) is
-# int`` leaves out bool
-_SPEC_CHECKS = {
-    "delta": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "T": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "delta_rule": (lambda v: v in DELTA_RULES, f"one of {DELTA_RULES}"),
-    "scaling": (lambda v: v in SCALINGS, f"one of {SCALINGS}"),
-    "a": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
-    "reg_mode": (lambda v: v in REG_MODES, f"one of {REG_MODES}"),
-    "p_n": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "M": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "mode": (lambda v: v in inference.MODES, f"one of {inference.MODES}"),
-}
+# the estimator spec's inference mode next to its centrality fields (SPEC_CHECKS)
+_SPEC_CHECKS = {**SPEC_CHECKS, "mode": (lambda v: v in inference.MODES, f"one of {inference.MODES}")}
 
-# the same for the optional top-level config fields and the error model's;
-# [accepts] wants a nonempty list of accepted items
+# field -> (accepts, expectation) for the optional top-level config fields
+# and the error model's
 _CONFIG_CHECKS = {
     "n_grid": ([lambda v: type(v) is int and 2 <= v < 2**31], "an integer in [2, 2^31)"),  # int32 ids
     "beta_true": (_is_number, "a finite number"),
@@ -93,27 +76,6 @@ _CONFIG_CHECKS = {
     "threads": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
 }
 _ERROR_MODEL_CHECKS = {"sigma": (lambda v: _is_number(v) and v > 0, "a finite number > 0")}
-
-
-def _checked(d: dict, checks: dict, where: Callable[[str], str]) -> dict:
-    """The fields of ``d`` that ``checks`` lists, each one accepted by its check.
-
-    A bad field raises ConfigError at ``where(field)``, a bad item of a list
-    field at ``where(field)/k``.
-    """
-    given = {k: v for k, v in d.items() if k in checks}
-    for name, value in given.items():
-        accepts, expected = checks[name]
-        if not isinstance(accepts, list):
-            items = [(where(name), value)]
-        elif not isinstance(value, list) or not value:
-            raise ConfigError(where(name), f"expected a nonempty list, got {value!r}")
-        else:
-            accepts, items = accepts[0], [(f"{where(name)}/{k}", v) for k, v in enumerate(value)]
-        for pointer, item in items:
-            if not accepts(item):
-                raise ConfigError(pointer, f"expected {expected}, got {item!r}")
-    return given
 
 
 @dataclass(frozen=True)
@@ -154,10 +116,11 @@ class Estimator:
         if fitted and est.kind == "diffusion" and est.T not in B_ROWS:
             raise ConfigError(where("T"), f"expected an integer in [1, {max(B_ROWS)}] (the reference b table)"
                                           f" for a diffusion fit, got {est.T}")
-        if est.spectral and est.scaling == "fixed" and est.a is None:
-            raise ConfigError(where("a"), "fixed scaling needs a")
-        if est.kind == "regularized-eigenvector" and est.reg_mode == "plug-in" and est.M is None:
-            raise ConfigError(where("M"), "plug-in regularization needs M")
+        # an oracle's p_n is checked at call time, where the cell's p stands in for it
+        if est.spectral:
+            check_spec(where, scaling=est.scaling, a=est.a)
+        if est.kind == "regularized-eigenvector":
+            check_spec(where, reg_mode=est.reg_mode, M=est.M)
         return est
 
     @property
@@ -178,12 +141,11 @@ class Estimator:
         if self.kind == "degree":
             return degree(m)
         if self.kind == "diffusion":
-            return diffusion(m, DiffusionParams(self.delta, self.T, self.delta_rule), **eig_kwargs)
-        scaling = ScalingPolicy(self.scaling, self.a)
+            return diffusion(m, self.delta, self.T, self.delta_rule, **eig_kwargs)
         if self.kind == "eigenvector":
-            return eigenvector_centrality(m, scaling, **eig_kwargs)
-        spec = RegularizationSpec(self.reg_mode, p_n=self.p_n if self.p_n is not None else p, M=self.M)
-        return regularized_eigenvector_centrality(m, scaling, spec, **eig_kwargs)
+            return eigenvector_centrality(m, self.scaling, self.a, **eig_kwargs)
+        p_n = self.p_n if self.p_n is not None else p
+        return regularized_eigenvector_centrality(m, self.scaling, self.a, self.reg_mode, p_n, self.M, **eig_kwargs)
 
     def fit(self, y, a_hat, c_hat: CentralityVector) -> inference.RegressionFit:
         """OLS of y on c_hat in this estimator's mode, with B_hat and V_hat read off c_hat and Ahat."""
@@ -493,43 +455,6 @@ def rejection_table(
                             "failures": cell.replications - n_ok,
                         }
                     )
-    return rows
-
-
-def power_curve(
-    cell: CellResult,
-    estimator_label: str,
-    beta0_grid: Sequence[float],
-    alpha: float = 0.05,
-    statistic: str = "ours",
-) -> List[dict]:
-    """Rejection rate of H0: beta = beta0 across a beta0 grid."""
-    rows = rejection_table(cell, beta0_grid, [alpha])
-    want = f"{estimator_label}:{statistic}"
-    return [r for r in rows if r["estimator"] == want]
-
-
-def attenuation_study(cfg: ExperimentConfig, threads: Optional[int] = None) -> List[dict]:
-    """Mean degree-regression slope per n, next to the analytic plim.
-
-    Intended for the flat graphon at p = 1/n, where the probability limit of
-    the noisy slope is np / (np + 1) times the true coefficient.
-    """
-    result = run_experiment(cfg, threads=threads)
-    rows = []
-    for cell in result.cells:
-        label = next((l for l in cell.estimators if l == "degree"), cell.estimators[0])
-        ok = cell.ok_mask(label)
-        mean_hat = float(np.nanmean(cell.draws[label]["beta_hat"][ok]))
-        np_ = cell.n * cell.p
-        rows.append(
-            {
-                "n": cell.n,
-                "p": cell.p,
-                "mean_beta_hat": mean_hat,
-                "plim_reference": cfg.beta_true * np_ / (np_ + 1.0),
-            }
-        )
     return rows
 
 

@@ -79,7 +79,7 @@ class BiasPolynomial:
 # walk enumeration
 
 
-def count_even_path_walks(t: int, cap: int = WALK_LENGTH_CAP) -> WalkCountTable:
+def count_even_path_walks(t: int) -> WalkCountTable:
     """Enumerate admissible walks in canonical first-visit labeling.
 
     A prefix is abandoned as soon as its deduplicated edge set stops being a
@@ -88,8 +88,8 @@ def count_even_path_walks(t: int, cap: int = WALK_LENGTH_CAP) -> WalkCountTable:
     """
     if t % 2 != 0:
         raise OddLength(f"no all-even-multiplicity walk has odd length {t}")
-    if not 2 <= t <= cap:
-        raise BudgetExceeded(f"walk length {t} outside the enumeration budget [2, {cap}]")
+    if not 2 <= t <= WALK_LENGTH_CAP:
+        raise BudgetExceeded(f"walk length {t} outside the enumeration budget [2, {WALK_LENGTH_CAP}]")
     return WalkCountTable(t=t, counts=dict(_walk_counts(t)))
 
 
@@ -138,7 +138,7 @@ def _walk_counts(t: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def count_even_path_walks_isomorphism(t: int, cap: int = 8) -> WalkCountTable:
+def count_even_path_walks_isomorphism(t: int) -> WalkCountTable:
     """Independent cross-check enumerator.
 
     Generates every walk over a fixed label pool without canonicality
@@ -148,8 +148,8 @@ def count_even_path_walks_isomorphism(t: int, cap: int = 8) -> WalkCountTable:
     """
     if t % 2 != 0:
         raise OddLength(f"no all-even-multiplicity walk has odd length {t}")
-    if not 2 <= t <= cap:
-        raise BudgetExceeded(f"isomorphism enumerator capped at t <= {cap}")
+    if not 2 <= t <= 8:
+        raise BudgetExceeded("isomorphism enumerator capped at t <= 8")
     classes = set()
     labels = range(t + 1)
     for tail in product(labels, repeat=t):
@@ -224,57 +224,49 @@ def _poly_mul(p: Dict[int, int], q: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def _pattern_power_poly(length: int, blocks, cap: int) -> Dict[int, int]:
+def _pattern_power_poly(length: int, blocks) -> Dict[int, int]:
     """Polynomial (in powers of the true adjacency) contributed by a pattern."""
     tau = sum(b - a + 1 for a, b in blocks)
     poly = {length - tau: 1}
     for a, b in blocks:
-        counts = dict(_walk_counts_capped(b - a + 1, cap))
-        poly = _poly_mul(poly, counts)
+        poly = _poly_mul(poly, dict(_walk_counts(b - a + 1)))
     return poly
-
-
-def _walk_counts_capped(t: int, cap: int):
-    if t > cap:
-        raise BudgetExceeded(
-            f"derivation needs walk counts at length {t}, beyond the budget cap {cap}"
-        )
-    return _walk_counts(t)
 
 
 # ---------------------------------------------------------------------------
 # g(t)
 
 
-def derive_g(t: int, cap: int = WALK_LENGTH_CAP) -> GPolynomial:
+def derive_g(t: int) -> GPolynomial:
     """Derive g(t) from first principles.
 
     Recursion: every even noise pattern inside the expansion of
     iota' Ahat^t iota contributes a product of per-run walk polynomials in
     powers of the true adjacency; substituting previously derived g(k) for
     each power and subtracting from iota' Ahat^t iota leaves an estimator
-    of iota' A^t iota with exact integer coefficients.
+    of iota' A^t iota with exact integer coefficients.  A run is at most t
+    long, so t <= WALK_LENGTH_CAP bounds every walk count it needs.
     """
     if t < 1:
         raise BudgetExceeded(f"g(t) needs t >= 1, got {t}")
-    if t > cap:
-        raise BudgetExceeded(f"g({t}) exceeds the derivation budget cap {cap}")
+    if t > WALK_LENGTH_CAP:
+        raise BudgetExceeded(f"g({t}) exceeds the derivation budget cap {WALK_LENGTH_CAP}")
     with _derive_lock:
-        coeffs = _derive_g_cached(t, cap)
+        coeffs = _derive_g_cached(t)
     return GPolynomial(t=t, coeffs=dict(coeffs))
 
 
 @lru_cache(maxsize=None)
-def _derive_g_cached(t: int, cap: int) -> Tuple[Tuple[int, int], ...]:
+def _derive_g_cached(t: int) -> Tuple[Tuple[int, int], ...]:
     if t == 1:
         return ((1, 1),)
     correction: Dict[int, int] = {}
     for pattern, blocks in _even_patterns(t):
-        for power, c in _pattern_power_poly(t, blocks, cap).items():
+        for power, c in _pattern_power_poly(t, blocks).items():
             correction[power] = correction.get(power, 0) + c
     coeffs = {t: 1}
     for power, c in correction.items():
-        for r, gr in _derive_g_cached(power, cap):
+        for r, gr in _derive_g_cached(power):
             coeffs[r] = coeffs.get(r, 0) - c * gr
     return tuple(sorted((r, c) for r, c in coeffs.items() if c))
 
@@ -283,7 +275,7 @@ def _derive_g_cached(t: int, cap: int) -> Tuple[Tuple[int, int], ...]:
 # b_T(t, delta)
 
 
-def derive_b(T: int, cap: int = DERIVE_B_CAP) -> BiasPolynomial:
+def derive_b(T: int) -> BiasPolynomial:
     """Derive the diffusion de-biasing coefficients for horizon T.
 
     For every split (s, t) in [1, T]^2 the expansion of
@@ -294,13 +286,13 @@ def derive_b(T: int, cap: int = DERIVE_B_CAP) -> BiasPolynomial:
     reproduces the published tables (see tests against ``reference_b``).
     Each admissible pattern contributes, via the per-run walk polynomials
     and the g substitution, integer coefficients on delta^(s+t) times the
-    observable moments.
+    observable moments.  T <= DERIVE_B_CAP keeps patterns, and so runs,
+    within 2T <= WALK_LENGTH_CAP.
     """
     if T < 1:
         raise BudgetExceeded(f"derive_b needs T >= 1, got {T}")
-    if T > cap:
-        raise BudgetExceeded(f"derive_b({T}) exceeds the derivation budget cap {cap}")
-    walk_cap = max(WALK_LENGTH_CAP, 2 * T)
+    if T > DERIVE_B_CAP:
+        raise BudgetExceeded(f"derive_b({T}) exceeds the derivation budget cap {DERIVE_B_CAP}")
     acc: Dict[Tuple[int, int], int] = {}
     for s in range(1, T + 1):
         for t in range(1, T + 1):
@@ -308,8 +300,8 @@ def derive_b(T: int, cap: int = DERIVE_B_CAP) -> BiasPolynomial:
             for pattern, blocks in _even_patterns(length):
                 if not _admissible(blocks, s, t):
                     continue
-                for power, c in _pattern_power_poly(length, blocks, walk_cap).items():
-                    for r, gr in _derive_g_cached(power, walk_cap):
+                for power, c in _pattern_power_poly(length, blocks).items():
+                    for r, gr in _derive_g_cached(power):
                         key = (r, length)
                         acc[key] = acc.get(key, 0) + c * gr
     return BiasPolynomial(T=T, coeffs={k: v for k, v in sorted(acc.items()) if v})

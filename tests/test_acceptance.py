@@ -22,11 +22,8 @@ import pytest
 from scipy.stats import kstest, norm
 
 from centreg import (
-    DiffusionParams,
     ExperimentConfig,
     Graphon,
-    RegularizationSpec,
-    ScalingPolicy,
     SparsityRule,
     SymmetricSparseMatrix,
     bias_correct,
@@ -147,7 +144,7 @@ def test_criterion_2_triangle_fixtures():
     deg = degree(k3).values
     _check(lines, "2 degree", np.allclose(deg, [2, 2, 2], atol=tol), f"degree {deg}")
 
-    dif = diffusion(k3, DiffusionParams(delta=0.5, T=2)).values
+    dif = diffusion(k3, delta=0.5, T=2).values
     _check(lines, "2 diffusion", np.allclose(dif, [2, 2, 2], atol=tol), f"delta=.5 T=2 {dif}")
 
     lam, v = leading_eigenpair(k3)
@@ -192,7 +189,7 @@ def test_criterion_3_oracle_equivalences():
         T = int(rng.integers(1, 6))
         delta = float(rng.uniform(0.1, 1.0))
         m = _random_binary(n, 0.35, int(rng.integers(1 << 30)))
-        got = diffusion(m, DiffusionParams(delta=delta, T=T)).values
+        got = diffusion(m, delta=delta, T=T).values
         dense = m.toarray()
         expect = np.zeros(n)
         power = np.eye(n)
@@ -210,8 +207,7 @@ def test_criterion_3_oracle_equivalences():
         m = _random_binary(n, 0.4, int(rng.integers(1 << 30)))
         if m.n_edges == 0:
             continue
-        params = DiffusionParams(delta=delta, T=T)
-        c = diffusion(m, params)
+        c = diffusion(m, delta=delta, T=T)
         y = np.random.default_rng(1).standard_normal(n) + c.values
         fit = ols(y, c, mode="noisy-diffusion")
         _, V = diffusion_bias_variance(m, fit)
@@ -442,8 +438,6 @@ def test_criterion_8_regularization():
     n, p = 200, 0.05
     tau_oracle = 2 * n * p
     g = Graphon.constant(1.0)
-    spec_oracle = RegularizationSpec(mode="oracle", p_n=p)
-    spec_plug = RegularizationSpec(mode="plug-in", M=1.0)
 
     bound_ok = True
     passthrough_checked = 0
@@ -454,7 +448,7 @@ def test_criterion_8_regularization():
     for draw in range(100):
         u = sample_latent(n, seed=draw)
         a_hat = observe(build_true_adjacency(g, u, p), seed=10_000 + draw)
-        reg = regularize(a_hat, spec_oracle)
+        reg = regularize(a_hat, reg_mode="oracle", p_n=p)
         lam = reg.node_weights
         degs = a_hat.row_sums()
         bound_ok &= bool(np.all(lam * degs <= tau_oracle + 1e-9))
@@ -464,7 +458,7 @@ def test_criterion_8_regularization():
         rho_hat = a_hat.total() / (n * (n - 1))
         rho_devs.append(rho_hat - p)
         # plug-in threshold is 1.5x the oracle up to the rho-hat sampling error
-        ratio = spec_plug.threshold(a_hat) / (1.5 * tau_oracle)
+        ratio = regularize(a_hat, reg_mode="plug-in", M=1.0).threshold / (1.5 * tau_oracle)
         ratio_ok &= abs(ratio - 1.0) <= 5 * sd_rho / p
 
     _check(lines, "8 degree bound", bound_ok, "lambda_i * deg_i <= tau on all 100 draws")

@@ -1,23 +1,26 @@
 """Centrality computations against closed forms and dense oracles."""
 
+import argparse
+import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from centreg import (
-    DiffusionParams,
-    RegularizationSpec,
-    ScalingPolicy,
+    Estimator,
     SymmetricSparseMatrix,
     degree,
     diffusion,
     eigenvector_centrality,
     leading_eigenpair,
     regularize,
+    regularized_eigenvector_centrality,
 )
-from centreg.centrality import _KRYLOV
-from centreg.errors import DegenerateGapWarning, DegenerateSpectrum, EmptyGraph, InvalidBound, NoConvergence
+from centreg.centrality import _KRYLOV, SPEC_CHECKS
+from centreg.cli import _add_estimator_flags
+from centreg.errors import ConfigError, DegenerateGapWarning, DegenerateSpectrum, EmptyGraph, NoConvergence
 
 K3 = SymmetricSparseMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
 PATH3 = SymmetricSparseMatrix.from_edges(3, [0, 1], [1, 2])
@@ -38,18 +41,18 @@ def test_degree_fixtures():
 
 
 def test_diffusion_equals_degree_at_t1_delta1():
-    d = diffusion(K3, DiffusionParams(delta=1.0, T=1))
+    d = diffusion(K3, delta=1.0, T=1)
     assert np.allclose(d.values, degree(K3).values)
 
 
 def test_diffusion_k3_fixture():
-    d = diffusion(K3, DiffusionParams(delta=0.5, T=2))
+    d = diffusion(K3, delta=0.5, T=2)
     assert np.allclose(d.values, [2.0, 2.0, 2.0], atol=1e-12)
 
 
 def test_diffusion_empty_graph_zero():
     empty = SymmetricSparseMatrix.from_edges(4, [], [])
-    d = diffusion(empty, DiffusionParams(delta=0.7, T=3))
+    d = diffusion(empty, delta=0.7, T=3)
     assert np.all(d.values == 0)
 
 
@@ -62,7 +65,7 @@ def test_diffusion_matches_dense_powers(seed):
     dense = m.toarray()
     delta = float(rng.uniform(0.1, 1.0))
     T = int(rng.integers(1, 6))
-    got = diffusion(m, DiffusionParams(delta=delta, T=T)).values
+    got = diffusion(m, delta=delta, T=T).values
     expect = np.zeros(n)
     power = np.eye(n)
     for t in range(1, T + 1):
@@ -161,11 +164,11 @@ def test_lanczos_product_budget():
 
 
 def test_eigenvector_centrality_scalings():
-    c = eigenvector_centrality(K3, ScalingPolicy(kind="sqrt-lambda1"))
+    c = eigenvector_centrality(K3, scaling="sqrt-lambda1")
     assert np.allclose(c.values, np.sqrt(2) / np.sqrt(3), atol=1e-9)
-    c1 = eigenvector_centrality(K3, ScalingPolicy(kind="fixed", a=1.0))
+    c1 = eigenvector_centrality(K3, scaling="fixed", a=1.0)
     assert np.allclose(c1.values, 1 / np.sqrt(3), atol=1e-9)
-    cn = eigenvector_centrality(K3, ScalingPolicy(kind="sqrt-n"))
+    cn = eigenvector_centrality(K3, scaling="sqrt-n")
     assert np.allclose(cn.values, 1.0, atol=1e-9)
     assert np.linalg.norm(cn.values) == pytest.approx(np.sqrt(3), rel=1e-8)
 
@@ -175,7 +178,7 @@ def test_sqrt_lambda1_outer_product_is_best_rank_one(seed):
     m = random_binary(int(np.random.default_rng(seed).integers(6, 31)), 0.4, seed + 900)
     if m.n_edges == 0:
         return
-    c = eigenvector_centrality(m, ScalingPolicy(kind="sqrt-lambda1"))
+    c = eigenvector_centrality(m, scaling="sqrt-lambda1")
     outer = np.outer(c.values, c.values)
     w, V = np.linalg.eigh(m.toarray())
     idx = int(np.argmax(np.abs(w)))
@@ -193,7 +196,7 @@ def test_diffusion_approaches_eigenvector_in_t():
         delta = 1.0 / lam
         prev = -1.0
         for T in (1, 5, 20, 80, 200):
-            c = diffusion(m, DiffusionParams(delta=delta, T=T)).values
+            c = diffusion(m, delta=delta, T=T).values
             cos = float(c @ v / np.linalg.norm(c))
             assert cos >= prev - 1e-12
             prev = cos
@@ -201,9 +204,9 @@ def test_diffusion_approaches_eigenvector_in_t():
 
 
 def test_inverse_lambda1_delta_rule():
-    d = diffusion(K3, DiffusionParams(T=2, delta_rule="inverse-lambda1"))
+    d = diffusion(K3, T=2, delta_rule="inverse-lambda1")
     assert d.recipe["delta"] == pytest.approx(0.5, abs=1e-9)
-    d2 = diffusion(K3, DiffusionParams(T=2, delta_rule="inverse-sqrt-lambda1"))
+    d2 = diffusion(K3, T=2, delta_rule="inverse-sqrt-lambda1")
     assert d2.recipe["delta"] == pytest.approx(1 / np.sqrt(2), abs=1e-9)
 
 
@@ -212,8 +215,7 @@ def test_inverse_lambda1_delta_rule():
 
 
 def test_regularize_passthrough_when_degrees_small():
-    spec = RegularizationSpec(mode="oracle", p_n=0.9)  # tau = 2*3*0.9 = 5.4 > all degrees
-    out = regularize(K3, spec)
+    out = regularize(K3, reg_mode="oracle", p_n=0.9)  # tau = 2*3*0.9 = 5.4 > all degrees
     assert np.array_equal(out.toarray(), K3.toarray())
     assert np.all(out.node_weights == 1.0)
 
@@ -222,8 +224,7 @@ def test_regularize_high_degree_node():
     # star with center degree 10 and tau = 5 -> lambda_center = 0.5
     n = 11
     star = SymmetricSparseMatrix.from_edges(n, [0] * 10, list(range(1, 11)))
-    spec = RegularizationSpec(mode="oracle", p_n=5.0 / (2 * n))
-    out = regularize(star, spec)
+    out = regularize(star, reg_mode="oracle", p_n=5.0 / (2 * n))
     lam = out.node_weights
     assert lam[0] == pytest.approx(0.5)
     assert np.all(lam[1:] == 1.0)
@@ -235,15 +236,14 @@ def test_regularize_high_degree_node():
 
 def test_regularize_empty_graph():
     empty = SymmetricSparseMatrix.from_edges(4, [], [])
-    out = regularize(empty, RegularizationSpec(mode="oracle", p_n=0.5))
+    out = regularize(empty, reg_mode="oracle", p_n=0.5)
     assert np.all(out.toarray() == 0)
     assert np.all(out.node_weights == 1.0)
 
 
 def test_regularize_sparse_matches_dense_formula():
     m = random_binary(60, 0.3, seed=31)
-    spec = RegularizationSpec(mode="oracle", p_n=0.1)  # tau = 12 < most degrees
-    out = regularize(m, spec)
+    out = regularize(m, reg_mode="oracle", p_n=0.1)  # tau = 12 < most degrees
     root = np.sqrt(out.node_weights)
     dense = m.toarray() * np.outer(root, root)
     assert (out.node_weights < 1.0).any()
@@ -258,18 +258,80 @@ def test_regularize_sparse_matches_dense_formula():
 
 
 def test_regularize_plug_in_threshold():
-    spec = RegularizationSpec(mode="plug-in", M=1.0)
     # K3: rho_hat = 6 / 6 = 1, tau = 3 * 3 * 1 / 1 = 9
-    assert spec.threshold(K3) == pytest.approx(9.0)
-    with pytest.raises(InvalidBound):
-        RegularizationSpec(mode="plug-in", M=0.0)
-    with pytest.raises(InvalidBound):
-        RegularizationSpec(mode="plug-in", M=1.5)
+    assert regularize(K3, reg_mode="plug-in", M=1.0).threshold == pytest.approx(9.0)
+    with pytest.raises(ConfigError, match="^M: "):
+        regularize(K3, reg_mode="plug-in", M=0.0)
+    with pytest.raises(ConfigError, match="^M: "):
+        regularize(K3, reg_mode="plug-in", M=1.5)
+
+
+class NegatedIdentity:
+    """-I on R^4: every eigenvalue is -1."""
+
+    n = 4
+
+    def matvec(self, v):
+        return -v
+
+    def frobenius(self):
+        return 2.0
 
 
 def test_sqrt_lambda1_rejects_nonpositive():
+    # leading_eigenpair rejects lambda1 <= 0 before a_n = sqrt(lambda1) is taken
     with pytest.raises(DegenerateSpectrum):
-        ScalingPolicy(kind="sqrt-lambda1").resolve(5, 0.0)
+        eigenvector_centrality(NegatedIdentity(), scaling="sqrt-lambda1")
+
+
+# ---------------------------------------------------------------------------
+# the estimator spec: one check per field, for configs, flags and keywords
+
+CENTRALITY_OF = {
+    "diffusion": diffusion,
+    "eigenvector": eigenvector_centrality,
+    "regularized-eigenvector": regularized_eigenvector_centrality,
+}
+
+
+@pytest.mark.parametrize(
+    "kind,spec,field",
+    [
+        ("diffusion", {"T": 2.5}, "T"),
+        ("diffusion", {"T": True}, "T"),
+        ("diffusion", {"delta": 2}, "delta"),
+        ("diffusion", {"delta": math.nan}, "delta"),
+        ("diffusion", {"delta_rule": "x"}, "delta_rule"),
+        ("eigenvector", {"scaling": "fixed", "a": math.nan}, "a"),
+        ("eigenvector", {"scaling": "fixed", "a": math.inf}, "a"),
+        ("eigenvector", {"scaling": "fixed"}, "a"),
+        ("eigenvector", {"scaling": "x"}, "scaling"),
+        ("regularized-eigenvector", {"reg_mode": "plug-in", "M": True}, "M"),
+        ("regularized-eigenvector", {"reg_mode": "plug-in", "M": 0}, "M"),
+        ("regularized-eigenvector", {"reg_mode": "plug-in"}, "M"),
+        ("regularized-eigenvector", {"reg_mode": "oracle", "p_n": 0}, "p_n"),
+        ("regularized-eigenvector", {"reg_mode": "x", "p_n": 0.5}, "reg_mode"),
+    ],
+)
+def test_spec_and_keywords_reject_the_same_field(kind, spec, field):
+    with pytest.raises(ConfigError, match=f"^/{field}: "):
+        Estimator.from_spec({"kind": kind, **spec}, lambda name: "/" + name)
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        CENTRALITY_OF[kind](K3, **spec)
+
+
+def test_oracle_p_n_is_required_at_call_time():
+    est = Estimator.from_spec({"kind": "regularized-eigenvector"}, str)  # a cell's p stands in for it
+    with pytest.raises(ConfigError, match="^p_n: oracle regularization needs p_n"):
+        est.centrality(K3)
+    assert est.centrality(K3, 0.5).recipe["mode"] == "oracle"
+
+
+def test_each_spec_field_has_one_check_and_one_flag():
+    parser = argparse.ArgumentParser()
+    _add_estimator_flags(parser, "--kind")
+    flags = {action.dest for action in parser._actions} - {"help", "kind"}
+    assert {f.name for f in fields(Estimator)} - {"kind", "mode"} == set(SPEC_CHECKS) == flags
 
 
 @pytest.mark.parametrize(

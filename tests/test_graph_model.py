@@ -14,7 +14,6 @@ from centreg import (
     FactoredMatrix,
     Graphon,
     SparsityRule,
-    RegularizationSpec,
     SymmetricSparseMatrix,
     build_true_adjacency,
     graph_model,
@@ -436,7 +435,7 @@ def test_matvec_kernels_match_scipy_product(n, pairs, seed):
     full = _scipy_full(n, rows, cols)
     v = np.random.default_rng(seed).standard_normal(n)
     assert np.array_equal(m.matvec(v), full @ v)
-    reg = regularize(m, RegularizationSpec(mode="oracle", p_n=0.75 / n))  # tau = 1.5 caps every degree above 1
+    reg = regularize(m, reg_mode="oracle", p_n=0.75 / n)  # tau = 1.5 caps every degree above 1
     root = np.sqrt(reg.node_weights)
     data = np.repeat(root, np.diff(full.indptr)) * root[full.indices]  # sqrt(lambda_i lambda_j) on entry (i, j)
     weighted = sp.csr_matrix((data, full.indices, full.indptr), shape=(n, n))

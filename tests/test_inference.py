@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from centreg import (
-    DiffusionParams,
-    ScalingPolicy,
     SymmetricSparseMatrix,
     bias_correct,
     confidence,
@@ -172,8 +170,7 @@ def test_degree_diffusion_agreement_at_t1_delta1(seed):
     y = rng.standard_normal(n) + degree(m).values
     fit_deg = ols(y, degree(m), mode="noisy-degree")
     Bd, Vd = degree_bias_variance(m, fit_deg)
-    params = DiffusionParams(delta=1.0, T=1)
-    fit_dif = ols(y, diffusion(m, params), mode="noisy-diffusion")
+    fit_dif = ols(y, diffusion(m, delta=1.0, T=1), mode="noisy-diffusion")
     Bt, Vt = diffusion_bias_variance(m, fit_dif)
     assert fit_deg.beta_hat == pytest.approx(fit_dif.beta_hat, rel=1e-12)
     assert Bd == pytest.approx(Bt, rel=1e-12)
@@ -185,8 +182,7 @@ def test_diffusion_bias_k3_t2():
     # numerator (d^2 - 3d^3 + 3d^4) m1 + (3d^3 - 2d^4) m2 + 2 d^4 m3
     # with m1, m2, m3 = 6, 12, 24 on K3
     d = 0.5
-    params = DiffusionParams(delta=d, T=2)
-    c = diffusion(K3, params)
+    c = diffusion(K3, delta=d, T=2)
     fit = ols(np.array([1.0, 2.0, 3.0]), c, mode="noisy-diffusion")
     B, _ = diffusion_bias_variance(K3, fit)
     numer = (d**2 - 3 * d**3 + 3 * d**4) * 6 + (3 * d**3 - 2 * d**4) * 12 + 2 * d**4 * 24
@@ -203,8 +199,7 @@ def test_diffusion_variance_matches_hadamard_formula(seed):
     if m.n_edges == 0:
         return
     delta = float(rng.uniform(0.2, 1.0))
-    params = DiffusionParams(delta=delta, T=T)
-    c = diffusion(m, params)
+    c = diffusion(m, delta=delta, T=T)
     y = rng.standard_normal(n) + c.values
     fit = ols(y, c, mode="noisy-diffusion")
     _, V = diffusion_bias_variance(m, fit)
@@ -237,7 +232,7 @@ def test_variance_estimators_match_two_sided_edge_sums(seed):
     _, V = degree_bias_variance(m, fit)
     assert V == 0.5 * float(np.sum((deg[rows] + deg[cols]) ** 2)) / fit.ssq_c**2
 
-    c = eigenvector_centrality(m, ScalingPolicy(kind="sqrt-n"))
+    c = eigenvector_centrality(m, scaling="sqrt-n")
     fit = ols(y + c.values, c, mode="noisy-eigenvector-case-b")
     _, V = eigen_bias_variance(m, fit)
     sq = c.values**2
@@ -245,8 +240,7 @@ def test_variance_estimators_match_two_sided_edge_sums(seed):
     assert V == pytest.approx(want, rel=1e-12)
 
     T, delta = int(rng.integers(1, 4)), float(rng.uniform(0.1, 1.0))
-    params = DiffusionParams(delta=delta, T=T)
-    c = diffusion(m, params)
+    c = diffusion(m, delta=delta, T=T)
     fit = ols(y + c.values, c, mode="noisy-diffusion")
     _, V = diffusion_bias_variance(m, fit)
     powers = [np.ones(n)]
@@ -259,7 +253,7 @@ def test_variance_estimators_match_two_sided_edge_sums(seed):
 
 def test_eigen_bias_variance_k3():
     lam, _ = leading_eigenpair(K3)
-    c = eigenvector_centrality(K3, ScalingPolicy(kind="sqrt-lambda1"))
+    c = eigenvector_centrality(K3, scaling="sqrt-lambda1")
     fit = ols(c.values + 0.0, c, mode="noisy-eigenvector-case-b")
     B, V = eigen_bias_variance(K3, fit)
     assert B == pytest.approx(0.5, rel=1e-9)
@@ -280,7 +274,7 @@ def test_degree_bias_variance_takes_a_degree_or_plain_array_fit_only():
     y = np.array([1.0, 2.0, 4.0])
     on_vector, on_array = ols(y, degree(K3), mode="noisy-degree"), ols(y, degree(K3).values, mode="noisy-degree")
     assert degree_bias_variance(K3, on_vector) == degree_bias_variance(K3, on_array)
-    fit = ols(y, diffusion(K3, DiffusionParams(delta=0.5, T=2)), mode="noisy-degree")
+    fit = ols(y, diffusion(K3, delta=0.5, T=2), mode="noisy-degree")
     with pytest.raises(ConfigMismatch, match="got a diffusion centrality$"):
         degree_bias_variance(K3, fit)
 
@@ -289,13 +283,13 @@ def test_bias_variance_reads_delta_t_and_lambda1_from_the_fit():
     # the diffusion fit at delta = 0.5, T = 2 gives the K3 numerator of
     # test_diffusion_bias_k3_t2; the eigenvector one divides by its own lambda1
     d = 0.5
-    c = diffusion(K3, DiffusionParams(delta=d, T=2))
+    c = diffusion(K3, delta=d, T=2)
     fit = ols(np.array([1.0, 2.0, 3.0]), c, mode="noisy-diffusion")
     assert fit.centrality is c
     B, _ = diffusion_bias_variance(K3, fit)
     numer = (d**2 - 3 * d**3 + 3 * d**4) * 6 + (3 * d**3 - 2 * d**4) * 12 + 2 * d**4 * 24
     assert B == numer / fit.ssq_c
-    c = eigenvector_centrality(K3, ScalingPolicy(kind="sqrt-n"))
+    c = eigenvector_centrality(K3, scaling="sqrt-n")
     fit = ols(np.array([1.0, 2.0, 3.0]), c, mode="noisy-eigenvector-case-a")
     B, _ = eigen_bias_variance(K3, fit)
     assert B == 1.0 / c.lambda1
@@ -405,7 +399,7 @@ def test_confidence_wraps_when_denominators_straddle():
 @pytest.mark.parametrize("mode", ["noisy-eigenvector-case-a", "noisy-eigenvector-case-b"])
 def test_linear_confidence_beyond_full_attenuation(mode):
     # 1 - B_hat = -0.5: the set flips to [(b + z sd) / a, (b - z sd) / a]
-    z = float(ndtri(0.975))
+    z = critical_value(0.05)  # the z that confidence uses
     fit = make_fit(beta_hat=1.0, V0=0.04, B=1.5, V=0.04, mode=mode)
     iv = confidence(fit, 0.05)
     assert iv.c == (Interval((1.0 + 0.2 * z) / -0.5, (1.0 - 0.2 * z) / -0.5),)

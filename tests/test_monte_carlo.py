@@ -14,10 +14,8 @@ from centreg import (
     FactoredMatrix,
     Graphon,
     SparsityRule,
-    attenuation_study,
     build_true_adjacency,
     observe,
-    power_curve,
     rejection_table,
     run_cell,
     run_experiment,
@@ -92,24 +90,11 @@ def test_rejection_table_self_consistent():
 def test_power_curve_grid():
     cfg = small_config()
     cell = run_cell(cfg, 50)
-    rows = power_curve(cell, "degree", [0.5, 1.0, 2.0], alpha=0.05)
+    rows = [r for r in rejection_table(cell, [0.5, 1.0, 2.0], [0.05]) if r["estimator"] == "degree:ours"]
     assert [r["beta0"] for r in rows] == [0.5, 1.0, 2.0]
     # rejection at the true value should be smallest
     rates = {r["beta0"]: r["reject_rate"] for r in rows}
     assert rates[1.0] <= rates[0.5] and rates[1.0] <= rates[2.0]
-
-
-def test_attenuation_study_plim_reference():
-    cfg = small_config(
-        n_grid=[80, 160],
-        sparsity=SparsityRule("inverse-n"),
-        replications=40,
-        estimators=[{"kind": "degree"}],
-    )
-    rows = attenuation_study(cfg)
-    assert [r["n"] for r in rows] == [80, 160]
-    for r in rows:
-        assert r["plim_reference"] == pytest.approx(0.5)  # np = 1 under p = 1/n
 
 
 def test_config_json_validation_pointers():
