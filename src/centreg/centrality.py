@@ -251,8 +251,9 @@ def regularize(
     lambda_i = min(tau / deg_i, 1) with lambda_i = 1 for isolated nodes;
     output entries are sqrt(lambda_i lambda_j) * A_ij, the diagonal scaling
     D^1/2 Ahat D^1/2 of Le, Levina & Vershynin (2017), in O(n + nnz): a
-    rescale of Ahat's upper-triangle data on its own sparsity pattern.  The
-    output keeps the node weights and the threshold tau.  The guaranteed
+    rescale of Ahat's upper-triangle data on its own sparsity pattern.  When
+    no degree exceeds tau, D = I and the output shares the input's arrays.
+    The output keeps the node weights and the threshold tau.  The guaranteed
     bound is lambda_i * deg_i <= tau per node, not a bound on the
     reweighted degrees themselves.
     """
@@ -264,12 +265,15 @@ def regularize(
         tau = 3.0 * m.n * rho_hat / M
     deg = m.row_sums()
     lam = np.ones(m.n)
+    if deg.max() <= tau:
+        return SymmetricSparseMatrix(m.n, m.indptr, m.rows, m.cols, m.data, node_weights=lam, threshold=tau)
     busy = deg > 0
     lam[busy] = np.minimum(tau / deg[busy], 1.0)
     root = np.sqrt(lam)
     rows, cols = m.edge_arrays()
     data = root[rows]
     data *= root[cols]
+    data *= m.data
     return SymmetricSparseMatrix(m.n, m.indptr, m.rows, m.cols, data, node_weights=lam, threshold=tau)
 
 

@@ -40,6 +40,8 @@ _RANK_R_MAX = 32  # longest rank-r eigenvalue list
 _RANK_R_BINS = 16  # equal-width sampler bins on [0, 1] for rank-r graphons
 _RANGE_CHUNK = 1 << 20  # entries per block of the entry-by-entry range check
 _MAX_ENTRIES = 2**31 - 1  # stored entries an int32 indptr can address
+_GAP_MARGIN = 4.0  # standard deviations past the mean hit count that a first batch of gaps covers
+_THIN_CHUNK = 1 << 20  # candidates per thinning pass
 
 
 def _sparsetools_kernels():
@@ -69,28 +71,27 @@ class FactoredMatrix:
 
     Node features F (n x r) and the core M = p_n * (graphon core).  Products,
     sums and norms cost O(n r^2), so O(n B) for a B-block SBM; ``entries`` is
-    built only on request.  ``members[x]`` lists the nodes of sampler bin x,
-    and A_ij lies in [pair_lo[x, y], pair_hi[x, y]] for i in bin x, j in bin y.
+    built only on request.  Nodes follow latent order, so sampler bin x is
+    the index range ``starts[x]:starts[x + 1]``, and A_ij lies in
+    [pair_lo[x, y], pair_hi[x, y]] for i in bin x, j in bin y.
     """
 
-    def __init__(self, features: np.ndarray, core: np.ndarray, labels: np.ndarray, bins: int):
+    def __init__(self, features: np.ndarray, core: np.ndarray, starts: np.ndarray):
         self.features = np.asarray(features, dtype=np.float64)
         self.core = np.asarray(core, dtype=np.float64)
         self.n = len(self.features)
         self._diag = np.einsum("ir,ir->i", self.features @ self.core, self.features)  # F_i M F_i', absent from row i
         self._col_sums = np.ones(self.n) @ self.features  # a BLAS product: far faster than .sum(axis=0) for small r
-        self.labels = np.asarray(labels, dtype=np.min_scalar_type(bins))  # narrow: the stable argsort is a radix sort
-        self.sizes = np.bincount(self.labels, minlength=bins)
-        order, ends = np.argsort(self.labels, kind="stable"), np.cumsum(self.sizes)
-        self.members = np.split(order, ends[:-1])
-        self.pair_lo, self.pair_hi = self._pair_bounds(np.take(self.features, order, axis=0), ends - self.sizes)
+        self.starts = starts
+        self.pair_lo, self.pair_hi = self._pair_bounds()
         self._entries = None
 
-    def _pair_bounds(self, ordered: np.ndarray, starts: np.ndarray):
+    def _pair_bounds(self):
         """Interval bounds on F_i M F_j' per bin pair from the bins' feature ranges; 0 if a bin is empty."""
-        lo, hi = np.zeros((2, len(self.sizes), self.core.shape[0]))
-        full = self.sizes > 0
-        lo[full], hi[full] = np.minimum.reduceat(ordered, starts[full]), np.maximum.reduceat(ordered, starts[full])
+        full = np.diff(self.starts) > 0
+        lo, hi = np.zeros((2, len(full), self.core.shape[0]))
+        firsts = self.starts[:-1][full]
+        lo[full], hi[full] = np.minimum.reduceat(self.features, firsts), np.maximum.reduceat(self.features, firsts)
         if np.array_equal(lo, hi):  # features constant on every bin, as for constant and SBM graphons
             exact = lo @ self.core @ lo.T
             return exact, exact
@@ -368,16 +369,21 @@ class Graphon:
 
 @dataclass(frozen=True)
 class LatentSample:
-    """n i.i.d. U[0,1] latent types plus the seed that produced them."""
+    """n latent types in [0, 1], sorted, plus the seed that produced them.
+
+    Node i carries the i-th smallest type.  Nodes are exchangeable, so the
+    order changes no distribution, and it makes every sampler bin an index
+    range.  The types are sorted into a copy; the caller's array is kept.
+    """
 
     u: np.ndarray
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
+        object.__setattr__(self, "u", np.sort(np.asarray(self.u, dtype=np.float64)))
         if len(self.u) < 2:
             raise InvalidSize("latent sample needs n >= 2")
-        if self.u.min() < 0 or self.u.max() > 1:
+        if not (self.u[0] >= 0 and self.u[-1] <= 1):  # NaN sorts last and fails too
             raise InvalidGraphon("latent types must lie in [0, 1]")
 
     @property
@@ -435,7 +441,7 @@ class SparsityRule:
 
 
 def sample_latent(n: int, seed: int) -> LatentSample:
-    """Draw n i.i.d. U[0,1] latent types; bit-reproducible per (n, seed)."""
+    """Draw n i.i.d. U[0,1] latent types, kept in sorted order; bit-reproducible per (n, seed)."""
     if n < 2:
         raise InvalidSize(f"need n >= 2 nodes, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -445,20 +451,23 @@ def sample_latent(n: int, seed: int) -> LatentSample:
 def build_true_adjacency(g: Graphon, u: LatentSample, p_n: float) -> FactoredMatrix:
     """A_ij = p_n * f(U_i, U_j) off the diagonal, A_ii = 0.
 
-    Every p_n f(U_i, U_j), the diagonal included, must lie in [0, 1].  A bin
-    pair whose interval bounds lie inside [0, 1] passes as a whole; any
-    other is checked entry by entry, a block of rows at a time.
+    Node i has the i-th smallest type, so the sampler bin x, the nodes whose
+    type has x cuts at or below it, is a range of nodes.  Every
+    p_n f(U_i, U_j), the diagonal included, must lie in [0, 1].  A bin pair
+    whose interval bounds lie inside [0, 1] passes as a whole; any other is
+    checked entry by entry, a block of rows at a time.
     """
     if not (0.0 < p_n <= 1.0):
         raise InvalidSparsity(f"p_n must lie in (0, 1], got {p_n}")
-    a = FactoredMatrix(g.features(u.u), p_n * g.core, np.searchsorted(g.cuts, u.u, side="right"), len(g.cuts) + 1)
+    starts = np.concatenate(([0], np.searchsorted(u.u, g.cuts, side="left"), [u.n]))
+    a = FactoredMatrix(g.features(u.u), p_n * g.core, starts)
     for x, y in zip(*np.nonzero((a.pair_lo < 0.0) | (a.pair_hi > 1.0))):
         if x > y:
             continue  # the bounds are symmetric
-        rows, cols = a.members[x], a.members[y]
+        cols = a.features[starts[y]:starts[y + 1]]
         step = max(1, _RANGE_CHUNK // len(cols))
-        for start in range(0, len(rows), step):
-            vals = a.features[rows[start:start + step]] @ a.core @ a.features[cols].T
+        for start in range(starts[x], starts[x + 1], step):
+            vals = a.features[start:min(start + step, starts[x + 1])] @ a.core @ cols.T
             if vals.min() < 0.0 or vals.max() > 1.0:
                 raise InvalidGraphon("graphon values leave [0, 1] on the sampled grid")
     return a
@@ -467,45 +476,132 @@ def build_true_adjacency(g: Graphon, u: LatentSample, p_n: float) -> FactoredMat
 def observe(a: FactoredMatrix, seed: int) -> SymmetricSparseMatrix:
     """Draw the noisy adjacency: upper entries i.i.d. Bernoulli(A_ij).
 
-    Per bin pair, k ~ Binomial(#pairs, qbar) candidates form a uniform
-    k-subset of the pairs, with qbar the pair's bound on A clipped at 1
-    (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).  Each is kept with
-    probability A_ij / qbar (thinning: Lewis & Shedler, Naval Res. Logist.
-    Q. 26, 1979), on a stream spawned off the candidates' seed; bin pairs on
-    which A is constant, as for constant and SBM graphons, keep them all.
+    Bin pair (x, y), x <= y, covers the node pairs i < j with i in bin x and
+    j in bin y, numbered row-major.  Its candidates are a Bernoulli(qbar)
+    process over those numbers, with qbar the pair's bound on A clipped at
+    1, drawn as geometric gaps (Batagelj & Brandes, Phys. Rev. E 71, 036113,
+    2005; ``_bernoulli_positions``).  One ``searchsorted`` of the row ends
+    into the numbers counts each row's candidates and maps the numbers to
+    columns, so each pair's candidates come in CSR order.  Candidates of the
+    bin pairs on which A varies are then kept with probability A_ij / qbar
+    (thinning: Lewis & Shedler, Naval Res. Logist. Q. 26, 1979), a pass per
+    ``_THIN_CHUNK`` candidates on one stream spawned off the candidates'
+    seed, so the passes do not change the draw; pairs on which A is
+    constant, as for constant and SBM graphons, keep them all.  Per-row
+    counts then place every pair's entries into the CSR, with no sort.
     """
     ss = np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
-    bound = np.clip(a.pair_hi, 0.0, 1.0)
-    thin = None  # the thinning stream, spawned when a bin pair first needs it
-    keys = [np.empty(0, dtype=np.int64)]
-    full = np.flatnonzero(a.sizes)  # an empty bin draws nothing from either stream
-    for x in full:
-        for y in full[full >= x]:
-            nx, ny = a.sizes[x], a.sizes[y]
-            n_pairs = nx * (nx - 1) // 2 if x == y else nx * ny
-            k = rng.binomial(n_pairs, bound[x, y])
-            if k == 0:
+    st, bound, varies = a.starts.tolist(), np.clip(a.pair_hi, 0.0, 1.0).tolist(), (a.pair_lo != a.pair_hi).tolist()
+    full = [x for x in range(len(st) - 1) if st[x + 1] > st[x]]  # an empty bin draws nothing
+    blocks, pieces = [], []  # (bin x, its pairs drawn); (x, qbar, A varies, candidates) per pair drawn
+    per_row, cols = [], []  # per pair drawn: candidates in each row of bin x; their columns
+    for k, x in enumerate(full):
+        nx, drawn = st[x + 1] - st[x], len(pieces)
+        for y in full[k:]:
+            ny = st[y + 1] - st[y]
+            ends = np.cumsum(np.arange(nx - 1.0, -1.0, -1.0)) if x == y else np.arange(ny, nx * ny + 1.0, ny)
+            if ends[-1] == 0 or bound[x][y] == 0.0:
                 continue
-            idx = rng.choice(n_pairs, size=k, replace=False, shuffle=False)
-            i, j = _pair_from_index(idx, nx) if x == y else np.divmod(idx, ny)
-            i, j = a.members[x][i], a.members[y][j]
-            if a.pair_lo[x, y] != a.pair_hi[x, y]:
-                thin = thin or np.random.default_rng(ss.spawn(1)[0])
-                keep = thin.random(k) * bound[x, y] < a.pair_values(i, j)
-                i, j = i[keep], j[keep]
-            keys.append(np.minimum(i, j) * a.n + np.maximum(i, j))
-    keys = np.concatenate(keys)
-    keys.sort()  # candidates are distinct pairs of distinct nodes: no loops, no repeats
-    return _from_keys(a.n, keys)
+            pos = _bernoulli_positions(rng, int(ends[-1]), bound[x][y])
+            counts = np.searchsorted(pos, ends)
+            counts[1:] -= counts[:-1].copy()
+            pos -= np.repeat(ends - st[y + 1], counts)  # a row's last number is the bin's last node
+            per_row.append(counts)
+            cols.append(pos.astype(np.int32))
+            pieces.append((x, bound[x][y], varies[x][y], len(pos)))
+        if len(pieces) > drawn:
+            blocks.append((x, len(pieces) - drawn))
+    if not pieces:
+        return SymmetricSparseMatrix(a.n, np.zeros(a.n + 1, np.int32), np.empty(0, np.int32), np.empty(0, np.int32),
+                                     np.empty(0))
+    # one array each, and each pair's arrays freed: a lower peak touches fewer fresh pages
+    per_row, cols = np.concatenate(per_row), np.concatenate(cols)
+    if any(pc[2] for pc in pieces):
+        thin = np.random.default_rng(ss.spawn(1)[0])
+        nodes = np.arange(a.n)
+        keep = np.ones(len(cols), dtype=bool)
+        sizes = [pc[3] for pc in pieces]
+        c_off = np.cumsum([0] + sizes)  # each pair's first candidate, and the end
+        r_off = np.cumsum([0] + [st[pc[0] + 1] - st[pc[0]] for pc in pieces])  # each pair's first row count
+        first = 0
+        while first < len(pieces):  # passes of about _THIN_CHUNK candidates bound the temporaries' memory
+            last = max(first + 1, int(np.searchsorted(c_off, c_off[first] + _THIN_CHUNK, side="right")) - 1)
+            group, c0, c1 = pieces[first:last], c_off[first], c_off[last]
+            rows = np.concatenate([nodes[st[pc[0]]:st[pc[0] + 1]] for pc in group])
+            rows = np.repeat(rows, per_row[r_off[first]:r_off[last]])
+            qbar = np.repeat([pc[1] for pc in group], sizes[first:last])
+            thinned = thin.random(c1 - c0) * qbar < a.pair_values(rows, cols[c0:c1])
+            keep[c0:c1] = thinned | ~np.repeat([pc[2] for pc in group], sizes[first:last])  # constant A keeps all
+            first = last
+        kept = np.concatenate(([0], np.cumsum(keep)))  # candidates kept before each one
+        upto = np.cumsum(per_row)
+        per_row = kept[upto] - kept[upto - per_row]
+        cols = cols[keep]
+    return _place(a.n, st, blocks, per_row, cols)
 
 
-def _pair_from_index(idx: np.ndarray, m: int):
-    """Map indices in range(m(m-1)/2) one-to-one onto the pairs {i, j} of m items.
+def _bernoulli_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
+    """The sorted numbers in range(size) of a Bernoulli(q) process, 0 < q <= 1, as floats.
 
-    Index d*m + i names the pair (i, (i + d + 1) mod m): offsets d + 1 up to
-    (m - 1) / 2 reach every pair once from one end.  For even m the last m/2
-    indices have d + 1 = m/2 and i < m/2, naming each antipodal pair once.
+    Gaps between hits are i.i.d. floor(E / lam) + 1 with E standard
+    exponential and lam = -log(1 - q), so q = 1 hits every number.  The first
+    batch of gaps reaches the end unless the hit count runs ``_GAP_MARGIN``
+    standard deviations past its mean; a batch that falls short is extended
+    by further ones, never redrawn.  The sums are whole numbers in float64,
+    exact below 2^53 (a float's floor and cast to int32 cost less than an
+    int64 cast); an overlong gap is inf and falls past the end.
     """
-    d, i = np.divmod(idx, m)
-    return i, (i + d + 1) % m
+    if size > 2**53:
+        raise InvalidSize(f"{size} node pairs in one bin pair exceed 2^53")
+    scale = -1.0 / math.log1p(-q) if q < 1.0 else 0.0  # 1 / lam
+    last, batches = -1.0, []
+    while last < size - 1:
+        mean = (size - 1 - last) * q
+        steps = rng.standard_exponential(max(1, int(mean + _GAP_MARGIN * (math.sqrt(mean * (1.0 - q)) + 1.0)) + 1))
+        steps *= scale
+        np.floor(steps, out=steps)
+        steps += 1.0
+        steps[0] += last
+        np.cumsum(steps, out=steps)
+        batches.append(steps)
+        last = steps[-1]
+    pos = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    return pos[:np.searchsorted(pos, size)]
+
+
+def _place(n: int, st: list, blocks: list, per_row: np.ndarray, cols: np.ndarray) -> SymmetricSparseMatrix:
+    """The CSR of entries given bin pair by bin pair, each pair's in row-major order.
+
+    ``per_row`` counts the entries of each row of bin x in pairs (x, y),
+    y = x, x + 1, ..., and ``blocks`` gives each bin x with its number of
+    pairs.  A row takes its entries from its bin's pairs in turn, so the
+    CSR is the pairs' shares of the rows, read row by row: each share is a
+    run of ``cols`` that one gather moves into place.
+    """
+    counts = np.zeros(n, dtype=np.int64)
+    firsts = np.cumsum(per_row) - per_row  # where each pair's share of a row starts in cols
+    shares, starts = [], []  # the shares' sizes and starts in CSR order: row by row, then pair by pair
+    off = 0
+    for x, pairs in blocks:
+        lo, hi = st[x], st[x + 1]
+        size = pairs * (hi - lo)
+        block = per_row[off:off + size].reshape(pairs, hi - lo)
+        counts[lo:hi] = block.sum(axis=0)
+        shares.append(block.T.ravel())
+        starts.append(firsts[off:off + size].reshape(pairs, hi - lo).T.ravel())
+        off += size
+    if counts.sum() > _MAX_ENTRIES:
+        raise InvalidSize(f"{counts.sum()} entries exceed {_MAX_ENTRIES}, the most an int32 indptr can address")
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    if all(pairs == 1 for _, pairs in blocks):  # the pairs' order is the CSR's
+        placed = cols
+    else:
+        shares, starts = np.concatenate(shares), np.concatenate(starts)
+        src = np.repeat((starts - (np.cumsum(shares) - shares)).astype(np.int32), shares)
+        src += np.arange(len(cols), dtype=np.int32)  # each entry's place in cols
+        placed = np.take(cols, src)
+        del src  # freed before the rows and values are allocated, to keep the peak low
+    rows = np.repeat(np.arange(n, dtype=np.int32), counts)
+    return SymmetricSparseMatrix(n, indptr, rows, placed, np.ones(len(cols)))

@@ -17,7 +17,7 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -87,6 +87,9 @@ class Estimator:
     for both eigenvector kinds it is ``noisy-eigenvector-corollary-5`` under
     sqrt-lambda1 scaling and ``noisy-eigenvector-case-a`` otherwise.  An
     oracle regularization without ``p_n`` uses the cell's sparsity scale.
+    Construction checks every field and raises ConfigError at
+    ``where(field)`` (default: the field's name); a ``fitted`` diffusion,
+    the default, needs T in the reference b table.
     """
 
     kind: str = "degree"
@@ -99,8 +102,22 @@ class Estimator:
     p_n: Optional[float] = None
     M: Optional[float] = None
     mode: Optional[str] = None
+    where: InitVar[Callable[[str], str]] = str
+    fitted: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, where, fitted):
+        if self.kind not in ESTIMATOR_KINDS:  # a tuple compares, so an unhashable kind is no TypeError
+            raise ConfigError(where("kind"), f"expected one of {ESTIMATOR_KINDS}")
+        _checked({f.name: getattr(self, f.name) for f in fields(self)
+                  if not (getattr(self, f.name) is None and f.default is None)}, _SPEC_CHECKS, where)
+        if fitted and self.kind == "diffusion" and self.T not in B_ROWS:
+            raise ConfigError(where("T"), f"expected an integer in [1, {max(B_ROWS)}] (the reference b table)"
+                                          f" for a diffusion fit, got {self.T}")
+        # an oracle's p_n is checked at call time, where the cell's p stands in for it
+        if self.spectral:
+            check_spec(where, scaling=self.scaling, a=self.a)
+        if self.kind == "regularized-eigenvector":
+            check_spec(where, reg_mode=self.reg_mode, M=self.M)
         if self.mode is None:
             mode = {"degree": "noisy-degree", "diffusion": "noisy-diffusion"}.get(self.kind)
             if mode is None:
@@ -109,19 +126,10 @@ class Estimator:
 
     @classmethod
     def from_spec(cls, spec, where: Callable[[str], str], fitted: bool = True) -> "Estimator":
-        """Validate a spec; ``where(field)`` names a bad field, and a ``fitted`` diffusion needs T in the b table."""
-        if not isinstance(spec, dict) or spec.get("kind") not in ESTIMATOR_KINDS:
+        """The estimator of a spec dict, checked as at construction; a field given as null is rejected."""
+        if not isinstance(spec, dict):
             raise ConfigError(where("kind"), f"expected one of {ESTIMATOR_KINDS}")
-        est = cls(kind=spec["kind"], **_checked(spec, _SPEC_CHECKS, where))
-        if fitted and est.kind == "diffusion" and est.T not in B_ROWS:
-            raise ConfigError(where("T"), f"expected an integer in [1, {max(B_ROWS)}] (the reference b table)"
-                                          f" for a diffusion fit, got {est.T}")
-        # an oracle's p_n is checked at call time, where the cell's p stands in for it
-        if est.spectral:
-            check_spec(where, scaling=est.scaling, a=est.a)
-        if est.kind == "regularized-eigenvector":
-            check_spec(where, reg_mode=est.reg_mode, M=est.M)
-        return est
+        return cls(kind=spec.get("kind"), **_checked(spec, _SPEC_CHECKS, where), where=where, fitted=fitted)
 
     @property
     def label(self) -> str:
@@ -163,7 +171,7 @@ class ExperimentConfig:
     beta_true: float = 1.0
     beta0_grid: List[float] = field(default_factory=lambda: [0.0, 1.0])
     alpha_grid: List[float] = field(default_factory=lambda: [0.05])
-    # Estimator objects; spec dicts are validated into Estimators on construction
+    # Estimator objects, checked on construction; spec dicts are turned into Estimators here
     estimators: List[Estimator] = field(default_factory=lambda: [Estimator()])
     sigma: float = 1.0
     replications: int = 1000

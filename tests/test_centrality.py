@@ -220,6 +220,27 @@ def test_regularize_passthrough_when_degrees_small():
     assert np.all(out.node_weights == 1.0)
 
 
+def test_regularize_shares_the_input_arrays_when_no_weight_binds():
+    m = SymmetricSparseMatrix.from_edges(3, [0, 0, 1], [1, 2, 2], [0.5, 0.25, 1.0])
+    out = regularize(m, reg_mode="oracle", p_n=0.9)  # tau = 5.4 > every degree: D = I
+    for name in ("indptr", "rows", "cols", "data"):
+        assert getattr(out, name) is getattr(m, name), name
+    assert np.array_equal(out.toarray(), m.toarray())  # the weights, not ones
+    assert np.all(out.node_weights == 1.0) and out.threshold == pytest.approx(5.4)
+
+
+def test_regularize_scales_a_weighted_input():
+    # weighted star: hub degree 0.5 * 10 = 5 against tau = 2.5, so lambda_hub = 0.5
+    n = 11
+    weights = np.linspace(0.1, 0.9, 10)
+    weights *= 5.0 / weights.sum()
+    star = SymmetricSparseMatrix.from_edges(n, [0] * 10, list(range(1, 11)), weights)
+    out = regularize(star, reg_mode="oracle", p_n=2.5 / (2 * n))
+    assert out.node_weights[0] == pytest.approx(0.5) and np.all(out.node_weights[1:] == 1.0)
+    assert np.allclose(out.toarray()[0, 1:], np.sqrt(0.5) * weights, rtol=1e-15)
+    assert out.indptr is star.indptr and out.cols is star.cols
+
+
 def test_regularize_high_degree_node():
     # star with center degree 10 and tau = 5 -> lambda_center = 0.5
     n = 11
@@ -316,6 +337,8 @@ CENTRALITY_OF = {
 def test_spec_and_keywords_reject_the_same_field(kind, spec, field):
     with pytest.raises(ConfigError, match=f"^/{field}: "):
         Estimator.from_spec({"kind": kind, **spec}, lambda name: "/" + name)
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        Estimator(kind=kind, **spec)
     with pytest.raises(ConfigError, match=f"^{field}: "):
         CENTRALITY_OF[kind](K3, **spec)
 

@@ -23,7 +23,7 @@ from centreg import (
     sample_latent,
 )
 from centreg.errors import InvalidGraphon, InvalidSize, InvalidSparsity
-from centreg.graph_model import LatentSample, _pair_from_index
+from centreg.graph_model import LatentSample
 from centreg.monte_carlo import ConfigError, ExperimentConfig
 
 SBM3 = Graphon.sbm([0.5, 0.3, 0.2], [[0.9, 0.2, 0.1], [0.2, 0.7, 0.3], [0.1, 0.3, 0.8]])
@@ -282,26 +282,24 @@ def test_block_matrix_matches_dense_build(g):
     assert np.allclose(vec, vec_ref, atol=1e-8)
 
 
-def test_pair_index_is_a_bijection_onto_pairs():
-    for m in range(2, 10):
-        i, j = _pair_from_index(np.arange(m * (m - 1) // 2), m)
-        pairs = {(min(a, b), max(a, b)) for a, b in zip(i.tolist(), j.tolist())}
-        assert len(pairs) == m * (m - 1) // 2
-        assert all(a != b for a, b in pairs)
-
-
-def test_block_edge_counts_match_binomial():
-    # per block pair, the edge count over seeds has the Binomial(#pairs, q)
-    # mean and variance
-    n, p, reps = 40, 0.5, 2000
-    a = build_true_adjacency(SBM3, sample_latent(n, seed=4), p)
-    B = len(a.sizes)
+def _block_edge_counts(a, reps):
+    """Edges per block pair (x <= y) of observe(a, seed) for seeds 0..reps-1, blocks read from the bin ranges."""
+    starts = a.starts
+    B = len(starts) - 1
     counts = np.zeros((reps, B, B))
     for r in range(reps):
         rows, cols = observe(a, seed=r).edge_arrays()
-        x, y = a.labels[rows], a.labels[cols]
-        np.add.at(counts[r], (np.minimum(x, y), np.maximum(x, y)), 1)
-    sizes = a.sizes
+        x = np.searchsorted(starts, rows, side="right") - 1
+        y = np.searchsorted(starts, cols, side="right") - 1
+        np.add.at(counts[r], (x, y), 1)  # rows < cols, so x <= y
+    return counts
+
+
+def _assert_binomial_block_counts(a, counts, p):
+    # per block pair, the edge count over seeds has the Binomial(#pairs, q)
+    # mean and variance
+    sizes = np.diff(a.starts)
+    reps, B = counts.shape[:2]
     for x in range(B):
         for y in range(x, B):
             pairs = sizes[x] * (sizes[x] - 1) / 2 if x == y else sizes[x] * sizes[y]
@@ -310,6 +308,70 @@ def test_block_edge_counts_match_binomial():
             got = counts[:, x, y]
             assert abs(got.mean() - mean) <= 5 * np.sqrt(var / reps), (x, y)
             assert abs(got.var(ddof=1) / var - 1.0) <= 5 * np.sqrt(2.0 / (reps - 1)), (x, y)
+
+
+def test_block_edge_counts_match_binomial():
+    n, p, reps = 40, 0.5, 2000
+    a = build_true_adjacency(SBM3, sample_latent(n, seed=4), p)
+    _assert_binomial_block_counts(a, _block_edge_counts(a, reps), p)
+
+
+def test_extended_gap_draws_match_binomial(monkeypatch):
+    # a negative margin makes first batches of gaps fall short of their bin
+    # pair's end, so draws are extended batch by batch; the pair counts still
+    # follow Binomial(#pairs, q), and q = 1 still gives every pair
+    monkeypatch.setattr(graph_model, "_GAP_MARGIN", -3.0)
+
+    class Spy:  # counts the batches of gaps a draw takes
+        def __init__(self):
+            self.rng, self.batches = np.random.default_rng(0), 0
+
+        def standard_exponential(self, size):
+            self.batches += 1
+            return self.rng.standard_exponential(size)
+
+    spy = Spy()
+    pos = graph_model._bernoulli_positions(spy, 1000, 0.3)
+    assert spy.batches > 1 and np.all(np.diff(pos) > 0) and 0 <= pos[0] and pos[-1] < 1000
+    n, p, reps = 40, 0.5, 2000
+    a = build_true_adjacency(SBM3, sample_latent(n, seed=4), p)
+    _assert_binomial_block_counts(a, _block_edge_counts(a, reps), p)
+    complete = observe(build_true_adjacency(Graphon.constant(1.0), sample_latent(30, seed=1), 1.0), seed=2)
+    assert complete.n_edges == 30 * 29 // 2
+
+
+def test_thinning_passes_leave_the_draw_unchanged(monkeypatch):
+    # the thinning stream is read in order, so splitting it over passes of
+    # a few candidates gives the same edges as one pass
+    a = build_true_adjacency(RANK2, sample_latent(300, seed=2), 0.3)
+    whole = observe(a, seed=5)
+    monkeypatch.setattr(graph_model, "_THIN_CHUNK", 40)
+    split = observe(a, seed=5)
+    assert whole.n_edges > 1000
+    for name in ("indptr", "rows", "cols"):
+        assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+
+
+def test_node_on_a_cut_lands_in_the_bin_its_features_give():
+    # a type equal to a cut has that many cuts at or below it: searchsorted(cuts, u, side="right")
+    g = Graphon.sbm([0.5, 0.25, 0.25], [[0.9, 0.1, 0.2], [0.1, 0.8, 0.3], [0.2, 0.3, 0.7]])
+    u = np.array([0.75, 0.1, 0.5, 0.6, 0.0, 1.0, 0.5, 0.25])  # cuts at 0.5 and 0.75
+    a = build_true_adjacency(g, LatentSample(u=u, seed=0), 1.0)
+    want = np.searchsorted(g.cuts, np.sort(u), side="right")
+    assert np.array_equal(np.repeat(np.arange(3), np.diff(a.starts)), want)
+    assert np.array_equal(a.features.argmax(axis=1), want)
+    assert np.array_equal(a.pair_lo, a.pair_hi) and np.array_equal(a.pair_hi, g.core)  # one block per bin
+
+
+def test_latent_sample_sorts_a_copy():
+    u = np.array([0.7, 0.2, 0.9, 0.2, 0.0])
+    sample = LatentSample(u=u, seed=3)
+    assert np.array_equal(sample.u, [0.0, 0.2, 0.2, 0.7, 0.9])
+    assert np.array_equal(u, [0.7, 0.2, 0.9, 0.2, 0.0])  # the caller's array is unchanged
+    drawn = sample_latent(50, seed=8)
+    assert np.all(np.diff(drawn.u) >= 0)
+    with pytest.raises(InvalidGraphon, match=r"\[0, 1\]"):
+        LatentSample(u=np.array([0.5, np.nan]), seed=0)
 
 
 def test_rank2_pair_frequencies_match_a():

@@ -427,6 +427,19 @@ def test_estimator_specs_parse_once_with_their_modes():
     ]
 
 
+def test_estimator_instances_are_checked_at_construction():
+    # an instance raises once, where it is built, instead of failing every replication
+    with pytest.raises(ConfigError, match=r"^T: expected an integer >= 1, got 2\.5"):
+        small_config(estimators=[Estimator(kind="diffusion", T=2.5), Estimator(kind="eigenvector")], replications=3)
+    with pytest.raises(ConfigError, match="^a: fixed scaling needs a"):
+        Estimator(kind="eigenvector", scaling="fixed")
+    with pytest.raises(ConfigError, match=r"^T: expected an integer in \[1, 10\]"):
+        Estimator(kind="diffusion", T=11)  # a fitted diffusion reads b from the reference table
+    assert Estimator(kind="diffusion", T=11, fitted=False).T == 11
+    with pytest.raises(ConfigError, match="^kind: expected one of"):
+        Estimator(kind="pagerank")
+
+
 def test_duplicate_estimator_labels_rejected():
     with pytest.raises(ConfigError) as err:
         small_config(
