@@ -1,5 +1,6 @@
 """Exception and warning types shared across the package, and the field check that raises ConfigError."""
 
+import copyreg
 import sys
 from typing import Callable
 
@@ -14,6 +15,9 @@ class ConfigError(CentregError, ValueError):
     def __init__(self, pointer: str, message: str):
         super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
+
+    def __reduce__(self):  # args hold the message as raised, not (pointer, message): rebuilt without __init__
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 def _is_number(x, depth: int = 0) -> bool:

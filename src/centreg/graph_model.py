@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy
@@ -263,15 +263,14 @@ class Graphon:
     """Symmetric link-intensity function f(u, v) = phi(u) M phi(v)' on [0,1]^2.
 
     Use the ``constant``, ``sbm`` or ``rank_r`` constructors, or the JSON
-    descriptor they take (``from_json_dict``).  ``features`` adds a trailing
-    axis of r features to an array of latent types, ``core`` is the r x r M,
-    and ``cuts`` splits [0, 1] into the sampler's bins.  Graphons compare
-    and hash by their descriptor.
+    descriptor they take (``from_json_dict``).  ``core`` is the r x r M,
+    ``cuts`` splits [0, 1] into the sampler's bins, and ``features``
+    computes phi from the kind.  A graphon holds arrays only, so it
+    pickles; graphons compare and hash by their descriptor.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    features: Callable[[np.ndarray], np.ndarray] = None
     core: np.ndarray = None
     cuts: np.ndarray = None
 
@@ -286,8 +285,7 @@ class Graphon:
         c = float(c)
         if not (0.0 < c <= 1.0):
             raise InvalidGraphon(f"constant graphon needs c in (0, 1], got {c}")
-        return cls(kind="constant", params={"c": c}, features=lambda u: np.ones(np.shape(u) + (1,)),
-                   core=np.array([[c]]), cuts=np.empty(0))
+        return cls(kind="constant", params={"c": c}, core=np.array([[c]]), cuts=np.empty(0))
 
     @classmethod
     def sbm(cls, pi: Sequence[float], P: Sequence[Sequence[float]]) -> "Graphon":
@@ -305,12 +303,7 @@ class Graphon:
             raise InvalidGraphon("SBM link probabilities must lie in [0, 1]")
         if P.max() == 0:
             raise InvalidGraphon("SBM with all-zero link matrix generates the empty graphon")
-        cuts = np.cumsum(pi)[:-1]
-
-        def membership(u):
-            return np.take(np.eye(B), np.searchsorted(cuts, u, side="right"), axis=0)
-
-        return cls(kind="sbm", params={"pi": pi, "P": P}, features=membership, core=P, cuts=cuts)
+        return cls(kind="sbm", params={"pi": pi, "P": P}, core=P, cuts=np.cumsum(pi)[:-1])
 
     @classmethod
     def rank_r(cls, eigenvalues: Sequence[float]) -> "Graphon":
@@ -325,16 +318,20 @@ class Graphon:
             lam = np.empty(0)
         if lam.ndim != 1 or not 0 < len(lam) <= _RANK_R_MAX or not np.isfinite(lam).all():
             raise InvalidGraphon(f"rank-r graphon needs 1 to {_RANK_R_MAX} finite eigenvalues")
-        r = len(lam)
-        scale = np.sqrt(2.0 * np.arange(r) + 1.0)
-
-        def legendre(u):  # legvander makes a 0-d u 1-d; the reshape restores u.shape + (r,)
-            return (legvander(2.0 * u - 1.0, r - 1) * scale).reshape(np.shape(u) + (r,))
-
-        g = cls(kind="rank-r", params={"eigenvalues": lam}, features=legendre, core=np.diag(lam),
+        g = cls(kind="rank-r", params={"eigenvalues": lam}, core=np.diag(lam),
                 cuts=np.arange(1, _RANK_R_BINS) / _RANK_R_BINS)
         g._probe()
         return g
+
+    def features(self, u) -> np.ndarray:
+        """phi(u): u's shape with a trailing axis of the r features."""
+        u, r = np.asarray(u, dtype=np.float64), len(self.core)
+        if self.kind == "constant":
+            return np.ones(u.shape + (1,))
+        if self.kind == "sbm":  # block membership
+            return np.take(np.eye(r), np.searchsorted(self.cuts, u, side="right"), axis=0)
+        # shifted Legendre; legvander makes a 0-d u 1-d, and the reshape restores u.shape + (r,)
+        return (legvander(2.0 * u - 1.0, r - 1) * np.sqrt(2.0 * np.arange(r) + 1.0)).reshape(u.shape + (r,))
 
     def _probe(self, seed: int = 0, size: int = 4096) -> None:
         vals = self.evaluate(*np.random.default_rng(seed).random((2, size)))
@@ -344,8 +341,7 @@ class Graphon:
             raise InvalidGraphon("graphon has zero mass; the network is always empty")
 
     def evaluate(self, u, v) -> np.ndarray:
-        return np.einsum("...r,rs,...s->...", self.features(np.asarray(u, dtype=np.float64)), self.core,
-                         self.features(np.asarray(v, dtype=np.float64)))
+        return np.einsum("...r,rs,...s->...", self.features(u), self.core, self.features(v))
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, **{k: np.asarray(x).tolist() for k, x in self.params.items()}}  # lists of Python floats

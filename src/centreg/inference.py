@@ -77,9 +77,8 @@ class RegressionFit:
 
     @property
     def beta_check(self) -> Optional[float]:
-        if self.B_hat is None:
-            return None
-        if 1.0 - self.B_hat <= 1e-12:
+        """beta_hat / (1 - B_hat); None without B_hat or where 1 - B_hat is not positive."""
+        if self.B_hat is None or 1.0 - self.B_hat <= 1e-12:
             return None
         return self.beta_hat / (1.0 - self.B_hat)
 
@@ -114,9 +113,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
 
 @dataclass(frozen=True)
 class IntervalUnion:
@@ -146,10 +142,12 @@ def ols(
 
     ``demean`` subtracts the sample means of y and C first.  The bias and
     variance theory in this package is developed for the no-intercept
-    regression; demeaning is offered as a preprocessing convenience only.
+    regression, so demeaning is allowed in the no-error mode alone.
     """
     if mode not in MODES:
         raise ConfigMismatch(f"unknown inference mode {mode!r}")
+    if demean and mode != "no-error":
+        raise ConfigMismatch(f"demean=True needs the no-error mode: B_hat and V_hat assume no intercept, got {mode!r}")
     y = np.asarray(y, dtype=np.float64)
     values = np.asarray(c, dtype=np.float64)
     if y.shape != values.shape:
@@ -360,13 +358,12 @@ def critical_value(alpha: float, sided: str = "two") -> float:
 
 
 def bias_correct(fit: RegressionFit) -> float:
-    """beta_check = beta_hat / (1 - B_hat)."""
+    """The fit's beta_check = beta_hat / (1 - B_hat), or an error saying why it has none."""
     if fit.B_hat is None:
         raise MissingComponents("bias correction requires B_hat")
-    atten = 1.0 - fit.B_hat
-    if atten <= 1e-12:
-        raise NonpositiveAttenuation(f"1 - B_hat = {atten:.3g} is not positive")
-    return fit.beta_hat / atten
+    if fit.beta_check is None:
+        raise NonpositiveAttenuation(f"1 - B_hat = {fit.attenuation:.3g} is not positive")
+    return fit.beta_check
 
 
 def confidence(

@@ -11,6 +11,8 @@ centralities computed on A, while estimation uses Ahat.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import os
@@ -316,9 +318,10 @@ def _draw(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: int):
 
 
 def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: int):
+    """Replication rep's record per estimator label, and its failures (manifest records less the replication)."""
     a_true, a_hat, eps = _draw(cfg, n, p, cell_index, rep)
     out: Dict[str, Dict[str, float]] = {}
-    failures: List[dict] = []  # manifest failure records, less the replication
+    failures: List[dict] = []
     eig_kwargs = {"max_iter": cfg.eig_max_iter, "tol": cfg.eig_tol}
     true_pair = []  # leading eigenpair of A, solved once for every eigenvector-type estimator
 
@@ -354,7 +357,7 @@ def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: in
             failures.append({"estimator": est.label, "error": type(exc).__name__, "message": str(exc),
                              "residual": _json_number(getattr(exc, "residual", None))})
         out[est.label] = rec
-    return rep, out, failures
+    return out, failures
 
 
 def _json_number(x):
@@ -376,37 +379,26 @@ def run_cell(
 ) -> CellResult:
     """Run all replications of one (n, p) cell; failures never abort the cell."""
     p = cfg.sparsity.resolve(n)
-    reps = range(cfg.replications)
     labels = [e.label for e in cfg.estimators]
-    draws = {label: {k: np.full(len(reps), np.nan) for k in _DRAW_KEYS} for label in labels}
-    detail: List[dict] = []
-
     nthreads = threads if threads is not None else cfg.threads
     if nthreads <= 0:
         nthreads = int(os.environ.get("CENTREG_THREADS", "1"))
+    # _replicate is looked up at call time, where perfbench/tracing.py wraps it; the partial pickles
+    replicate = functools.partial(_replicate, cfg, n, p, cell_index)
     start = time.perf_counter()
+    pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
+    with pool or contextlib.nullcontext():
+        results = list((pool.map if pool else map)(replicate, range(cfg.replications)))  # in replication order
 
-    def handle(result):
-        rep, out, fails = result
-        for label, rec in out.items():
-            for key, val in rec.items():
-                draws[label][key][rep] = val
-        detail.extend({"replication": rep, **f} for f in fails)
-
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            for result in pool.map(lambda r: _replicate(cfg, n, p, cell_index, r), reps):
-                handle(result)
-    else:
-        for r in reps:
-            handle(_replicate(cfg, n, p, cell_index, r))
-
+    draws = {label: {key: np.array([out[label][key] for out, _ in results], dtype=np.float64) for key in _DRAW_KEYS}
+             for label in labels}
+    detail = [{"replication": rep, **f} for rep, (_, fails) in enumerate(results) for f in fails]
     detail.sort(key=lambda d: (d["replication"], d["estimator"]))
     return CellResult(
         n=n,
         p=p,
         cell_index=cell_index,
-        replications=len(reps),
+        replications=cfg.replications,
         estimators=labels,
         draws=draws,
         runtime=time.perf_counter() - start,

@@ -33,6 +33,16 @@ def test_derive_b_verify_exit_zero(tmp_path, capsys):
     assert got[(2, 2, 3)] == 3 and got[(2, 2, 4)] == -2 and got[(2, 3, 4)] == 2
 
 
+def test_derive_b_json_is_the_csv_table(tmp_path, capsys):
+    # the README's example: JSON rows on stdout, the verification on stderr
+    assert main(["derive", "b", "--max", "4", "--verify", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "verification passed for all derived b tables\n"
+    assert main(["derive", "b", "--max", "4", "--out", str(tmp_path / "b.csv")]) == 0
+    want = [{k: int(v) for k, v in row.items()} for row in csv.DictReader((tmp_path / "b.csv").open())]
+    assert json.loads(captured.out) == want and {row["T"] for row in want} == {1, 2, 3, 4}
+
+
 def test_derive_g_verify_exit_zero(tmp_path):
     code = main(["derive", "g", "--max", "4", "--verify", "--out", str(tmp_path / "g.csv")])
     assert code == 0
@@ -243,6 +253,46 @@ def test_centrality_subcommand(tmp_path):
     assert code == 0
     rows = list(csv.DictReader(out.open()))
     assert [float(r["value"]) for r in rows] == [2.0, 2.0, 2.0]
+
+
+def test_centrality_json_format(tmp_path):
+    edges, _ = write_k3(tmp_path)
+    for kind, extra in (("degree", {}), ("eigenvector", {"lambda1": 2.0})):
+        out = tmp_path / f"{kind}.json"
+        assert main(["centrality", "--edges", str(edges), "--kind", kind, "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["recipe"]["kind"] == kind and payload.keys() == {"recipe", "values", *extra}
+        assert {k: pytest.approx(v) for k, v in extra.items()} == {k: payload[k] for k in extra}
+    assert payload["values"] == pytest.approx([(2.0 / 3.0) ** 0.5] * 3)  # sqrt(lambda1) v1, v1 = iota / sqrt(3)
+    assert json.loads((tmp_path / "degree.json").read_text())["values"] == [2.0, 2.0, 2.0]
+
+
+def _simulate_json(tmp_path, **cfg):
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"graphon": {"kind": "constant", "c": 1.0}, "replications": 4, **cfg}))
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--format", "json"])
+    return code, out_dir
+
+
+def test_simulate_json_format_writes_size_and_power(tmp_path):
+    code, out_dir = _simulate_json(tmp_path, n_grid=[60], sparsity={"kind": "constant", "p": 0.2},
+                                   beta0_grid=[0.0, 1.0], alpha_grid=[0.05, 0.1])
+    assert code == 0 and not (out_dir / "size.csv").exists() and not (out_dir / "power.csv").exists()
+    size, power = (json.loads((out_dir / name).read_text()) for name in ("size.json", "power.json"))
+    keys = {"n", "p", "estimator", "beta0", "alpha", "reject_rate", "se", "failures"}
+    assert all(row.keys() == keys and 0.0 <= row["reject_rate"] <= 1.0 for row in size + power)
+    assert len(size) == 2 * 2 * 2 and len(power) == 21 * 2  # (beta0, alpha) by (ours, robust); 21 beta0 at one alpha
+    assert {row["estimator"] for row in size} == {"degree:ours", "degree:robust"}
+
+
+def test_simulate_json_cell_without_a_fit_writes_null_rates_and_exits_one(tmp_path, capsys):
+    # at p = 1e-6 no replication draws an edge, so every eigenvector fit fails
+    code, out_dir = _simulate_json(tmp_path, n_grid=[6], sparsity={"kind": "constant", "p": 1e-6},
+                                   estimators=[{"kind": "eigenvector"}])
+    assert code == 1 and "cells [0] produced no successful replication" in capsys.readouterr().err
+    for name in ("size.json", "power.json"):
+        rows = json.loads((out_dir / name).read_text())
+        assert rows and all(row["reject_rate"] is None and row["se"] is None and row["failures"] == 4 for row in rows)
 
 
 def test_simulate_minimal_config(tmp_path):

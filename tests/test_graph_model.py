@@ -123,11 +123,12 @@ def test_observe_extremes():
     u = sample_latent(6, seed=0)
     complete = observe(build_true_adjacency(g, u, 1.0), seed=1)
     assert complete.n_edges == 6 * 5 // 2
-
-    tiny = build_true_adjacency(g, u, 1e-12)  # effectively empty
-    # exact empties need p = 0 which is rejected; check Bernoulli(1) instead
-    deg = complete.row_sums()
-    assert np.all(deg == 5)
+    assert np.all(complete.row_sums() == 5)
+    # every type in the first block, whose link probability is 0: no bin pair is drawn
+    no_links = Graphon.sbm([0.5, 0.5], [[0.0, 0.4], [0.4, 0.0]])
+    empty = observe(build_true_adjacency(no_links, LatentSample(u=np.linspace(0.0, 0.45, 6), seed=0), 1.0), seed=1)
+    assert empty.n == 6 and empty.n_edges == 0 and np.array_equal(empty.indptr, np.zeros(7))
+    assert np.array_equal(empty.row_sums(), np.zeros(6))
 
 
 def test_observe_density_concentrates():
@@ -151,6 +152,7 @@ def test_symmetry_and_zero_diagonal_every_sample():
         assert set(np.unique(dense)) <= {0.0, 1.0}
 
 
+@pytest.mark.slow
 def test_observation_is_conditionally_unbiased():
     # entrywise empirical means over 1e4 draws within 3 binomial SEs
     for g in (Graphon.sbm([0.4, 0.6], [[0.7, 0.3], [0.3, 0.5]]), RANK2):
@@ -316,6 +318,7 @@ def test_block_edge_counts_match_binomial():
     _assert_binomial_block_counts(a, _block_edge_counts(a, reps), p)
 
 
+@pytest.mark.slow
 def test_extended_gap_draws_match_binomial(monkeypatch):
     # a negative margin makes first batches of gaps fall short of their bin
     # pair's end, so draws are extended batch by batch; the pair counts still
@@ -374,6 +377,7 @@ def test_latent_sample_sorts_a_copy():
         LatentSample(u=np.array([0.5, np.nan]), seed=0)
 
 
+@pytest.mark.slow
 def test_rank2_pair_frequencies_match_a():
     # thinned candidates: each pair's edge count over seeds is Binomial(reps, A_ij),
     # so the Pearson statistic over all pairs is chi-square with n(n-1)/2 df

@@ -1,7 +1,11 @@
 """Simulation harness: determinism, failure handling, and summaries."""
 
 import copy
+import functools
 import json
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from centreg import (
     run_experiment,
     sample_latent,
 )
+from centreg import monte_carlo
 from centreg.monte_carlo import ConfigError, write_outputs
 
 
@@ -187,6 +192,40 @@ def test_config_round_trip_from_json(tmp_path):
     path.write_text(json.dumps(payload))
     cfg = ExperimentConfig.from_json_file(path)
     assert cfg.sparsity.resolve(40) == pytest.approx(40 ** -0.5)
+
+
+@pytest.mark.parametrize("graphon", [Graphon.constant(1.0), Graphon.sbm([0.6, 0.4], [[0.6, 0.2], [0.2, 0.5]]),
+                                     Graphon.rank_r([0.5, 0.15])], ids=["constant", "sbm", "rank-r"])
+def test_config_pickles_and_its_copy_draws_the_same(graphon):
+    cfg = small_config(graphon=graphon, replications=3, estimators=[{"kind": "degree"}, {"kind": "eigenvector"}])
+    copied = pickle.loads(pickle.dumps(cfg))
+    assert copied == cfg and copied.graphon == graphon
+    want, got = run_experiment(cfg).cells[0], run_experiment(copied).cells[0]
+    for label in want.estimators:
+        for key in want.draws[label]:
+            assert np.array_equal(got.draws[label][key], want.draws[label][key], equal_nan=True), (label, key)
+    assert got.failure_detail == want.failure_detail
+
+
+def test_config_error_pickles_with_its_pointer_and_message(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_VALID, "replications": 0}))
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_json_file(path)
+    assert str(err.value).startswith(f"{path}: /replications: ")  # the file's path leads the message
+    for exc in (err.value, ConfigError("/n_grid", "missing required field"), ConfigError("", "no pointer")):
+        copied = pickle.loads(pickle.dumps(exc))
+        assert type(copied) is ConfigError and copied.pointer == exc.pointer and str(copied) == str(exc)
+
+
+def test_replications_run_in_spawned_worker_processes():
+    # a replication with its config bound pickles, so a process pool returns the in-process records
+    cfg = small_config(graphon=Graphon.rank_r([0.5, 0.15]), replications=4,
+                       estimators=[{"kind": "degree"}, {"kind": "eigenvector"}])
+    replicate = functools.partial(monte_carlo._replicate, cfg, 50, cfg.sparsity.resolve(50), 0)
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        got = list(pool.map(replicate, range(cfg.replications), timeout=120))
+    assert repr(got) == repr([replicate(rep) for rep in range(cfg.replications)])  # floats to the bit, NaN as NaN
 
 
 def test_write_outputs_files(tmp_path):
