@@ -257,14 +257,14 @@ def test_centrality_subcommand(tmp_path):
 
 def test_centrality_json_format(tmp_path):
     edges, _ = write_k3(tmp_path)
-    for kind, extra in (("degree", {}), ("eigenvector", {"lambda1": 2.0})):
+    for kind in ("degree", "eigenvector"):
         out = tmp_path / f"{kind}.json"
         assert main(["centrality", "--edges", str(edges), "--kind", kind, "--format", "json", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["recipe"]["kind"] == kind and payload.keys() == {"recipe", "values", *extra}
-        assert {k: pytest.approx(v) for k, v in extra.items()} == {k: payload[k] for k in extra}
-    assert payload["values"] == pytest.approx([(2.0 / 3.0) ** 0.5] * 3)  # sqrt(lambda1) v1, v1 = iota / sqrt(3)
-    assert json.loads((tmp_path / "degree.json").read_text())["values"] == [2.0, 2.0, 2.0]
+    deg, eig = (json.loads((tmp_path / f"{kind}.json").read_text()) for kind in ("degree", "eigenvector"))
+    assert deg.keys() == {"recipe", "values"} and deg["recipe"]["kind"] == "degree" and deg["values"] == [2.0] * 3
+    assert eig.keys() == {"recipe", "values", "lambda1"} and eig["recipe"]["kind"] == "eigenvector"
+    assert eig["lambda1"] == pytest.approx(2.0)
+    assert eig["values"] == pytest.approx([(2.0 / 3.0) ** 0.5] * 3)  # sqrt(lambda1) v1, v1 = iota / sqrt(3)
 
 
 def _simulate_json(tmp_path, **cfg):
