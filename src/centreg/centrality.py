@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -81,10 +80,6 @@ class CentralityVector:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
     def __array__(self, dtype=None):
         return np.asarray(self.values, dtype=dtype)
 
@@ -99,7 +94,7 @@ def degree(m: Matrix) -> CentralityVector:
 
 
 def diffusion(m: Matrix, delta: float = 1.0, T: int = 2, delta_rule: str = "fixed", **eig_kwargs) -> CentralityVector:
-    """C = sum_{t=1..T} delta^t A^t iota via repeated mat-vec products.
+    """C = sum_{t=1..T} delta^t A^t iota over the matrix's walk vectors (``powers``).
 
     Never forms matrix powers; cost is O(T * nnz).  ``delta_rule`` ties delta
     to the spectrum: "inverse-lambda1" takes min(1/lambda1, 1) and
@@ -113,11 +108,9 @@ def diffusion(m: Matrix, delta: float = 1.0, T: int = 2, delta_rule: str = "fixe
     else:
         lam1, _ = leading_eigenpair(m, **eig_kwargs)  # raises DegenerateSpectrum unless lam1 > 0
         delta = min(1.0 / lam1 if delta_rule == "inverse-lambda1" else 1.0 / math.sqrt(lam1), 1.0)
-    v = np.ones(m.n)
     out = np.zeros(m.n)
     scale = 1.0
-    for _ in range(T):
-        v = m.matvec(v)
+    for v in m.powers(T)[1:]:
         scale *= delta
         out += scale * v
     return CentralityVector(
@@ -130,23 +123,26 @@ def leading_eigenpair(
     m: Matrix,
     tol: float = 1e-10,
     max_iter: int = 200_000,
-    seed: int = 0,
     gap_check: bool = False,
 ):
-    """Leading eigenpair by thick-restart Lanczos (``_lanczos``).
+    """Leading eigenpair by thick-restart Lanczos (``_lanczos``) from iota / sqrt(n).
 
     Residual criterion: ||A v - lam v|| <= tol * ||A||_F within ``max_iter``
-    products with A.  The Perron eigenvalue of a nonnegative matrix is its
-    largest algebraic one, so bipartite graphs need no shift.  Sign
-    convention: sum(v) >= 0.  ``gap_check`` finds lam2 on the deflated
-    (I - vv')(A + sI)(I - vv'), s = lam + 1, since Ritz values cannot see
-    a repeated lam1.
+    products with A.  The first, A iota, is read off the walk vectors
+    (``powers``) of a matrix that has them and still counts.  The Perron
+    vector of a nonnegative matrix is not orthogonal to iota, and its
+    eigenvalue is the largest algebraic one, so bipartite graphs need no
+    shift.  The solve is deterministic; sign convention: sum(v) >= 0.
+    ``gap_check`` finds lam2 on the deflated (I - vv')(A + sI)(I - vv'),
+    s = lam + 1, since Ritz values cannot see a repeated lam1, from a fixed
+    random start: (I - vv') iota can be an eigenvector, as on a star.
     """
     matvec, n, normF = m.matvec, m.n, m.frobenius()
     if normF == 0.0:
         raise EmptyGraph("leading eigenpair of the zero matrix is undefined")
 
-    lam, v, resid = _lanczos(matvec, n, tol * normF, max_iter, seed)
+    a_iota = m.powers(1)[1] if hasattr(m, "powers") else matvec(np.ones(n))
+    lam, v, resid = _lanczos(matvec, np.full(n, 1.0 / math.sqrt(n)), a_iota / math.sqrt(n), tol * normF, max_iter)
     if not resid <= tol * normF:
         raise NoConvergence(
             f"Lanczos did not reach tol={tol:g} in {max_iter} products (residual {resid:.3g})",
@@ -165,7 +161,8 @@ def leading_eigenpair(
             w = matvec(w) + s * w
             return w - (v @ w) * v
 
-        lam2 = _lanczos(deflated, n, max(tol, 1e-9) * normF, min(max_iter, 5000), seed + 1)[0] - s
+        x = np.random.default_rng(1).random(n) + 0.1
+        lam2 = _lanczos(deflated, x / math.sqrt(x @ x), None, max(tol, 1e-9) * normF, min(max_iter, 5000))[0] - s
         if abs(lam) - abs(lam2) < 1e-8 * abs(lam):
             warnings.warn(
                 f"eigengap |lam1|-|lam2| = {abs(lam) - abs(lam2):.3g} below tolerance",
@@ -175,24 +172,27 @@ def leading_eigenpair(
     return lam, v
 
 
-def _lanczos(matvec, n, bound, max_iter, seed):
-    """Top eigenpair of a symmetric operator by thick-restart Lanczos.
+def _lanczos(matvec, x, ax, bound, max_iter):
+    """Top eigenpair of a symmetric operator by thick-restart Lanczos from the unit vector x.
 
-    A cycle of ``_KRYLOV`` products grows the Krylov space of the last top
-    Ritz vector next to the second one, which separates a nearly tied top
-    pair; each product is orthogonalized against the basis twice and fills
-    the projected matrix H.  Its first product tests x: ||Ax - lam x|| <=
-    bound, lam = x'Ax, accepts.  A residual above ``bound`` in the returned
-    (lam, x, residual) means the ``max_iter`` products ran out.
+    ``ax`` is A x where the caller holds it, else None; it stands in for the
+    first product, which counts against ``max_iter`` all the same.  A cycle
+    of ``_KRYLOV`` products grows the Krylov space of the last top Ritz
+    vector next to the second one, which separates a nearly tied top pair;
+    each product is orthogonalized against the basis twice and fills the
+    projected matrix H.  A cycle's first product tests its start x:
+    ||Ax - lam x|| <= bound, lam = x'Ax, accepts.  A residual above
+    ``bound`` in the returned (lam, x, residual) means the ``max_iter``
+    products ran out.
     """
-    basis = np.empty((_KRYLOV + 1, n))
-    basis[0] = _start_vector(n, seed)
+    basis = np.empty((_KRYLOV + 1, len(x)))
+    basis[0] = x
     H = np.zeros((_KRYLOV + 1, _KRYLOV + 1))
     lam, resid, products, m = 0.0, math.inf, 0, 1
     while products < max_iter:
         k, j = min(_KRYLOV, max_iter - products), 0
         for step in range(k):
-            w, q = matvec(basis[j]), basis[:m]
+            w, ax, q = matvec(basis[j]) if ax is None else ax, None, basis[:m]
             products += 1
             h = q @ w
             H[:m, j] = H[j, :m] = h
@@ -215,15 +215,6 @@ def _lanczos(matvec, n, bound, max_iter, seed):
         basis[:m] = s[:, : -m - 1 : -1].T @ basis[: len(s)]  # top Ritz vector first
         H[m - 1, m - 1] = theta[-m]  # column 0 refills the rest of H[:m, :m]
     return lam, basis[0].copy(), resid
-
-
-@lru_cache(maxsize=8)
-def _start_vector(n: int, seed: int) -> np.ndarray:
-    """The normalized Lanczos start vector for (n, seed), drawn once and kept read-only."""
-    x = np.random.default_rng(seed).random(n) + 0.1
-    x /= math.sqrt(x @ x)
-    x.flags.writeable = False
-    return x
 
 
 def eigenvector_centrality(
@@ -252,7 +243,8 @@ def regularize(
     output entries are sqrt(lambda_i lambda_j) * A_ij, the diagonal scaling
     D^1/2 Ahat D^1/2 of Le, Levina & Vershynin (2017), in O(n + nnz): a
     rescale of Ahat's upper-triangle data on its own sparsity pattern.  When
-    no degree exceeds tau, D = I and the output shares the input's arrays.
+    no degree exceeds tau, D = I and the output shares the input's arrays
+    and walk vectors.
     The output keeps the node weights and the threshold tau.  The guaranteed
     bound is lambda_i * deg_i <= tau per node, not a bound on the
     reweighted degrees themselves.
@@ -266,7 +258,9 @@ def regularize(
     deg = m.row_sums()
     lam = np.ones(m.n)
     if deg.max() <= tau:
-        return SymmetricSparseMatrix(m.n, m.indptr, m.rows, m.cols, m.data, node_weights=lam, threshold=tau)
+        out = SymmetricSparseMatrix(m.n, m.indptr, m.rows, m.cols, m.data, node_weights=lam, threshold=tau)
+        out._krylov = m._krylov  # the same entries, so the same walk vectors
+        return out
     busy = deg > 0
     lam[busy] = np.minimum(tau / deg[busy], 1.0)
     root = np.sqrt(lam)

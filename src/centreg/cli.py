@@ -109,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--beta0", type=float, action="append", default=None)
     reg.add_argument("--alpha", type=float, action="append", default=None)
     reg.add_argument("--out", default=None, help="output file (default stdout)")
-    reg.add_argument("--seed", type=int, default=0)
 
     cen = sub.add_parser("centrality", help="compute a centrality vector from an edge list")
     cen.add_argument("--edges", required=True)
@@ -117,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_estimator_flags(cen, "--kind")
     cen.add_argument("--out", default=None)
     cen.add_argument("--format", choices=("csv", "json"), default="csv")
-    cen.add_argument("--seed", type=int, default=0)
 
     der = sub.add_parser("derive", help="derive coefficient tables and verify against references",
                          aliases=["derive-coefficients"])
@@ -175,7 +173,7 @@ def _cmd_regress(args) -> int:
     order = np.argsort(ids)
     ids, y = ids[order], y[order]
     a_hat = binary_matrix_from_files(args.edges, ids)
-    c_hat = est.centrality(a_hat, seed=args.seed)
+    c_hat = est.centrality(a_hat)
     fit = est.fit(y, a_hat, c_hat)
 
     beta0s = args.beta0 if args.beta0 else [0.0]
@@ -221,7 +219,7 @@ def _cmd_centrality(args) -> int:
     if len(cols) and cols.max() >= n:
         raise ValueError(f"{args.edges}: edge endpoint {cols.max()} is not below --n {n}")
     try:
-        vec = est.centrality(SymmetricSparseMatrix.from_edges(n, rows, cols), seed=args.seed)
+        vec = est.centrality(SymmetricSparseMatrix.from_edges(n, rows, cols))
     except MemoryError:
         print(f"error: {args.edges}: not enough memory for node count {n}", file=sys.stderr)
         return EXIT_USAGE
@@ -242,19 +240,12 @@ def _cmd_derive(args) -> int:
     if args.what and args.what_opt and args.what != args.what_opt:
         raise ValueError("conflicting positional and --what values")
     top = args.max if args.max is not None else (10 if what == "g" else 4)
-    # the intrinsic budget cap (DERIVE_B_CAP) turns an over-large --max into
-    # a BudgetExceeded usage error
+    # the intrinsic budget caps (WALK_LENGTH_CAP, DERIVE_B_CAP) turn an
+    # over-large --max into a BudgetExceeded usage error; they lie inside the
+    # reference tables, so every derived key has a reference
     derived = {t: (derive_g if what == "g" else derive_b)(t) for t in range(1, top + 1)}
-
-    mismatches = []
-    if args.verify:
-        for key, poly in derived.items():
-            try:
-                ref = reference_g(key) if what == "g" else reference_b(key)
-            except CentregError:
-                continue
-            if poly.coeffs != ref.coeffs:
-                mismatches.append(key)
+    reference = reference_g if what == "g" else reference_b
+    mismatches = [key for key, poly in derived.items() if poly.coeffs != reference(key).coeffs] if args.verify else []
 
     rows = []
     if what == "g":

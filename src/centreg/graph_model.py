@@ -66,7 +66,34 @@ csc_matvec, csr_matvec = _sparsetools_kernels()  # tests pin products to scipy.s
 # matrices
 
 
-class FactoredMatrix:
+class _WalkVectors:
+    """The walk vectors iota, A iota, A^2 iota, ... of a symmetric matrix with ``n`` and ``matvec``.
+
+    Degree, diffusion, their bias/variance estimators and the eigensolve's
+    first product read this one sequence, so each product is made once per
+    matrix.  It is a tuple of read-only arrays in the one-slot list
+    ``_krylov``, which matrices may share; a longer sequence replaces the
+    tuple, never appends to it, so threads may share the matrix too.
+    """
+
+    def powers(self, t: int) -> tuple:
+        """(iota, A iota, ..., A^t iota), each product made on its first request."""
+        seq = self._krylov[0]
+        if len(seq) <= t:
+            seq = list(seq)
+            while len(seq) <= t:
+                v = self.matvec(seq[-1]) if seq else np.ones(self.n)
+                v.flags.writeable = False
+                seq.append(v)
+            self._krylov[0] = seq = tuple(seq)
+        return seq[: t + 1]
+
+    def row_sums(self) -> np.ndarray:
+        """Row sums (degrees of an observed network): the walk vector A iota."""
+        return self.powers(1)[1]
+
+
+class FactoredMatrix(_WalkVectors):
     """Symmetric A with A_ij = F_i M F_j' for i != j and A_ii = 0.
 
     Node features F (n x r) and the core M = p_n * (graphon core).  Products,
@@ -85,6 +112,7 @@ class FactoredMatrix:
         self.starts = starts
         self.pair_lo, self.pair_hi = self._pair_bounds()
         self._entries = None
+        self._krylov = [()]
 
     def _pair_bounds(self):
         """Interval bounds on F_i M F_j' per bin pair from the bins' feature ranges; 0 if a bin is empty."""
@@ -107,9 +135,6 @@ class FactoredMatrix:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.features @ (self.core @ (self.features.T @ v)) - self._diag * v
-
-    def row_sums(self) -> np.ndarray:
-        return self.features @ (self.core @ self._col_sums) - self._diag
 
     def total(self) -> float:
         """iota' A iota, the sum of all entries."""
@@ -138,7 +163,7 @@ class FactoredMatrix:
         return self._entries
 
 
-class SymmetricSparseMatrix:
+class SymmetricSparseMatrix(_WalkVectors):
     """Symmetric n x n matrix with zero diagonal, stored as its upper triangle U.
 
     U is a CSR matrix: int32 ``indptr`` over rows and ``cols``, the column of
@@ -157,7 +182,7 @@ class SymmetricSparseMatrix:
         for arr in (indptr, rows, cols, data):
             arr.flags.writeable = False
         self.node_weights, self.threshold = node_weights, threshold
-        self._row_sums = None
+        self._krylov = [()]
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymmetricSparseMatrix":
@@ -216,14 +241,6 @@ class SymmetricSparseMatrix:
         csc_matvec(self.n, self.n, self.indptr, self.cols, self.data, v, out)
         csr_matvec(self.n, self.n, self.indptr, self.cols, self.data, v, out)
         return out
-
-    def row_sums(self) -> np.ndarray:
-        """Row sums (degrees of an observed network), computed on the first call; read-only."""
-        if self._row_sums is None:
-            sums = self.matvec(np.ones(self.n))
-            sums.flags.writeable = False
-            self._row_sums = sums
-        return self._row_sums
 
     def total(self) -> float:
         """iota' A iota, twice the sum of the stored entries."""

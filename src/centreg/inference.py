@@ -193,14 +193,15 @@ def degree_bias_variance(a_hat: SymmetricSparseMatrix, fit: RegressionFit) -> Tu
     iota / sum C^2.  V_hat sums (d_i + d_j)^2 over the edges ij, once each
     (the ordered sum over j != i doubles it, and the leading 1/2 cancels
     that doubling).  Node i lies on d_i edges, so the sum is
-    sum_i d_i^3 + d' Ahat d: one product, cost O(n + nnz).  Every term is an
-    integer, so the sum is exact while it stays below 2^53.
+    sum_i d_i^3 + d' Ahat d, with d and Ahat d = Ahat^2 iota read off Ahat's
+    walk vectors (``powers``): O(n) past those two shared products.  Every
+    term is an integer, so the sum is exact while it stays below 2^53.
     """
     _fitted(fit, ("degree", None))
-    deg = a_hat.row_sums()
+    _, deg, deg2 = a_hat.powers(2)
     ssq = fit.ssq_c
     B_hat = float(deg.sum()) / ssq
-    V_hat = (float(deg @ (deg * deg)) + float(deg @ a_hat.matvec(deg))) / ssq**2
+    V_hat = (float(deg @ (deg * deg)) + float(deg @ deg2)) / ssq**2
     fit.B_hat, fit.V_hat = B_hat, V_hat
     return B_hat, V_hat
 
@@ -211,15 +212,13 @@ def diffusion_bias_variance(a_hat: SymmetricSparseMatrix, fit: RegressionFit) ->
     delta and T are the fit's.  The bias combines the moments iota' Ahat^t
     iota (t <= 2T - 1) through b_T(t, delta); the variance is computed
     edge-locally from the vectors u_t = Ahat^(2T-t) iota and
-    w_t = Ahat^(t-1) iota, total cost O(T nnz).
+    w_t = Ahat^(t-1) iota, Ahat's walk vectors (``powers``): cost O(T nnz).
     """
     recipe = _fitted(fit, ("diffusion",)).recipe
     T, delta = recipe["T"], recipe["delta"]
     coeffs = reference_b(T)
 
-    powers = [np.ones(a_hat.n)]
-    for _ in range(2 * T):
-        powers.append(a_hat.matvec(powers[-1]))
+    powers = a_hat.powers(2 * T)
     moments = [float(v.sum()) for v in powers]
 
     ssq = fit.ssq_c

@@ -48,11 +48,10 @@ def _read_table(path: PathLike, header: Sequence[str], types: Sequence[type]):
     """
     with open(path) as fh:
         text = fh.read()
-    head = text.partition("\n")[0]
-    got = next(csv.reader([head]))
+    start = text.find("\n") + 1 or len(text) + 1  # the body's first character; past the end without a newline
+    got = next(csv.reader([text[: start - 1]]))
     if [h.strip().lower() for h in got[: len(header)]] != list(header):
         raise ValueError(f"{path}: expected header '{','.join(header)}', got {got}")
-    start = len(head) + 1
     line = partial(_line_of, text, start)
     parse = partial(_load_from_filelike, delimiter=",", comment=None, quote='"', imaginary_unit="j",
                     usecols=list(range(len(header))), skiplines=0, max_rows=-1, converters=None,

@@ -145,7 +145,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path):
     out = tmp_path / "fit.json"
     assert _build_parser() is _build_parser()
     base = ["regress", "--edges", str(edges), "--outcomes", str(outcomes), "--out", str(out)]
-    assert main(base + ["--beta0", "0", "--beta0", "1", "--alpha", "0.1", "--seed", "3"]) == 0
+    assert main(base + ["--beta0", "0", "--beta0", "1", "--alpha", "0.1"]) == 0
     assert len(json.loads(out.read_text())["tests"]) == 2
     assert main(base) == 0
     fit = json.loads(out.read_text())
@@ -216,6 +216,16 @@ def test_centrality_huge_node_count_exit_two(tmp_path, capsys, edge, flags, mess
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_centrality_header_only_edge_list_exit_two(tmp_path, capsys):
+    # no rows, so no max id: the node count is 0, and no centrality is defined
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n")
+    code = main(["centrality", "--edges", str(edges)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need at least two nodes\n"
 
 
 def test_centrality_out_of_memory_exit_two(tmp_path, capsys, monkeypatch):
@@ -556,7 +566,6 @@ def test_simulate_bad_estimator_spec_exit_two(tmp_path, capsys, estimators, poin
         (["--kind", "regularized-eigenvector"], "--reg-p"),
         (["--kind", "regularized-eigenvector", "--reg-mode", "plug-in"], "--reg-M"),
         (["--kind", "diffusion", "--delta", "2"], "--delta"),
-        (["--kind", "eigenvector", "--seed", "-1"], "--seed: expected an integer >= 0"),
     ],
 )
 def test_centrality_bad_estimator_flags_exit_two(tmp_path, capsys, flags, flag):
@@ -578,14 +587,13 @@ def test_centrality_bad_estimator_flags_exit_two(tmp_path, capsys, flags, flag):
         (["regress", "--alpha", "0.05", "--alpha", "1e-300"], "--alpha"),
         (["regress", "--alpha", repr(2.0**-53)], "--alpha"),
         (["regress", "--centrality", "diffusion", "--T", "11"], "--T"),
-        (["regress", "--seed", "-1"], "--seed"),
         (["simulate", "--threads", "-1"], "--threads"),
         (["derive", "g", "--max", "-3"], "--max"),
         (["derive", "g", "--max", "-3", "--verify"], "--max"),
         (["derive", "b", "--max", "0", "--verify"], "--max"),
         (["centrality", "--n", "-5"], "--n"),
     ],
-    ids=["beta0-inf", "beta0-nan", "alpha", "alpha-1e-300", "alpha-2^-53", "T-beyond-b-table", "regress-seed", "threads", "derive-g-max",
+    ids=["beta0-inf", "beta0-nan", "alpha", "alpha-1e-300", "alpha-2^-53", "T-beyond-b-table", "threads", "derive-g-max",
          "derive-g-max-verify", "derive-b-max-verify", "centrality-n"],
 )
 def test_out_of_range_flag_exit_two_before_any_read(tmp_path, capsys, argv, flag):

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -108,6 +111,16 @@ def test_sbm_validation():
             Graphon.sbm(pi, [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(InvalidGraphon):
         Graphon.sbm([0.5, 0.5], [[0.5, 0.2], [0.3, 0.5]])
+    for P in ([[1.2, 0.2], [0.2, 0.5]], [[0.5, -0.1], [-0.1, 0.5]]):
+        with pytest.raises(InvalidGraphon, match=r"must lie in \[0, 1\]"):
+            Graphon.sbm([0.5, 0.5], P)
+
+
+@pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), (1, 5), ()])
+def test_matvec_rejects_a_vector_of_the_wrong_shape(shape):
+    m = SymmetricSparseMatrix.from_edges(5, [0, 1], [1, 2])
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))} for an n = 5 matrix"):
+        m.matvec(np.ones(shape))
 
 
 def test_build_adjacency_rejects_bad_sparsity():
@@ -506,6 +519,31 @@ def test_matvec_kernels_match_scipy_product(n, pairs, seed):
     data = np.repeat(root, np.diff(full.indptr)) * root[full.indices]  # sqrt(lambda_i lambda_j) on entry (i, j)
     weighted = sp.csr_matrix((data, full.indices, full.indptr), shape=(n, n))
     assert np.array_equal(reg.matvec(v), weighted @ v)
+
+
+def test_walk_vectors_shared_across_threads_are_complete_and_exact():
+    # threads asking one matrix, and its pass-through regularization, for walk
+    # sequences of mixed lengths each get a complete, read-only, exact one
+    m = observe(build_true_adjacency(Graphon.constant(1.0), sample_latent(300, 5), 0.1), 6)
+    chain = [np.ones(m.n)]
+    for _ in range(8):
+        chain.append(m.matvec(chain[-1]))
+    views = [m, regularize(m, reg_mode="oracle", p_n=1.0)]  # tau = 2n: no degree above it
+    lengths = np.random.default_rng(7).integers(0, 9, 400).tolist()
+
+    def ask(k):
+        seq = views[k % 2].powers(lengths[k])
+        return len(seq) == lengths[k] + 1 and all(
+            not v.flags.writeable and v.tobytes() == w.tobytes() for v, w in zip(seq, chain))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(ask, k) for k in range(len(lengths))]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_missing_sparsetools_extension_names_the_scipy_version(tmp_path, monkeypatch):

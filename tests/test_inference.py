@@ -1,6 +1,7 @@
 """OLS, bias/variance estimators, tests, and confidence sets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from centreg import (
     eigenvector_centrality,
     leading_eigenpair,
     ols,
+    regularize,
     test_beta,
 )
 from centreg.errors import (
@@ -226,6 +228,44 @@ def test_diffusion_variance_matches_hadamard_formula(seed):
     assert V == pytest.approx(literal, rel=1e-9)
 
 
+class CountingMatrix(SymmetricSparseMatrix):
+    """A sparse matrix that counts its matrix-vector products."""
+
+    products = 0
+
+    def matvec(self, v):
+        self.products += 1
+        return super().matvec(v)
+
+
+def test_walk_vectors_are_made_once_and_shared():
+    # degree, diffusion (delta = 1, T = 2) and both B_hat/V_hat read iota,
+    # Ahat iota, ..., Ahat^4 iota: four products in all, each made once
+    a_hat = random_binary(80, 0.1, seed=12)
+    m = CountingMatrix(a_hat.n, a_hat.indptr, a_hat.rows, a_hat.cols, a_hat.data)
+    y = np.random.default_rng(13).standard_normal(m.n)
+    deg, dif = degree(m), diffusion(m, delta=1.0, T=2)
+    fit_deg, fit_dif = ols(y, deg, mode="noisy-degree"), ols(y, dif, mode="noisy-diffusion")
+    degree_bias_variance(m, fit_deg)
+    diffusion_bias_variance(m, fit_dif)
+    assert m.products == 4
+    reg = regularize(m, p_n=1.0)  # tau = 2n: no degree above it, so the input passes through
+    assert all(x is w for x, w in zip(reg.powers(4), m.powers(4), strict=True)) and m.products == 4
+
+    # the same figures from an explicit product chain on the uncached matrix
+    chain = [np.ones(m.n)]
+    for _ in range(4):
+        chain.append(a_hat.matvec(chain[-1]))
+    d, ssq = chain[1], fit_deg.ssq_c
+    assert deg.values.tobytes() == d.tobytes()
+    assert dif.values.tobytes() == (np.zeros(m.n) + chain[1] + chain[2]).tobytes()
+    assert (fit_deg.B_hat, fit_deg.V_hat) == (float(d.sum()) / ssq,
+                                              (float(d @ (d * d)) + float(d @ a_hat.matvec(d))) / ssq**2)
+    # on a fresh copy of Ahat the diffusion estimators make their own chain
+    alone = ols(y, diffusion(random_binary(80, 0.1, seed=12), delta=1.0, T=2), mode="noisy-diffusion")
+    assert diffusion_bias_variance(random_binary(80, 0.1, seed=12), alone) == (fit_dif.B_hat, fit_dif.V_hat)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_variance_estimators_match_two_sided_edge_sums(seed):
     # each V_hat against its sum over both orientations (i, j) and (j, i) of
@@ -420,6 +460,20 @@ def test_linear_confidence_beyond_full_attenuation(mode):
     assert confidence(make_fit(beta_hat=1.0, V0=0.04, B=1.0, V=0.04, mode=mode), 0.05).c == ()
     wide = confidence(make_fit(beta_hat=0.1, V0=0.04, B=1.0, V=0.04, mode=mode), 0.05)
     assert wide.c == (Interval(-math.inf, math.inf),)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda fit: confidence(fit, 0.05, c0_policy="x"), "unknown c0 policy 'x'"),
+        (lambda fit: confidence(fit, 0.05, sided="x"), "interval sided must be two|upper|lower, got 'x'"),
+        (lambda fit: test_beta(fit, 1.0, sided="x"), "sided must be two|left|right, got 'x'"),
+    ],
+    ids=["confidence-c0-policy", "confidence-sided", "test-sided"],
+)
+def test_unknown_option_is_rejected(call, message):
+    with pytest.raises(ConfigMismatch, match=f"^{re.escape(message)}$"):
+        call(make_fit(beta_hat=1.0, B=0.1, V=0.1))
 
 
 def test_confidence_invalid_level():

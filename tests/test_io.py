@@ -57,6 +57,18 @@ def test_edge_list_header_required(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("text,want", [("i,j", []), ("I, J,k", []), ("i,j\n", []), ("i,j\n0,1", [(0, 1)])])
+def test_header_line_with_or_without_a_newline(tmp_path, text, want):
+    # a file with no newline is its header alone
+    path = tmp_path / "e.csv"
+    path.write_text(text)
+    table, _ = _read_table(path, ("i", "j"), (np.int64, np.int64))
+    assert table.tolist() == want
+    path.write_text(text.replace("i", "x", 1).replace("I", "x", 1))
+    with pytest.raises(ValueError, match="expected header 'i,j', got "):
+        _read_table(path, ("i", "j"), (np.int64, np.int64))
+
+
 def test_outcomes_reader(tmp_path):
     path = tmp_path / "y.csv"
     path.write_text("id,y\n0,1.5\n2,2.5\n1,-3.0\n")

@@ -228,6 +228,21 @@ def test_replications_run_in_spawned_worker_processes():
     assert repr(got) == repr([replicate(rep) for rep in range(cfg.replications)])  # floats to the bit, NaN as NaN
 
 
+@pytest.mark.parametrize("graphon", [Graphon.constant(1.0), Graphon.rank_r([0.5, 0.15])], ids=["constant", "rank-r"])
+@pytest.mark.parametrize("spec", [{"kind": "eigenvector"}, {"kind": "regularized-eigenvector"}],
+                         ids=["eigenvector", "regularized"])
+def test_eigenvector_record_is_the_same_after_degree_and_diffusion(graphon, spec):
+    # degree and diffusion make Ahat's and A's walk vectors before the eigensolves
+    # read them; solved alone, each eigensolve makes them itself, to the same bits
+    walks = [{"kind": "degree"}, {"kind": "diffusion", "delta": 1.0, "T": 2}]
+    alone = small_config(graphon=graphon, estimators=[spec], fit_no_error=True)
+    after = small_config(graphon=graphon, estimators=[*walks, spec], fit_no_error=True)
+    label, p = alone.estimators[0].label, alone.sparsity.resolve(50)
+    for rep in range(4):
+        (solo, failures), (shared, _) = (monte_carlo._replicate(cfg, 50, p, 0, rep) for cfg in (alone, after))
+        assert failures == [] and repr(solo[label]) == repr(shared[label])  # floats to the bit, NaN as NaN
+
+
 def test_write_outputs_files(tmp_path):
     cfg = small_config(replications=6)
     result = run_experiment(cfg)
@@ -399,13 +414,6 @@ def test_every_eigensolve_gets_the_callers_settings(monkeypatch):
     assert cell.failures == []
     # per replication: delta on Ahat and on A, v1(Ahat), and v1(A) once
     assert seen == [{"max_iter": 4321, "tol": 1e-9}] * (4 * cfg.replications)
-
-    # `regress --seed` reaches the delta rule's solve
-    seen.clear()
-    a_hat = observe(build_true_adjacency(Graphon.constant(0.5), sample_latent(40, 1), 1.0), 2)
-    est = Estimator.from_spec(specs[0], str)
-    est.centrality(a_hat, seed=5)
-    assert seen == [{"seed": 5}]
 
 
 # one estimator per inference mode, the last two by override
