@@ -258,7 +258,7 @@ def regularize(
     deg = m.row_sums()
     lam = np.ones(m.n)
     if deg.max() <= tau:
-        out = SymmetricSparseMatrix(m.n, m.indptr, m.rows, m.cols, m.data, node_weights=lam, threshold=tau)
+        out = SymmetricSparseMatrix(m.n, m.indptr, m.cols, m.data, node_weights=lam, threshold=tau)
         out._krylov = m._krylov  # the same entries, so the same walk vectors
         return out
     busy = deg > 0
@@ -268,7 +268,7 @@ def regularize(
     data = root[rows]
     data *= root[cols]
     data *= m.data
-    return SymmetricSparseMatrix(m.n, m.indptr, m.rows, m.cols, data, node_weights=lam, threshold=tau)
+    return SymmetricSparseMatrix(m.n, m.indptr, m.cols, data, node_weights=lam, threshold=tau)
 
 
 def regularized_eigenvector_centrality(

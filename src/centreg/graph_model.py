@@ -20,8 +20,6 @@ from importlib.machinery import PathFinder
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
-from numpy.polynomial.legendre import legvander
 
 from .errors import InvalidGraphon, InvalidSize, InvalidSparsity, _is_number
 
@@ -44,21 +42,31 @@ _GAP_MARGIN = 4.0  # standard deviations past the mean hit count that a first ba
 _THIN_CHUNK = 1 << 20  # candidates per thinning pass
 
 
-def _sparsetools_kernels():
-    """``csc_matvec`` and ``csr_matvec`` of scipy's ``_sparsetools`` C extension, loaded from its file.
+def _scipy_file(name: str, subdir: str = ""):
+    """scipy's module ``name`` in ``subdir``, run from its file; None if there is no such file.
 
-    ``import scipy.sparse`` would run the package init first: about 0.2 s
-    of imports on a 2-vCPU host (``numpy.f2py`` and ``numpy.testing`` among
-    them) that no product uses.  The kernels are the same either way.
+    ``import scipy`` would run the package init, 1.3 MB of imports with
+    ``subprocess`` among them, and ``import scipy.sparse`` that package's,
+    0.2 s more with ``numpy.f2py`` and ``numpy.testing``; no run uses them.
     """
-    spec = PathFinder.find_spec("_sparsetools", [os.path.join(scipy.__path__[0], "sparse")])
+    spec = PathFinder.find_spec(name, [os.path.join(_SCIPY_DIR, subdir)])
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no sparse/_sparsetools extension")
+        return None
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _sparsetools_kernels():
+    """``csc_matvec`` and ``csr_matvec`` of scipy's ``_sparsetools`` C extension, loaded from its file."""
+    module = _scipy_file("_sparsetools", "sparse")
+    if module is None:
+        raise ImportError(f"scipy {SCIPY_VERSION} has no sparse/_sparsetools extension")
     return module.csc_matvec, module.csr_matvec
 
 
+_SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]  # found without running scipy's init
+SCIPY_VERSION = _scipy_file("version").version  # for the manifest and the error above
 csc_matvec, csr_matvec = _sparsetools_kernels()  # tests pin products to scipy.sparse, bit for bit
 
 
@@ -166,20 +174,21 @@ class FactoredMatrix(_WalkVectors):
 class SymmetricSparseMatrix(_WalkVectors):
     """Symmetric n x n matrix with zero diagonal, stored as its upper triangle U.
 
-    U is a CSR matrix: int32 ``indptr`` over rows and ``cols``, the column of
-    each entry, with ``rows`` its row and ``data`` its value (ones for an
-    observed network).  Entries run over the pairs i < j sorted by i, then
-    j.  ``node_weights`` and ``threshold`` are set only on the output of
-    ``centrality.regularize``.  The constructor trusts its arrays, which
-    the product hands to scipy's C kernels unchecked; ``from_edges`` and
-    ``from_dense`` bring any edge list to this form.  The arrays are
-    read-only once built, so instances are safe to share across threads.
+    U is a CSR matrix: int32 ``indptr`` over rows, ``cols``, the column of
+    each entry, and ``data``, its value (ones for an observed network);
+    ``rows``, each entry's row, is derived from ``indptr``, not stored.
+    Entries run over the pairs i < j sorted by i, then j.  ``node_weights``
+    and ``threshold`` are set only on the output of ``centrality.regularize``.
+    The constructor trusts its arrays, which the product hands to scipy's C
+    kernels unchecked; ``from_edges`` and ``from_dense`` bring any edge list
+    to this form.  The arrays are read-only once built, so instances are
+    safe to share across threads.
     """
 
-    def __init__(self, n, indptr, rows, cols, data, node_weights=None, threshold=None):
+    def __init__(self, n, indptr, cols, data, node_weights=None, threshold=None):
         self.n = int(n)
-        self.indptr, self.rows, self.cols, self.data = indptr, rows, cols, data
-        for arr in (indptr, rows, cols, data):
+        self.indptr, self.cols, self.data = indptr, cols, data
+        for arr in (indptr, cols, data):
             arr.flags.writeable = False
         self.node_weights, self.threshold = node_weights, threshold
         self._krylov = [()]
@@ -229,6 +238,11 @@ class SymmetricSparseMatrix(_WalkVectors):
     def n_edges(self) -> int:
         return len(self.data)
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry, int32."""
+        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """U'v + Uv: row r adds its lower entries, then its upper ones, each in column order.
 
@@ -251,7 +265,7 @@ class SymmetricSparseMatrix(_WalkVectors):
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The (i, j) of every stored entry, i < j, as int64: numpy gathers int64 indices about 2x faster."""
-        return self.rows.astype(np.int64), self.cols.astype(np.int64)
+        return np.repeat(np.arange(self.n), np.diff(self.indptr)), self.cols.astype(np.int64)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -268,7 +282,7 @@ def _from_keys(n: int, keys: np.ndarray, data: np.ndarray = None) -> SymmetricSp
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     data = np.ones(len(keys)) if data is None else data
-    return SymmetricSparseMatrix(n, indptr, rows.astype(np.int32), cols.astype(np.int32), data)
+    return SymmetricSparseMatrix(n, indptr, cols.astype(np.int32), data)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +361,8 @@ class Graphon:
             return np.ones(u.shape + (1,))
         if self.kind == "sbm":  # block membership
             return np.take(np.eye(r), np.searchsorted(self.cuts, u, side="right"), axis=0)
+        from numpy.polynomial.legendre import legvander  # rank r alone reads it: 0.5-0.8 MB of imports
+
         # shifted Legendre; legvander makes a 0-d u 1-d, and the reshape restores u.shape + (r,)
         return (legvander(2.0 * u - 1.0, r - 1) * np.sqrt(2.0 * np.arange(r) + 1.0)).reshape(u.shape + (r,))
 
@@ -526,8 +542,7 @@ def observe(a: FactoredMatrix, seed: int) -> SymmetricSparseMatrix:
         if len(pieces) > drawn:
             blocks.append((x, len(pieces) - drawn))
     if not pieces:
-        return SymmetricSparseMatrix(a.n, np.zeros(a.n + 1, np.int32), np.empty(0, np.int32), np.empty(0, np.int32),
-                                     np.empty(0))
+        return SymmetricSparseMatrix(a.n, np.zeros(a.n + 1, np.int32), np.empty(0, np.int32), np.empty(0))
     # one array each, and each pair's arrays freed: a lower peak touches fewer fresh pages
     per_row, cols = np.concatenate(per_row), np.concatenate(cols)
     if any(pc[2] for pc in pieces):
@@ -615,6 +630,5 @@ def _place(n: int, st: list, blocks: list, per_row: np.ndarray, cols: np.ndarray
         src = np.repeat((starts - (np.cumsum(shares) - shares)).astype(np.int32), shares)
         src += np.arange(len(cols), dtype=np.int32)  # each entry's place in cols
         placed = np.take(cols, src)
-        del src  # freed before the rows and values are allocated, to keep the peak low
-    rows = np.repeat(np.arange(n, dtype=np.int32), counts)
-    return SymmetricSparseMatrix(n, indptr, rows, placed, np.ones(len(cols)))
+        del src  # freed before the values are allocated, to keep the peak low
+    return SymmetricSparseMatrix(n, indptr, placed, np.ones(len(cols)))

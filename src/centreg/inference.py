@@ -292,16 +292,23 @@ def _form(mode: str, B_hat, V0_hat, V_hat):
     return 1.0 - B_hat, 0.0, _sd(V_hat, "V_hat"), "null-nonzero"
 
 
-def statistic(mode: str, beta0: float, beta_hat, V0_hat, B_hat=None, V_hat=None):
+def statistic(mode: str, beta0, beta_hat, V0_hat, B_hat=None, V_hat=None):
     """The statistic for H0: beta = beta0 in ``mode``, and the branch taken.
 
     Components are one fit's scalars or equal-length arrays of Monte Carlo
-    draws; ``test_beta`` and the simulation tables both call this.
+    draws; ``test_beta`` and the simulation tables both call this.  beta0
+    may be an array that broadcasts against them, a column of nulls for a
+    row of draws: the zero null's branch applies where it is 0, and the
+    branch returned is the nonzero nulls'.
     """
-    if beta0 == 0.0 and mode != "no-error":
+    zero = np.equal(beta0, 0.0) & (mode != "no-error")
+    if np.ndim(zero) == 0 and zero:
         return beta_hat / _sd(V0_hat, "V0_hat"), "null-zero"
     a, s, t, branch = _form(mode, B_hat, V0_hat, V_hat)
-    return (beta_hat - a * beta0) / (s + t * beta0), branch
+    if not np.any(zero):
+        return (beta_hat - a * beta0) / (s + t * beta0), branch
+    b = np.where(zero, 1.0, beta0)  # a stand-in null where the zero null's statistic replaces the form's
+    return np.where(zero, beta_hat / _sd(V0_hat, "V0_hat"), (beta_hat - a * b) / (s + t * b)), branch
 
 
 def test_beta(

@@ -16,15 +16,12 @@ import functools
 import json
 import math
 import os
-import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 from . import inference
 from ._tables import B_ROWS
@@ -42,7 +39,7 @@ from .centrality import (  # noqa: F401
     regularized_eigenvector_centrality,
 )
 from .errors import CentregError, ConfigError, _checked, _is_number
-from .graph_model import Graphon, SparsityRule, build_true_adjacency, observe, sample_latent
+from .graph_model import SCIPY_VERSION, Graphon, SparsityRule, build_true_adjacency, observe, sample_latent
 from .io import write_edge_list, write_table
 from .walks import reference_b  # noqa: F401
 
@@ -76,6 +73,8 @@ _CONFIG_CHECKS = {
     "master_seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "fit_no_error": (lambda v: isinstance(v, bool), "true or false"),
     "threads": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "eig_max_iter": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "eig_tol": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
 }
 _ERROR_MODEL_CHECKS = {"sigma": (lambda v: _is_number(v) and v > 0, "a finite number > 0")}
 
@@ -203,6 +202,9 @@ class ExperimentConfig:
         for name in ("graphon", "n_grid"):
             if name not in d:
                 raise ConfigError(f"/{name}", "missing required field")
+        for name in d:
+            if name not in _CONFIG_CHECKS and name not in ("graphon", "sparsity", "estimators"):
+                raise ConfigError(f"/{name}", "unknown field")
         given = _checked(d, _CONFIG_CHECKS, lambda name: f"/{name}")
         error_model = _checked(given.pop("error_model", {}), _ERROR_MODEL_CHECKS, lambda name: f"/error_model/{name}")
         for name in ("beta0_grid", "alpha_grid"):
@@ -386,6 +388,8 @@ def run_cell(
     # _replicate is looked up at call time, where perfbench/tracing.py wraps it; the partial pickles
     replicate = functools.partial(_replicate, cfg, n, p, cell_index)
     start = time.perf_counter()
+    if nthreads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a serial run never imports it (logging, queue, ...)
     pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
     with pool or contextlib.nullcontext():
         results = list((pool.map if pool else map)(replicate, range(cfg.replications)))  # in replication order
@@ -430,18 +434,19 @@ def rejection_table(
     ``test_beta`` computes; "robust" is the robust t (the no-error mode).
     """
     rows = []
+    beta0s = np.array(beta0_grid, dtype=np.float64)[:, None]  # a column of nulls against the row of draws
+    zs = np.array([inference.critical_value(alpha) for alpha in alpha_grid])[:, None]
     for label in cell.estimators:
         d = cell.draws[label]
         ok = cell.ok_mask(label)
         n_ok = int(ok.sum())
         parts = {key: d[key][ok] for key in ("beta_hat", "V0_hat", "B_hat", "V_hat")}
-        for beta0 in beta0_grid:
-            for stat_name, mode in (("ours", cell.modes[label]), ("robust", "no-error")):
-                stat, _ = inference.statistic(mode, beta0, **parts)
-                for alpha in alpha_grid:
-                    z = inference.critical_value(alpha)
-                    rej = np.abs(stat) >= z
-                    rate = float(rej.mean()) if n_ok else float("nan")
+        rejects = [(np.abs(inference.statistic(mode, beta0s, **parts)[0])[:, None, :] >= zs).sum(axis=2).tolist()
+                   for mode in (cell.modes[label], "no-error")]  # per statistic, (beta0, alpha) -> rejections
+        for g, beta0 in enumerate(beta0_grid):
+            for stat_name, counts in zip(("ours", "robust"), rejects):
+                for k, alpha in enumerate(alpha_grid):
+                    rate = counts[g][k] / n_ok if n_ok else float("nan")
                     se = float(np.sqrt(rate * (1 - rate) / n_ok)) if n_ok else float("nan")
                     rows.append(
                         {
@@ -466,11 +471,13 @@ _DIST_KEYS = ("beta_hat", "beta_check", "B_hat", "V_hat", "V0_hat")
 
 def _environment(cells: Sequence[CellResult]) -> dict:
     """Versions, BLAS, core count and each cell's worker threads, for the manifest."""
+    import platform
+
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": SCIPY_VERSION,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "threads": {str(c.cell_index): c.threads for c in cells},
@@ -515,7 +522,7 @@ def write_outputs(
             d = cell.draws[label]
             safe = label.replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
             path = out_dir / f"dist_{safe}_n{cell.n}.csv"
-            rows = ([r, *(d[key][r] for key in _DIST_KEYS)] for r in range(cell.replications))
+            rows = zip(range(cell.replications), *(d[key].tolist() for key in _DIST_KEYS))
             write_table(path, ["replication", *_DIST_KEYS], rows)
             written.append(str(path))
 

@@ -223,7 +223,7 @@ def test_regularize_passthrough_when_degrees_small():
 def test_regularize_shares_the_input_arrays_when_no_weight_binds():
     m = SymmetricSparseMatrix.from_edges(3, [0, 0, 1], [1, 2, 2], [0.5, 0.25, 1.0])
     out = regularize(m, reg_mode="oracle", p_n=0.9)  # tau = 5.4 > every degree: D = I
-    for name in ("indptr", "rows", "cols", "data"):
+    for name in ("indptr", "cols", "data"):
         assert getattr(out, name) is getattr(m, name), name
     assert np.array_equal(out.toarray(), m.toarray())  # the weights, not ones
     assert np.all(out.node_weights == 1.0) and out.threshold == pytest.approx(5.4)

@@ -647,16 +647,16 @@ def test_regress_reports_the_mode_simulate_uses(tmp_path, scaling, mode):
 )
 def test_simulate_thread_count(tmp_path, monkeypatch, config_threads, flags, env, pools):
     # the count comes from --threads, else the config, else CENTREG_THREADS, else 1
-    import centreg.monte_carlo as mc
+    import concurrent.futures
 
     seen = []
 
-    class SpyPool(mc.ThreadPoolExecutor):
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             seen.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)  # run_cell imports it on use
     if env is None:
         monkeypatch.delenv("CENTREG_THREADS", raising=False)
     else:
@@ -721,14 +721,20 @@ def test_simulate_and_regress_never_import_sparse_linalg(tmp_path):
 
 
 def test_runs_never_import_scipy_sparse_or_special(tmp_path):
-    # the package inits of scipy.sparse and scipy.special (with the numpy.f2py and
-    # numpy.testing they pull in) took over half of a cold start; the two product
-    # kernels come from scipy's _sparsetools file and the normal quantile from statistics
+    # the package inits of scipy, scipy.sparse and scipy.special (with the subprocess,
+    # numpy.f2py and numpy.testing they pull in) took over half of a cold start; the two
+    # product kernels come from scipy's _sparsetools file, its version from version.py and
+    # the normal quantile from statistics.  A serial run of a constant graphon loads
+    # neither numpy.polynomial (rank r alone reads it) nor concurrent.futures (threads).
     edges, outcomes = write_k3(tmp_path)
     cfg = {"graphon": {"kind": "constant", "c": 1.0}, "n_grid": [30], "sparsity": {"kind": "constant", "p": 0.3},
-           "replications": 2, "estimators": [{"kind": "degree"}, {"kind": "eigenvector", "scaling": "sqrt-n"}]}
-    cfg_path = tmp_path / "cfg.json"
+           "replications": 2, "threads": 1,
+           "estimators": [{"kind": "degree"}, {"kind": "eigenvector", "scaling": "sqrt-n"}]}
+    cfg_path, rank_r_path = tmp_path / "cfg.json", tmp_path / "rank_r.json"
     cfg_path.write_text(json.dumps(cfg))
+    rank_r_path.write_text(json.dumps({**cfg, "graphon": {"kind": "rank-r", "eigenvalues": [0.5, 0.15]}}))
+    unwanted = ("scipy", "scipy.sparse", "scipy.special", "numpy.f2py", "numpy.testing", "numpy.polynomial",
+                "concurrent.futures")
     script = "\n".join(
         [
             "import sys",
@@ -737,9 +743,10 @@ def test_runs_never_import_scipy_sparse_or_special(tmp_path):
             f"assert main(['simulate', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0",
             f"assert main(['regress', '--edges', {str(edges)!r}, '--outcomes', {str(outcomes)!r},"
             f" '--beta0', '1', '--out', {str(tmp_path / 'fit.json')!r}]) == 0",
-            "print([m for m in ('scipy.sparse', 'scipy.special', 'numpy.f2py', 'numpy.testing') if m in sys.modules])",
+            f"print([m for m in {unwanted!r} if m in sys.modules])",
             "print(graph_model.csr_matvec.__self__.__file__)",
             "print(graph_model.csc_matvec.__self__.__file__)",
+            f"assert main(['simulate', '--config', {str(rank_r_path)!r}, '--out', {str(tmp_path / 'rank_r')!r}]) == 0",
         ]
     )
     env = dict(os.environ)
@@ -752,3 +759,13 @@ def test_runs_never_import_scipy_sparse_or_special(tmp_path):
     sparse_dir = Path(scipy.__path__[0]) / "sparse"
     for file in map(Path, kernel_files):
         assert file.parent == sparse_dir and file.name.startswith("_sparsetools"), file
+    assert (tmp_path / "rank_r" / "manifest.json").is_file()
+
+
+def test_scipy_version_is_read_from_its_version_file():
+    # graph_model runs scipy's version.py by path, as it loads _sparsetools, for the
+    # manifest and the missing-extension error; a scipy without that file fails at import
+    from centreg import graph_model
+
+    assert (Path(scipy.__path__[0]) / "version.py").is_file()
+    assert graph_model.SCIPY_VERSION == scipy.__version__

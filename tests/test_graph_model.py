@@ -548,8 +548,8 @@ def test_walk_vectors_shared_across_threads_are_complete_and_exact():
 
 def test_missing_sparsetools_extension_names_the_scipy_version(tmp_path, monkeypatch):
     # the kernels are loaded from scipy's sparse directory by path, with no other way in
-    fake = type("FakeScipy", (), {"__path__": [str(tmp_path)], "__version__": "0.0.test"})
-    monkeypatch.setattr(graph_model, "scipy", fake)
+    monkeypatch.setattr(graph_model, "_SCIPY_DIR", str(tmp_path))
+    monkeypatch.setattr(graph_model, "SCIPY_VERSION", "0.0.test")
     with pytest.raises(ImportError, match=r"scipy 0\.0\.test has no sparse/_sparsetools"):
         graph_model._sparsetools_kernels()
 

@@ -242,7 +242,7 @@ def test_walk_vectors_are_made_once_and_shared():
     # degree, diffusion (delta = 1, T = 2) and both B_hat/V_hat read iota,
     # Ahat iota, ..., Ahat^4 iota: four products in all, each made once
     a_hat = random_binary(80, 0.1, seed=12)
-    m = CountingMatrix(a_hat.n, a_hat.indptr, a_hat.rows, a_hat.cols, a_hat.data)
+    m = CountingMatrix(a_hat.n, a_hat.indptr, a_hat.cols, a_hat.data)
     y = np.random.default_rng(13).standard_normal(m.n)
     deg, dif = degree(m), diffusion(m, delta=1.0, T=2)
     fit_deg, fit_dif = ols(y, deg, mode="noisy-degree"), ols(y, dif, mode="noisy-diffusion")
@@ -665,3 +665,19 @@ def test_statistic_takes_draw_arrays():
             one, _ = statistic(mode, 1.0, beta_hat[k], V0[k], B[k], V[k])
             assert stats[k] == one
         assert np.isnan(stats[2])
+
+
+def test_statistic_takes_a_column_of_nulls():
+    # a column of nulls, zero among them, against a row of draws: row g is the
+    # statistic at beta0_grid[g], the zero null's branch where it is 0, to the bit
+    beta_hat = np.array([0.9, 1.1, np.nan, 0.0])
+    V0, B = np.array([0.04, 0.09, np.nan, 0.01]), np.array([0.2, 0.1, np.nan, 0.3])
+    V = np.array([0.05, 0.02, np.nan, 0.03])
+    grid = [0.0, 1.0, -1.5, 0.0, 2.0]
+    for mode in MODES:
+        stats, branch = statistic(mode, np.array(grid)[:, None], beta_hat, V0, B, V)
+        assert stats.shape == (len(grid), len(beta_hat))
+        assert branch == statistic(mode, 1.0, beta_hat, V0, B, V)[1]
+        for g, beta0 in enumerate(grid):
+            one, _ = statistic(mode, beta0, beta_hat, V0, B, V)
+            assert np.array_equal(stats[g], one, equal_nan=True), (mode, beta0)

@@ -137,6 +137,8 @@ _VALID = {
     "master_seed": 5,
     "fit_no_error": False,
     "threads": 1,
+    "eig_max_iter": 20000,
+    "eig_tol": 1e-9,
 }
 # every field of _VALID, the nested ones included
 _FIELDS = [(k,) for k in _VALID] + [
@@ -171,12 +173,30 @@ def test_config_field_replaced_by_any_json_value(path, value):
 
 
 def test_config_rejects_coercible_values():
-    # a boolean or string is not a number, nor a string a boolean
+    # a boolean or string is not a number, nor a string a boolean; nor is a solver field out of range
     for field, value in [("replications", True), ("fit_no_error", "false"), ("master_seed", "3"),
-                         ("beta_true", None), ("threads", None), ("n_grid", [30.0])]:
+                         ("beta_true", None), ("threads", None), ("n_grid", [30.0]), ("eig_max_iter", 0),
+                         ("eig_max_iter", 2.0), ("eig_max_iter", True), ("eig_tol", 0), ("eig_tol", -1e-10),
+                         ("eig_tol", "1e-10")]:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_json_dict({**_VALID, field: value})
         assert err.value.pointer.startswith("/" + field)
+
+
+def test_config_rejects_an_unknown_field():
+    # a misspelled field would otherwise leave its default (1000 replications) in place
+    with pytest.raises(ConfigError, match="^/replicatoins: unknown field$") as err:
+        ExperimentConfig.from_json_dict({**_VALID, "replicatoins": 5})
+    assert err.value.pointer == "/replicatoins"
+
+
+def test_config_applies_the_solver_fields():
+    cfg = ExperimentConfig.from_json_dict({**_VALID, "eig_max_iter": 7, "eig_tol": 1})
+    assert (cfg.eig_max_iter, cfg.eig_tol) == (7, 1)
+    starved = {**_VALID, "replications": 2, "estimators": [{"kind": "eigenvector"}], "eig_max_iter": 2}
+    assert [f[2] for f in run_cell(ExperimentConfig.from_json_dict(starved), 30).failures] == ["NoConvergence"] * 2
+    default = ExperimentConfig.from_json_dict({k: v for k, v in _VALID.items() if not k.startswith("eig_")})
+    assert (default.eig_max_iter, default.eig_tol) == (50_000, 1e-10)
 
 
 def test_config_round_trip_from_json(tmp_path):
@@ -259,6 +279,20 @@ def test_write_outputs_files(tmp_path):
     header = (tmp_path / "size.csv").read_text().splitlines()[0]
     assert header == "n,p,estimator,beta0,alpha,reject_rate,se,failures"
     assert (tmp_path / "graphs" / "cell0_rep0.csv").exists()
+
+
+def test_draw_files_print_each_draw_as_its_numpy_scalar(tmp_path):
+    # the rows are built from .tolist(): a Python float prints as the numpy scalar did
+    from centreg.monte_carlo import _DIST_KEYS
+
+    result = run_experiment(small_config(replications=6))
+    d = result.cells[0].draws["degree"]
+    d["B_hat"][:] = [np.nan, np.inf, -0.0, 1e-5, 1e16, 5e-324]
+    d["V_hat"][:] = [0.1 + 0.2, 2.5, 1e-4, 123456789.123456789, 1e300, 1.0]
+    write_outputs(result, tmp_path)
+    lines = (tmp_path / "dist_degree_n50.csv").read_text().splitlines()
+    assert lines[0] == ",".join(["replication", *_DIST_KEYS])
+    assert lines[1:] == [",".join([str(r), *(str(d[key][r]) for key in _DIST_KEYS)]) for r in range(6)]
 
 
 def test_manifest_records_environment(tmp_path):
