@@ -21,6 +21,7 @@ from .errors import (
 from .graph_model import FactoredMatrix, SymmetricSparseMatrix
 
 _KRYLOV = 8  # products per Lanczos restart cycle
+EIG_TOL, EIG_MAX_ITER = 1e-10, 50_000  # an eigensolve's default residual tolerance and budget of products
 
 # the values of the estimator spec fields delta_rule, scaling and reg_mode
 DELTA_RULES = ("fixed", "inverse-lambda1", "inverse-sqrt-lambda1")
@@ -121,8 +122,8 @@ def diffusion(m: Matrix, delta: float = 1.0, T: int = 2, delta_rule: str = "fixe
 
 def leading_eigenpair(
     m: Matrix,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
+    tol: float = EIG_TOL,
+    max_iter: int = EIG_MAX_ITER,
     gap_check: bool = False,
 ):
     """Leading eigenpair by thick-restart Lanczos (``_lanczos``) from iota / sqrt(n).

@@ -117,11 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--out", default=None)
     cen.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    der = sub.add_parser("derive", help="derive coefficient tables and verify against references",
-                         aliases=["derive-coefficients"])
+    der = sub.add_parser("derive", help="derive coefficient tables and verify against references")
     der.add_argument("what", nargs="?", choices=("g", "b"))
-    der.add_argument("--what", dest="what_opt", choices=("g", "b"),
-                     help="alternative to the positional argument")
     der.add_argument("--max", type=int, default=None, help="largest t (for g) or T (for b)")
     der.add_argument("--verify", action="store_true", help="exit 1 on any mismatch with the embedded tables")
     der.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -234,11 +231,9 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    what = args.what or args.what_opt
+    what = args.what
     if what is None:
         raise ValueError("specify the table to derive (g or b)")
-    if args.what and args.what_opt and args.what != args.what_opt:
-        raise ValueError("conflicting positional and --what values")
     top = args.max if args.max is not None else (10 if what == "g" else 4)
     # the intrinsic budget caps (WALK_LENGTH_CAP, DERIVE_B_CAP) turn an
     # over-large --max into a BudgetExceeded usage error; they lie inside the
@@ -272,12 +267,11 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {"simulate": _cmd_simulate, "regress": _cmd_regress, "centrality": _cmd_centrality,
-             "derive": _cmd_derive, "derive-coefficients": _cmd_derive}
+_COMMANDS = {"simulate": _cmd_simulate, "regress": _cmd_regress, "centrality": _cmd_centrality, "derive": _cmd_derive}
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input of any kind is one ``error:`` line and exit 2."""
+    """Run one subcommand; bad input past argparse's own checks is one ``error:`` line and exit 2."""
     args = _build_parser().parse_args(argv)
     try:
         _checked({k: v for k, v in vars(args).items() if v is not None}, _FLAG_CHECKS, lambda name: "--" + name)

@@ -28,13 +28,18 @@ def _is_number(x, depth: int = 0) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _checked(d: dict, checks: dict, where: Callable[[str], str]) -> dict:
+def _checked(d: dict, checks: dict, where: Callable[[str], str], known=None) -> dict:
     """The fields of ``d`` that ``checks`` lists, each one accepted by its check.
 
     ``checks`` maps a field to (accepts, expectation); [accepts] wants a
     nonempty list of accepted items.  A bad field raises ConfigError at
-    ``where(field)``, a bad item of a list field at ``where(field)/k``.
+    ``where(field)``, a bad item of a list field at ``where(field)/k``.  If
+    ``known`` lists the other fields d may hold, any further one is an
+    unknown field.
     """
+    for name in d if known is not None else ():
+        if name not in checks and name not in known:
+            raise ConfigError(where(name), "unknown field")
     given = {k: v for k, v in d.items() if k in checks}
     for name, value in given.items():
         accepts, expected = checks[name]

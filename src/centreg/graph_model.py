@@ -176,7 +176,6 @@ class SymmetricSparseMatrix(_WalkVectors):
 
     U is a CSR matrix: int32 ``indptr`` over rows, ``cols``, the column of
     each entry, and ``data``, its value (ones for an observed network);
-    ``rows``, each entry's row, is derived from ``indptr``, not stored.
     Entries run over the pairs i < j sorted by i, then j.  ``node_weights``
     and ``threshold`` are set only on the output of ``centrality.regularize``.
     The constructor trusts its arrays, which the product hands to scipy's C
@@ -238,11 +237,6 @@ class SymmetricSparseMatrix(_WalkVectors):
     def n_edges(self) -> int:
         return len(self.data)
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The row of each stored entry, int32."""
-        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """U'v + Uv: row r adds its lower entries, then its upper ones, each in column order.
 
@@ -269,8 +263,8 @@ class SymmetricSparseMatrix(_WalkVectors):
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        out[self.rows, self.cols] = self.data
-        out[self.cols, self.rows] = self.data
+        i, j = self.edge_arrays()
+        out[i, j] = out[j, i] = self.data
         return out
 
 
@@ -389,6 +383,9 @@ class Graphon:
         if kind not in tuple(kinds):  # a tuple compares, so an unhashable kind is no TypeError
             raise InvalidGraphon(f"unknown graphon descriptor kind {kind!r}, expected one of {tuple(kinds)}")
         make, needs = kinds[kind]
+        for name in d:
+            if name != "kind" and name not in needs:
+                raise InvalidGraphon(f"{kind} graphon has no field {name!r}, expected {('kind', *needs)}")
         for name, depth in needs.items():
             if not _is_number(d.get(name), depth):
                 what = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
@@ -453,7 +450,10 @@ class SparsityRule:
         """The rule a JSON descriptor names: a kind, or an object with its kind and, for constant, p."""
         if not isinstance(d, dict):
             return cls(d)
-        return cls(d.get("kind"), d.get("p") if d.get("kind") == "constant" else None)
+        for name in d:
+            if name not in ("kind", "p"):
+                raise InvalidSparsity(f"sparsity rule has no field {name!r}, expected ('kind', 'p')")
+        return cls(d.get("kind"), d.get("p"))
 
     def resolve(self, n: int) -> float:
         p = _RULES[self.kind](n, self.param)
@@ -490,9 +490,7 @@ def build_true_adjacency(g: Graphon, u: LatentSample, p_n: float) -> FactoredMat
         raise InvalidSparsity(f"p_n must lie in (0, 1], got {p_n}")
     starts = np.concatenate(([0], np.searchsorted(u.u, g.cuts, side="left"), [u.n]))
     a = FactoredMatrix(g.features(u.u), p_n * g.core, starts)
-    for x, y in zip(*np.nonzero((a.pair_lo < 0.0) | (a.pair_hi > 1.0))):
-        if x > y:
-            continue  # the bounds are symmetric
+    for x, y in zip(*np.nonzero(np.triu((a.pair_lo < 0.0) | (a.pair_hi > 1.0)))):  # the bounds are symmetric
         cols = a.features[starts[y]:starts[y + 1]]
         step = max(1, _RANGE_CHUNK // len(cols))
         for start in range(starts[x], starts[x + 1], step):

@@ -301,7 +301,7 @@ def statistic(mode: str, beta0, beta_hat, V0_hat, B_hat=None, V_hat=None):
     row of draws: the zero null's branch applies where it is 0, and the
     branch returned is the nonzero nulls'.
     """
-    zero = np.equal(beta0, 0.0) & (mode != "no-error")
+    zero = np.equal(beta0, 0.0)
     if np.ndim(zero) == 0 and zero:
         return beta_hat / _sd(V0_hat, "V0_hat"), "null-zero"
     a, s, t, branch = _form(mode, B_hat, V0_hat, V_hat)
@@ -340,7 +340,7 @@ def test_beta(
         null_value=float(beta0),
         sided=sided,
         reject_at=reject,
-        branch="null-zero" if beta0 == 0.0 else branch,
+        branch=branch,
     )
 
 

@@ -28,6 +28,8 @@ from ._tables import B_ROWS
 # ``regularize`` and ``reference_b`` are not called here but stay names of this module:
 # perfbench/tracing.py wraps the centrality and walks layers by these module attributes
 from .centrality import (  # noqa: F401
+    EIG_MAX_ITER,
+    EIG_TOL,
     SPEC_CHECKS,
     CentralityVector,
     check_spec,
@@ -127,10 +129,8 @@ class Estimator:
 
     @classmethod
     def from_spec(cls, spec, where: Callable[[str], str], fitted: bool = True) -> "Estimator":
-        """The estimator of a spec dict, checked as at construction; a field given as null is rejected."""
-        if not isinstance(spec, dict):
-            raise ConfigError(where("kind"), f"expected one of {ESTIMATOR_KINDS}")
-        return cls(kind=spec.get("kind"), **_checked(spec, _SPEC_CHECKS, where), where=where, fitted=fitted)
+        """The estimator of a spec dict, checked as at construction; a field given as null or unknown is rejected."""
+        return cls(kind=spec.get("kind"), **_checked(spec, _SPEC_CHECKS, where, ("kind",)), where=where, fitted=fitted)
 
     @property
     def label(self) -> str:
@@ -179,12 +179,15 @@ class ExperimentConfig:
     master_seed: int = 0
     fit_no_error: bool = False
     threads: int = 0  # 0: CENTREG_THREADS, else 1
-    eig_max_iter: int = 50_000
-    eig_tol: float = 1e-10
+    eig_max_iter: int = EIG_MAX_ITER
+    eig_tol: float = EIG_TOL
 
     def __post_init__(self):
         if not isinstance(self.estimators, list) or not self.estimators:
             raise ConfigError("/estimators", "must be a nonempty list")
+        for k, e in enumerate(self.estimators):
+            if not isinstance(e, (Estimator, dict)):
+                raise ConfigError(f"/estimators/{k}", f"expected an object, got {e!r}")
         self.estimators = [
             e if isinstance(e, Estimator) else Estimator.from_spec(e, lambda name: f"/estimators/{k}/{name}")
             for k, e in enumerate(self.estimators)
@@ -202,11 +205,9 @@ class ExperimentConfig:
         for name in ("graphon", "n_grid"):
             if name not in d:
                 raise ConfigError(f"/{name}", "missing required field")
-        for name in d:
-            if name not in _CONFIG_CHECKS and name not in ("graphon", "sparsity", "estimators"):
-                raise ConfigError(f"/{name}", "unknown field")
-        given = _checked(d, _CONFIG_CHECKS, lambda name: f"/{name}")
-        error_model = _checked(given.pop("error_model", {}), _ERROR_MODEL_CHECKS, lambda name: f"/error_model/{name}")
+        given = _checked(d, _CONFIG_CHECKS, lambda name: f"/{name}", ("graphon", "sparsity", "estimators"))
+        error_model = _checked(given.pop("error_model", {}), _ERROR_MODEL_CHECKS, lambda name: f"/error_model/{name}",
+                               ("kind",))
         for name in ("beta0_grid", "alpha_grid"):
             if name in given:
                 given[name] = [float(x) for x in given[name]]

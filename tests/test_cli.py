@@ -53,6 +53,47 @@ def test_derive_budget_exceeded_exit_two(tmp_path):
     assert code == 2
 
 
+def test_derive_without_a_table_exit_two(capsys):
+    assert main(["derive", "--max", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: specify the table to derive (g or b)\n")
+
+
+@pytest.mark.parametrize("argv", [["derive", "--what", "g"], ["derive-coefficients", "g"]])
+def test_derive_has_one_spelling(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: centreg")
+
+
+def test_derive_verify_mismatch_exit_one(monkeypatch, capsys):
+    import centreg.cli
+    from centreg.walks import GPolynomial
+
+    real = centreg.cli.reference_g
+    monkeypatch.setattr(centreg.cli, "reference_g", lambda t: GPolynomial(t, {1: 7}) if t == 2 else real(t))
+    assert main(["derive", "g", "--max", "3", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification FAILED for g at [2]\n"
+    assert captured.out.splitlines()[0] == "t,r,coefficient"  # the derived table is written all the same
+
+
+def test_module_runs_main(monkeypatch, capsys):
+    # ``python -m centreg.cli``, run in this process
+    import runpy
+    import warnings
+
+    assert main(["derive", "g", "--max", "2"]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["centreg", "derive", "g", "--max", "2"])
+    with pytest.raises(SystemExit) as exit_, warnings.catch_warnings():
+        # runpy warns that the module it runs as __main__ is imported already
+        warnings.filterwarnings("ignore", "'centreg.cli' found in sys.modules", RuntimeWarning)
+        runpy.run_module("centreg.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == want
+
+
 def test_regress_k3_degree(tmp_path):
     edges, outcomes = write_k3(tmp_path)
     out = tmp_path / "fit.json"
@@ -407,10 +448,15 @@ _CONFIG = {
         ({"sparsity": "custom"}, "/sparsity"),
         ({"graphon": 5}, "/graphon"),
         (None, None),
+        ({"error_model": {"kind": "gaussian", "sigma": 2, "sgima": 3}}, "/error_model/sgima"),
+        ({"sparsity": {"kind": "inverse-n", "p": 0.3}}, "/sparsity"),
+        ({"sparsity": {"kind": "constant", "p": 0.3, "q": 1}}, "/sparsity"),
+        ({"graphon": {"kind": "constant", "c": 0.5, "P": [[1]]}}, "/graphon"),
     ],
     ids=["sparsity-kind", "sparsity-no-kind", "constant-no-p", "p-2", "beta0-item", "beta0-scalar", "alpha-1e-300", "sigma",
          "master-seed", "threads", "beta-true-null", "no-c", "c-string", "no-P", "P-string", "replications-bool",
-         "fit-string", "delocalization-n2", "custom", "graphon-number", "not-an-object"],
+         "fit-string", "delocalization-n2", "custom", "graphon-number", "not-an-object", "error-model-field",
+         "inverse-n-p", "sparsity-field", "graphon-field"],
 )
 def test_simulate_malformed_config_exit_two(tmp_path, capsys, change, pointer):
     # every malformed config is one error line naming the file and the pointer
@@ -547,8 +593,12 @@ def _simulate_with(tmp_path, estimators):
             "/estimators/1: duplicate label 'eigenvector(fixed)'",
         ),
         ([{"kind": "diffusion", "T": 11}], "/estimators/0/T: expected an integer in [1, 10]"),
+        ([{"kind": "diffusion", "dleta": 0.5}], "/estimators/0/dleta: unknown field"),
+        ([{"kind": "degree"}, {"kind": "eigenvector", "scalng": "sqrt-n"}], "/estimators/1/scalng: unknown field"),
+        ([5], "/estimators/0: expected an object, got 5"),
     ],
-    ids=["scaling", "delta", "T", "plug-in-M", "fixed-a", "mode", "duplicate", "T-beyond-b-table"],
+    ids=["scaling", "delta", "T", "plug-in-M", "fixed-a", "mode", "duplicate", "T-beyond-b-table", "unknown-field",
+         "unknown-eigenvector-field", "not-an-object"],
 )
 def test_simulate_bad_estimator_spec_exit_two(tmp_path, capsys, estimators, pointer):
     code, out_dir = _simulate_with(tmp_path, estimators)

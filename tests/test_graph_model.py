@@ -50,6 +50,8 @@ def test_sample_latent_mean_concentrates():
 def test_sample_latent_rejects_small_n():
     with pytest.raises(InvalidSize):
         sample_latent(1, seed=0)
+    with pytest.raises(InvalidSize):
+        LatentSample(u=np.array([0.5]), seed=0)
 
 
 def test_constant_graphon_adjacency():
@@ -227,7 +229,8 @@ def test_delocalization_threshold_has_no_value_below_three():
 @pytest.mark.parametrize(
     "descriptor",
     ["bogus", "custom", "constant", {"p": 0.5}, {"kind": "constant"}, {"kind": "constant", "p": "0.5"},
-     {"kind": "constant", "p": True}, {"kind": ["inverse-n"]}, 5, None],
+     {"kind": "constant", "p": True}, {"kind": ["inverse-n"]}, 5, None,
+     {"kind": "inverse-n", "p": 0.3}, {"kind": "constant", "p": 0.3, "q": 1}],
 )
 def test_sparsity_descriptor_errors(descriptor):
     with pytest.raises(InvalidSparsity):
@@ -241,7 +244,8 @@ def test_sparsity_descriptor_errors(descriptor):
      {"kind": "sbm", "pi": [0.5, 0.5], "P": [[0.5], [0.5, 0.5]]}, {"kind": "sbm", "pi": [1.0], "P": [[None]]},
      {"kind": "rank-r"}, {"kind": {}}, {"c": 1.0}, [], "constant", {"kind": "rank-r", "eigenvalues": []},
      {"kind": "rank-r", "eigenvalues": ["x"]}, {"kind": "rank-r", "eigenvalues": [0.5, 0.6]},
-     {"kind": "rank-r", "eigenvalues": [0.5] + [0.0] * 32}],
+     {"kind": "rank-r", "eigenvalues": [0.5] + [0.0] * 32}, {"kind": "rank-r", "eigenvalues": [0.0]},
+     {"kind": "constant", "c": 0.5, "P": [[1]]}],
 )
 def test_graphon_descriptor_errors(descriptor):
     with pytest.raises(InvalidGraphon):
@@ -364,7 +368,7 @@ def test_thinning_passes_leave_the_draw_unchanged(monkeypatch):
     monkeypatch.setattr(graph_model, "_THIN_CHUNK", 40)
     split = observe(a, seed=5)
     assert whole.n_edges > 1000
-    for name in ("indptr", "rows", "cols"):
+    for name in ("indptr", "cols"):
         assert np.array_equal(getattr(split, name), getattr(whole, name)), name
 
 
@@ -436,10 +440,10 @@ def test_from_edges_normalizes_like_from_dense():
     cols = np.concatenate([np.where(flip, lo, hi), lo[:10], [3, 3, 17]])
     got = SymmetricSparseMatrix.from_edges(n, rows, cols)
     want = SymmetricSparseMatrix.from_dense(dense)
-    for attr in ("indptr", "rows", "cols", "data"):
+    for attr in ("indptr", "cols", "data"):
         g, w = getattr(got, attr), getattr(want, attr)
         assert g.dtype == w.dtype and np.array_equal(g, w), attr
-    assert np.array_equal(got.rows, lo) and np.array_equal(got.cols, hi)  # sorted, unique, strictly upper
+    assert np.array_equal(got.edge_arrays()[0], lo) and np.array_equal(got.cols, hi)  # sorted, unique, strictly upper
     _assert_same_upper(got, _scipy_upper(n, rows, cols))
     assert np.all(got.data == 1.0)
     assert np.array_equal(got.toarray(), dense.astype(np.float64))
@@ -474,7 +478,7 @@ def _assert_same_upper(m, upper):
     # compare the arrays before any product: a misplaced entry can crash the kernels
     for got, want in ((m.indptr, upper.indptr), (m.cols, upper.indices), (m.data, upper.data)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(m.rows, np.repeat(np.arange(m.n), np.diff(upper.indptr)))
+    assert np.array_equal(m.edge_arrays()[0], np.repeat(np.arange(m.n), np.diff(upper.indptr)))
     assert _unflagged(sp.csr_matrix((m.data, m.cols, m.indptr), shape=(m.n, m.n))).has_canonical_format
 
 
@@ -491,7 +495,7 @@ def test_full_matches_scipy_construction(n, pairs):
     _assert_same_upper(m, _scipy_upper(n, rows, cols))
     i, j = m.edge_arrays()
     assert np.all(i < j) and np.all(np.diff(i * n + j) > 0)
-    assert np.array_equal(i, m.rows) and np.array_equal(j, m.cols)
+    assert np.array_equal(j, m.cols)  # and i is checked against scipy's indptr above
     full = _scipy_full(n, rows, cols)
     assert np.array_equal(m.matvec(np.arange(n) - 0.5 * n), full @ (np.arange(n) - 0.5 * n))
     assert np.array_equal(m.row_sums(), np.asarray(full.sum(axis=1)).ravel())
@@ -579,7 +583,7 @@ def test_from_edges_rejects_ids_outside_range():
         SymmetricSparseMatrix.from_edges(2**31, [0], [1])
 
 
-def test_edge_count_beyond_int32_indptr_rejected():
+def test_edge_count_beyond_int32_indptr_rejected(monkeypatch):
     # a stub with the length of 2^31 keys stands in for the 16 GB array
     class TooMany:
         def __len__(self):
@@ -587,6 +591,12 @@ def test_edge_count_beyond_int32_indptr_rejected():
 
     with pytest.raises(InvalidSize, match="2147483648 entries exceed 2147483647"):
         graph_model._from_keys(70_000, TooMany())
+    with pytest.raises(InvalidSize, match=r"exceed 2\^53"):  # raised before any gap is drawn
+        graph_model._bernoulli_positions(np.random.default_rng(0), 2**53 + 1, 0.5)
+    # observe's placement reads the same cap: lowered, a complete 30-node draw exceeds it
+    monkeypatch.setattr(graph_model, "_MAX_ENTRIES", 434)
+    with pytest.raises(InvalidSize, match="435 entries exceed 434"):
+        observe(build_true_adjacency(Graphon.constant(1.0), sample_latent(30, seed=1), 1.0), seed=2)
 
 
 def test_graphon_equality_and_hash_by_value():

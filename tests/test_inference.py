@@ -23,6 +23,7 @@ from centreg import (
 )
 from centreg.errors import (
     ConfigMismatch,
+    DegenerateSpectrum,
     DegenerateVariance,
     MissingComponents,
     NonFiniteCentrality,
@@ -104,6 +105,11 @@ def test_ols_rejects_demeaning_outside_the_no_error_mode(mode):
 def test_ols_zero_regressor():
     with pytest.raises(ZeroRegressor):
         ols(np.ones(3), np.zeros(3))
+
+
+def test_ols_rejects_a_length_mismatch():
+    with pytest.raises(ConfigMismatch, match=r"^outcome length \(2,\) != centrality length \(3,\)$"):
+        ols([1.0, 2.0], np.ones(3))
 
 
 def test_residual_identity_and_orthogonality():
@@ -309,6 +315,10 @@ def test_eigen_bias_variance_k3():
     B, V = eigen_bias_variance(K3, fit)
     assert B == pytest.approx(0.5, rel=1e-9)
     assert V == pytest.approx(1.0, rel=1e-9)
+    # a hand-built eigenvector centrality without lambda1 has no B_hat = 1 / lambda1
+    fit = ols(np.ones(3), _wrap(np.ones(3), None), mode="noisy-eigenvector-case-b")
+    with pytest.raises(DegenerateSpectrum, match="lambda1 > 0, got None$"):
+        eigen_bias_variance(K3, fit)
 
 
 @pytest.mark.parametrize("estimator", [diffusion_bias_variance, eigen_bias_variance])
@@ -383,6 +393,9 @@ def test_no_error_mode_always_robust():
     res = test_beta(fit, 1.0)
     assert res.statistic == pytest.approx(0.3 / 0.2)
     assert res.branch == "robust"
+    res = test_beta(fit, 0.0)  # the zero null takes its own branch in every mode: here the same robust t
+    assert res.statistic == pytest.approx(1.3 / 0.2)
+    assert res.branch == "null-zero"
 
 
 def test_eigen_case_a_uses_robust_denominator():
@@ -405,6 +418,8 @@ def test_corollary5_mode_robust_t():
 
 
 def test_bias_correct_guards():
+    with pytest.raises(MissingComponents, match="requires B_hat"):
+        bias_correct(make_fit(beta_hat=0.5))
     fit = make_fit(beta_hat=0.5, B=0.5, V=1.0)
     assert bias_correct(fit) == pytest.approx(1.0)
     fit0 = make_fit(beta_hat=0.5, B=0.0, V=1.0)
@@ -468,8 +483,9 @@ def test_linear_confidence_beyond_full_attenuation(mode):
         (lambda fit: confidence(fit, 0.05, c0_policy="x"), "unknown c0 policy 'x'"),
         (lambda fit: confidence(fit, 0.05, sided="x"), "interval sided must be two|upper|lower, got 'x'"),
         (lambda fit: test_beta(fit, 1.0, sided="x"), "sided must be two|left|right, got 'x'"),
+        (lambda fit: ols(fit.residuals, np.ones(fit.n), mode="x"), "unknown inference mode 'x'"),
     ],
-    ids=["confidence-c0-policy", "confidence-sided", "test-sided"],
+    ids=["confidence-c0-policy", "confidence-sided", "test-sided", "ols-mode"],
 )
 def test_unknown_option_is_rejected(call, message):
     with pytest.raises(ConfigMismatch, match=f"^{re.escape(message)}$"):
@@ -538,6 +554,9 @@ def test_one_sided_interval_shape():
     iv = confidence(fit, 0.10, sided="lower", c0_policy="singleton-zero")
     assert iv.c[0].hi == math.inf
     assert iv.c[0].lo == pytest.approx(-11604.0 / (0.74 - 1.2815515655446004 * math.sqrt(0.009)))
+    # 1 - B_hat - z sqrt(V_hat) = 0.5 - 1.28 * 10 <= 0: the upper bound opens to the real line
+    iv = confidence(make_fit(beta_hat=1.0, B=0.5, V=100.0, V0=1.0), 0.10, sided="upper")
+    assert iv.c == (Interval(-math.inf, math.inf),)
 
 
 @pytest.mark.parametrize("seed", range(25))

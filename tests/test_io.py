@@ -93,6 +93,8 @@ def test_binary_matrix_from_files_id_checks(tmp_path):
         binary_matrix_from_files(edges, [0, 1])  # edge endpoint 2 has no outcome
     with pytest.raises(IdMismatch):
         binary_matrix_from_files(edges, [0, 1, 3])  # ids not contiguous
+    with pytest.raises(IdMismatch, match="^need at least two outcome rows$"):
+        binary_matrix_from_files(edges, [0])
 
 
 def test_weighted_matrix_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import inspect
 import json
 import multiprocessing
 import pickle
@@ -19,6 +20,7 @@ from centreg import (
     Graphon,
     SparsityRule,
     build_true_adjacency,
+    leading_eigenpair,
     observe,
     rejection_table,
     run_cell,
@@ -197,6 +199,8 @@ def test_config_applies_the_solver_fields():
     assert [f[2] for f in run_cell(ExperimentConfig.from_json_dict(starved), 30).failures] == ["NoConvergence"] * 2
     default = ExperimentConfig.from_json_dict({k: v for k, v in _VALID.items() if not k.startswith("eig_")})
     assert (default.eig_max_iter, default.eig_tol) == (50_000, 1e-10)
+    library = inspect.signature(leading_eigenpair).parameters  # a library solve has the same defaults
+    assert (library["max_iter"].default, library["tol"].default) == (50_000, 1e-10)
 
 
 def test_config_round_trip_from_json(tmp_path):

@@ -29,11 +29,15 @@ def test_walk_counts_small():
 def test_walk_counts_odd_length_rejected():
     with pytest.raises(OddLength):
         count_even_path_walks(3)
+    with pytest.raises(OddLength):
+        count_even_path_walks_isomorphism(3)
 
 
 def test_walk_counts_budget():
     with pytest.raises(BudgetExceeded):
         count_even_path_walks(16)
+    with pytest.raises(BudgetExceeded):
+        count_even_path_walks_isomorphism(10)
 
 
 @pytest.mark.parametrize("t", [2, 4, 6])
@@ -83,6 +87,8 @@ def test_derive_b_matches_reference_extended():
 def test_derive_b_budget():
     with pytest.raises(BudgetExceeded):
         derive_b(6)
+    with pytest.raises(BudgetExceeded):
+        derive_b(0)
 
 
 def test_reference_spot_values_from_tables():
