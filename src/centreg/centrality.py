@@ -20,7 +20,8 @@ from .errors import (
 )
 from .graph_model import FactoredMatrix, SymmetricSparseMatrix
 
-_KRYLOV = 8  # products per Lanczos restart cycle
+_KRYLOV = 8  # Lanczos basis size at which the Ritz estimate is first read
+_BASIS = 24  # Lanczos basis size at which a cycle restarts
 EIG_TOL, EIG_MAX_ITER = 1e-10, 50_000  # an eigensolve's default residual tolerance and budget of products
 
 # the values of the estimator spec fields delta_rule, scaling and reg_mode
@@ -133,26 +134,34 @@ def leading_eigenpair(
     (``powers``) of a matrix that has them and still counts.  The Perron
     vector of a nonnegative matrix is not orthogonal to iota, and its
     eigenvalue is the largest algebraic one, so bipartite graphs need no
-    shift.  The solve is deterministic; sign convention: sum(v) >= 0.
-    ``gap_check`` finds lam2 on the deflated (I - vv')(A + sI)(I - vv'),
-    s = lam + 1, since Ritz values cannot see a repeated lam1, from a fixed
-    random start: (I - vv') iota can be an eigenvector, as on a star.
+    shift.  The solve is deterministic; sign convention: sum(v) >= 0.  A
+    matrix keeps its pairs per (tol, max_iter) next to its walk vectors, so
+    a later call on it or on a matrix sharing its entries returns the same
+    read-only v with no product.  ``gap_check`` finds lam2 on the deflated
+    (I - vv')(A + sI)(I - vv'), s = lam + 1, since Ritz values cannot see a
+    repeated lam1, from a fixed random start: (I - vv') iota can be an
+    eigenvector, as on a star.
     """
     matvec, n, normF = m.matvec, m.n, m.frobenius()
     if normF == 0.0:
         raise EmptyGraph("leading eigenpair of the zero matrix is undefined")
 
-    a_iota = m.powers(1)[1] if hasattr(m, "powers") else matvec(np.ones(n))
-    lam, v, resid = _lanczos(matvec, np.full(n, 1.0 / math.sqrt(n)), a_iota / math.sqrt(n), tol * normF, max_iter)
-    if not resid <= tol * normF:
-        raise NoConvergence(
-            f"Lanczos did not reach tol={tol:g} in {max_iter} products (residual {resid:.3g})",
-            residual=resid,
-        )
-    if v.sum() < 0:
-        v = -v
-    if lam <= 0:
-        raise DegenerateSpectrum(f"converged leading eigenvalue is nonpositive ({lam})")
+    pairs = m._krylov[1] if hasattr(m, "_krylov") else {}  # shared by the matrices with m's entries
+    if (tol, max_iter) not in pairs:
+        a_iota = m.powers(1)[1] if hasattr(m, "powers") else matvec(np.ones(n))
+        lam, v, resid = _lanczos(matvec, np.full(n, 1.0 / math.sqrt(n)), a_iota / math.sqrt(n), tol * normF, max_iter)
+        if not resid <= tol * normF:
+            raise NoConvergence(
+                f"Lanczos did not reach tol={tol:g} in {max_iter} products (residual {resid:.3g})",
+                residual=resid,
+            )
+        if v.sum() < 0:
+            v = -v
+        if lam <= 0:
+            raise DegenerateSpectrum(f"converged leading eigenvalue is nonpositive ({lam})")
+        v.flags.writeable = False
+        pairs[tol, max_iter] = lam, v
+    lam, v = pairs[tol, max_iter]
 
     if gap_check:
         s = lam + 1.0  # on v's complement the deflated spectrum lies in [1, lam2 + s]
@@ -177,45 +186,65 @@ def _lanczos(matvec, x, ax, bound, max_iter):
     """Top eigenpair of a symmetric operator by thick-restart Lanczos from the unit vector x.
 
     ``ax`` is A x where the caller holds it, else None; it stands in for the
-    first product, which counts against ``max_iter`` all the same.  A cycle
-    of ``_KRYLOV`` products grows the Krylov space of the last top Ritz
-    vector next to the second one, which separates a nearly tied top pair;
-    each product is orthogonalized against the basis twice and fills the
-    projected matrix H.  A cycle's first product tests its start x:
-    ||Ax - lam x|| <= bound, lam = x'Ax, accepts.  A residual above
-    ``bound`` in the returned (lam, x, residual) means the ``max_iter``
-    products ran out.
+    first product, which counts against ``max_iter`` all the same.  A step
+    extends the basis V by the three-term recurrence and projects out the
+    kept Ritz vectors, so besides its product it costs O(n) whatever the
+    basis size.  The Ritz estimate b |s_m| of the top pair of the projected
+    matrix T is read once V holds ``_KRYLOV`` vectors, then every second
+    step, and on the next step too where its rate of fall predicts a pass
+    there.  Once it is at most ``bound``, one more product gives the Ritz
+    vector y's true residual ||Ay - lam y||, lam = y'Ay, which alone
+    accepts, as does the first product's residual of x.  A full basis of
+    ``_BASIS`` vectors restarts thick (Wu & Simon 2000) from the top two
+    Ritz vectors, which separate a nearly tied top pair, and the residual.
+    A residual above ``bound`` in the returned (lam, y, residual), the
+    last pair tested, means the ``max_iter`` products ran out.
     """
-    basis = np.empty((_KRYLOV + 1, len(x)))
-    basis[0] = x
-    H = np.zeros((_KRYLOV + 1, _KRYLOV + 1))
-    lam, resid, products, m = 0.0, math.inf, 0, 1
-    while products < max_iter:
-        k, j = min(_KRYLOV, max_iter - products), 0
-        for step in range(k):
-            w, ax, q = matvec(basis[j]) if ax is None else ax, None, basis[:m]
-            products += 1
-            h = q @ w
-            H[:m, j] = H[j, :m] = h
-            if j == 0:
-                r = w - h[0] * basis[0]
-                resid = math.sqrt(r @ r)
-                if resid <= bound:
-                    return float(h[0]), basis[0].copy(), resid
-            if step + 1 == k:
-                break
-            w -= h @ q
-            w -= (q @ w) @ q
-            b = math.sqrt(w @ w)
-            if b <= bound:  # the basis spans an invariant subspace to within tolerance
-                break
-            np.divide(w, b, out=basis[m])
-            j, m = m, m + 1
-        theta, s = np.linalg.eigh(H[:m, :m])
-        lam, m = float(theta[-1]), min(m, 2)
-        basis[:m] = s[:, : -m - 1 : -1].T @ basis[: len(s)]  # top Ritz vector first
-        H[m - 1, m - 1] = theta[-m]  # column 0 refills the rest of H[:m, :m]
-    return lam, basis[0].copy(), resid
+    V = np.empty((_BASIS, len(x)))  # k kept Ritz vectors, then Lanczos vectors; memory is touched row by row
+    V[0], T = x, np.zeros((_BASIS, _BASIS))  # T = V'AV
+    j = k = products = 0
+    due, last = _KRYLOV, 0.0  # the next basis size to read the estimate at, and the last estimate read
+    while True:
+        w, ax = matvec(V[j]) if ax is None else ax, None
+        products += 1
+        if j > k:
+            w -= T[j, j - 1] * V[j - 1]
+        if k:
+            T[:k, j] = T[j, :k] = h = V[:k] @ w
+            w -= h @ V[:k]
+        T[j, j] = a = V[j] @ w
+        w -= a * V[j]
+        b, m = math.sqrt(w @ w), j + 1
+        if j == 0:  # the start's own residual; (lam, y, resid) is the last pair tested
+            lam, y, resid = float(a), V[0].copy(), b
+        elif b <= bound or m == _BASIS or m == due:
+            theta, s = np.linalg.eigh(T[:m, :m])
+            est = b * abs(s[-1, -1])
+            # read the next step too where the estimate's rate of fall predicts a pass there
+            due, last = m + 1 if est**3 <= bound**2 * last else m + 2, est
+            if est <= bound and products < max_iter:
+                y = s[:, -1] @ V[:m]
+                y /= math.sqrt(y @ y)
+                r, products = matvec(y), products + 1
+                lam = float(y @ r)
+                resid = float(np.linalg.norm(r - lam * y))
+        if resid <= bound or products == max_iter:
+            return lam, y, resid
+        if b > bound and m < _BASIS:
+            np.multiply(w, 1.0 / b, out=V[m])
+            T[j, m] = T[m, j] = b
+            j = m
+            continue
+        T[:] = 0.0
+        if b <= bound:  # an invariant subspace whose Ritz vector failed: start again from it
+            V[0], j, k = y, 0, 0
+        else:  # keep the top two Ritz vectors and the residual, orthogonalized against them
+            V[:2] = s[:, :-3:-1].T @ V[:m]
+            V[:2] /= np.linalg.norm(V[:2], axis=1)[:, None]
+            T[0, 0], T[1, 1] = theta[-1], theta[-2]
+            w -= (V[:2] @ w) @ V[:2]
+            np.multiply(w, 1.0 / math.sqrt(w @ w), out=V[2])
+            j, k, due = 2, 2, due - _BASIS + 2
 
 
 def eigenvector_centrality(
@@ -260,7 +289,7 @@ def regularize(
     lam = np.ones(m.n)
     if deg.max() <= tau:
         out = SymmetricSparseMatrix(m.n, m.indptr, m.cols, m.data, node_weights=lam, threshold=tau)
-        out._krylov = m._krylov  # the same entries, so the same walk vectors
+        out._krylov = m._krylov  # the same entries, so the same walk vectors and eigenpairs
         return out
     busy = deg > 0
     lam[busy] = np.minimum(tau / deg[busy], 1.0)

@@ -79,9 +79,11 @@ class _WalkVectors:
 
     Degree, diffusion, their bias/variance estimators and the eigensolve's
     first product read this one sequence, so each product is made once per
-    matrix.  It is a tuple of read-only arrays in the one-slot list
-    ``_krylov``, which matrices may share; a longer sequence replaces the
-    tuple, never appends to it, so threads may share the matrix too.
+    matrix.  It is a tuple of read-only arrays in ``_krylov[0]``, next to
+    the leading eigenpairs that ``centrality.leading_eigenpair`` keeps in
+    ``_krylov[1]``; matrices with the same entries share the list.  A longer
+    sequence replaces the tuple, never appends to it, so threads may share
+    the matrix too.
     """
 
     def powers(self, t: int) -> tuple:
@@ -120,7 +122,7 @@ class FactoredMatrix(_WalkVectors):
         self.starts = starts
         self.pair_lo, self.pair_hi = self._pair_bounds()
         self._entries = None
-        self._krylov = [()]
+        self._krylov = [(), {}]
 
     def _pair_bounds(self):
         """Interval bounds on F_i M F_j' per bin pair from the bins' feature ranges; 0 if a bin is empty."""
@@ -190,7 +192,7 @@ class SymmetricSparseMatrix(_WalkVectors):
         for arr in (indptr, cols, data):
             arr.flags.writeable = False
         self.node_weights, self.threshold = node_weights, threshold
-        self._krylov = [()]
+        self._krylov = [(), {}]
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymmetricSparseMatrix":

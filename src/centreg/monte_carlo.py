@@ -326,18 +326,15 @@ def _replicate(cfg: ExperimentConfig, n: int, p: float, cell_index: int, rep: in
     out: Dict[str, Dict[str, float]] = {}
     failures: List[dict] = []
     eig_kwargs = {"max_iter": cfg.eig_max_iter, "tol": cfg.eig_tol}
-    true_pair = []  # leading eigenpair of A, solved once for every eigenvector-type estimator
 
     for est in cfg.estimators:
         rec: Dict[str, float] = dict.fromkeys(_DRAW_KEYS, np.nan)
         try:
             c_hat = est.centrality(a_hat, p, **eig_kwargs)
             # outcomes come from the centrality on A; the eigenvector kinds
-            # scale v1(A) by the a_n resolved on Ahat
+            # scale v1(A), which A keeps once solved, by the a_n resolved on Ahat
             if est.spectral:
-                if not true_pair:
-                    true_pair.append(leading_eigenpair(a_true, **eig_kwargs))
-                a_n, v_true = c_hat.recipe["a_n"], true_pair[0][1]
+                a_n, v_true = c_hat.recipe["a_n"], leading_eigenpair(a_true, **eig_kwargs)[1]
                 c_true, y = a_n * v_true, cfg.beta_true * a_n * v_true + eps
             else:
                 c_true = est.centrality(a_true, p, **eig_kwargs).values

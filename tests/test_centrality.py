@@ -7,18 +7,24 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import eigsh
 
 from centreg import (
     Estimator,
+    Graphon,
     SymmetricSparseMatrix,
+    build_true_adjacency,
     degree,
     diffusion,
     eigenvector_centrality,
     leading_eigenpair,
+    observe,
     regularize,
     regularized_eigenvector_centrality,
+    sample_latent,
 )
-from centreg.centrality import _KRYLOV, SPEC_CHECKS
+from centreg.centrality import _BASIS, SPEC_CHECKS
 from centreg.cli import _add_estimator_flags
 from centreg.errors import ConfigError, DegenerateGapWarning, DegenerateSpectrum, EmptyGraph, NoConvergence
 
@@ -146,21 +152,42 @@ class CountingOperator:
 
 
 def test_lanczos_product_budget():
-    m = random_binary(40, 0.2, seed=77)
-    op = CountingOperator(m)
-    lam, v = leading_eigenpair(op)
-    products = op.products
-    assert products > _KRYLOV  # at least one restart
-    # accepted on product `products`, so one fewer must fail with a finite residual
+    # the second solve fills the basis and restarts
+    for m, restarts in ((random_binary(40, 0.2, seed=77), False), (random_binary(200, 0.02, seed=2), True)):
+        op = CountingOperator(m)
+        lam, v = leading_eigenpair(op)
+        products = op.products
+        assert (products > _BASIS) == restarts
+        # accepted on product `products`, so one fewer must fail with a finite residual
+        with pytest.raises(NoConvergence) as failed:
+            leading_eigenpair(m, max_iter=products - 1)
+        assert np.isfinite(failed.value.residual) and failed.value.residual > 1e-10 * m.frobenius()
+        lam_cap, v_cap = leading_eigenpair(m, max_iter=products)
+        assert (lam_cap, v_cap.tobytes()) == (lam, v.tobytes())
+        capped = CountingOperator(m)
+        with pytest.raises(NoConvergence):
+            leading_eigenpair(capped, tol=0.0, max_iter=5)
+        assert capped.products == 5
+    # on a star the Krylov space of iota is invariant: at tol = 0 the solve
+    # starts again from its failed Ritz vector, and the cap still holds
+    capped = CountingOperator(STAR5)
     with pytest.raises(NoConvergence) as failed:
-        leading_eigenpair(m, max_iter=products - 1)
-    assert np.isfinite(failed.value.residual) and failed.value.residual > 1e-10 * m.frobenius()
-    lam_cap, v_cap = leading_eigenpair(m, max_iter=products)
-    assert (lam_cap, v_cap.tobytes()) == (lam, v.tobytes())
-    capped = CountingOperator(m)
-    with pytest.raises(NoConvergence):
-        leading_eigenpair(capped, tol=0.0, max_iter=5)
-    assert capped.products == 5
+        leading_eigenpair(capped, tol=0.0, max_iter=30)
+    assert capped.products == 30 and np.isfinite(failed.value.residual)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_leading_eigenpair_at_p_one_over_n(seed):
+    # constant graphon at p = 1/n: a small gap below lambda1, so the solve restarts
+    n = 2000
+    a_hat = observe(build_true_adjacency(Graphon.constant(1.0), sample_latent(n, seed), 1.0 / n), seed + 100)
+    op = CountingOperator(a_hat)
+    lam, v = leading_eigenpair(op)
+    assert op.products > _BASIS
+    assert np.linalg.norm(a_hat.matvec(v) - lam * v) <= 1e-10 * a_hat.frobenius()
+    i, j = a_hat.edge_arrays()
+    upper = csr_matrix((a_hat.data, (i, j)), shape=(n, n))
+    assert lam == pytest.approx(eigsh(upper + upper.T, k=1, which="LA")[0][0], rel=1e-10)
 
 
 def test_eigenvector_centrality_scalings():

@@ -252,19 +252,45 @@ def test_replications_run_in_spawned_worker_processes():
     assert repr(got) == repr([replicate(rep) for rep in range(cfg.replications)])  # floats to the bit, NaN as NaN
 
 
+_WALKS = [{"kind": "degree"}, {"kind": "diffusion", "delta": 1.0, "T": 2}]
+
+
 @pytest.mark.parametrize("graphon", [Graphon.constant(1.0), Graphon.rank_r([0.5, 0.15])], ids=["constant", "rank-r"])
-@pytest.mark.parametrize("spec", [{"kind": "eigenvector"}, {"kind": "regularized-eigenvector"}],
-                         ids=["eigenvector", "regularized"])
-def test_eigenvector_record_is_the_same_after_degree_and_diffusion(graphon, spec):
-    # degree and diffusion make Ahat's and A's walk vectors before the eigensolves
-    # read them; solved alone, each eigensolve makes them itself, to the same bits
-    walks = [{"kind": "degree"}, {"kind": "diffusion", "delta": 1.0, "T": 2}]
-    alone = small_config(graphon=graphon, estimators=[spec], fit_no_error=True)
-    after = small_config(graphon=graphon, estimators=[*walks, spec], fit_no_error=True)
-    label, p = alone.estimators[0].label, alone.sparsity.resolve(50)
+@pytest.mark.parametrize(
+    "estimators",
+    [
+        [*_WALKS, {"kind": "eigenvector"}],
+        [*_WALKS, {"kind": "regularized-eigenvector"}],
+        [{"kind": "eigenvector"}, {"kind": "regularized-eigenvector", "reg_mode": "oracle"},
+         {"kind": "diffusion", "delta_rule": "inverse-lambda1"}],
+    ],
+    ids=["eigenvector", "regularized", "eigenvector+regularized+diffusion-inverse-lambda1"],
+)
+def test_eigenvector_record_is_the_same_after_degree_and_diffusion(graphon, estimators, monkeypatch):
+    # the estimators run first make Ahat's and A's walk vectors and eigenpairs
+    # before the later ones read them; run alone, each estimator makes them
+    # itself, to the same bits.  No degree here exceeds tau, so regularize
+    # passes Ahat through and a replication solves Ahat and A once each
+    from centreg import centrality
+
+    together = small_config(graphon=graphon, estimators=estimators, fit_no_error=True)
+    p = together.sparsity.resolve(50)
+    real, solved = centrality._lanczos, []
+
+    def spy(matvec, *args):
+        solved.append(type(matvec.__self__))
+        return real(matvec, *args)
+
     for rep in range(4):
-        (solo, failures), (shared, _) = (monte_carlo._replicate(cfg, 50, p, 0, rep) for cfg in (alone, after))
-        assert failures == [] and repr(solo[label]) == repr(shared[label])  # floats to the bit, NaN as NaN
+        solved.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(centrality, "_lanczos", spy)
+            shared, failures = monte_carlo._replicate(together, 50, p, 0, rep)
+        assert failures == [] and sorted(t.__name__ for t in solved) == ["FactoredMatrix", "SymmetricSparseMatrix"]
+        for spec, est in zip(estimators, together.estimators):
+            alone = small_config(graphon=graphon, estimators=[spec], fit_no_error=True)
+            solo, _ = monte_carlo._replicate(alone, 50, p, 0, rep)
+            assert repr(solo[est.label]) == repr(shared[est.label])  # floats to the bit, NaN as NaN
 
 
 def test_write_outputs_files(tmp_path):
@@ -404,20 +430,20 @@ def test_beta_tilde_regresses_y_on_the_centrality_that_generated_it(estimators):
 
 
 def test_true_eigenpair_solved_once_per_replication(monkeypatch):
-    from centreg import monte_carlo
+    from centreg import centrality
 
     specs = [
         {"kind": "eigenvector", "scaling": "sqrt-lambda1"},
         {"kind": "regularized-eigenvector", "scaling": "sqrt-n"},
     ]
-    real = monte_carlo.leading_eigenpair
+    real = centrality._lanczos
     true_solves = []
 
-    def counting(m, *args, **kwargs):
-        true_solves.append(isinstance(m, FactoredMatrix))
-        return real(m, *args, **kwargs)
+    def counting(matvec, *args):
+        true_solves.append(isinstance(matvec.__self__, FactoredMatrix))
+        return real(matvec, *args)
 
-    monkeypatch.setattr(monte_carlo, "leading_eigenpair", counting)
+    monkeypatch.setattr(centrality, "_lanczos", counting)
     cfg = small_config(n_grid=[80], replications=5, estimators=specs)
     both = run_cell(cfg, 80)
     assert sum(true_solves) == cfg.replications
