@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -11,7 +10,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateGapWarning,
     DegenerateSpectrum,
     EmptyGraph,
     NoConvergence,
@@ -121,35 +119,27 @@ def diffusion(m: Matrix, delta: float = 1.0, T: int = 2, delta_rule: str = "fixe
     )
 
 
-def leading_eigenpair(
-    m: Matrix,
-    tol: float = EIG_TOL,
-    max_iter: int = EIG_MAX_ITER,
-    gap_check: bool = False,
-):
+def leading_eigenpair(m: Matrix, tol: float = EIG_TOL, max_iter: int = EIG_MAX_ITER):
     """Leading eigenpair by thick-restart Lanczos (``_lanczos``) from iota / sqrt(n).
 
     Residual criterion: ||A v - lam v|| <= tol * ||A||_F within ``max_iter``
-    products with A.  The first, A iota, is read off the walk vectors
-    (``powers``) of a matrix that has them and still counts.  The Perron
-    vector of a nonnegative matrix is not orthogonal to iota, and its
-    eigenvalue is the largest algebraic one, so bipartite graphs need no
-    shift.  The solve is deterministic; sign convention: sum(v) >= 0.  A
-    matrix keeps its pairs per (tol, max_iter) next to its walk vectors, so
-    a later call on it or on a matrix sharing its entries returns the same
-    read-only v with no product.  ``gap_check`` finds lam2 on the deflated
-    (I - vv')(A + sI)(I - vv'), s = lam + 1, since Ritz values cannot see a
-    repeated lam1, from a fixed random start: (I - vv') iota can be an
-    eigenvector, as on a star.
+    products with A.  The first, A iota, is read off the matrix's walk
+    vectors (``powers``) and still counts.  The Perron vector of a
+    nonnegative matrix is not orthogonal to iota, and its eigenvalue is the
+    largest algebraic one, so bipartite graphs need no shift.  The solve is
+    deterministic; sign convention: sum(v) >= 0.  A matrix keeps its pairs
+    per (tol, max_iter) next to its walk vectors, so a later call on it or
+    on a matrix sharing its entries returns the same read-only v with no
+    product.
     """
-    matvec, n, normF = m.matvec, m.n, m.frobenius()
+    n, normF = m.n, m.frobenius()
     if normF == 0.0:
         raise EmptyGraph("leading eigenpair of the zero matrix is undefined")
 
-    pairs = m._krylov[1] if hasattr(m, "_krylov") else {}  # shared by the matrices with m's entries
+    pairs = m._krylov[1]  # shared by the matrices with m's entries
     if (tol, max_iter) not in pairs:
-        a_iota = m.powers(1)[1] if hasattr(m, "powers") else matvec(np.ones(n))
-        lam, v, resid = _lanczos(matvec, np.full(n, 1.0 / math.sqrt(n)), a_iota / math.sqrt(n), tol * normF, max_iter)
+        lam, v, resid = _lanczos(m.matvec, np.full(n, 1.0 / math.sqrt(n)), m.powers(1)[1] / math.sqrt(n),
+                                 tol * normF, max_iter)
         if not resid <= tol * normF:
             raise NoConvergence(
                 f"Lanczos did not reach tol={tol:g} in {max_iter} products (residual {resid:.3g})",
@@ -161,32 +151,14 @@ def leading_eigenpair(
             raise DegenerateSpectrum(f"converged leading eigenvalue is nonpositive ({lam})")
         v.flags.writeable = False
         pairs[tol, max_iter] = lam, v
-    lam, v = pairs[tol, max_iter]
-
-    if gap_check:
-        s = lam + 1.0  # on v's complement the deflated spectrum lies in [1, lam2 + s]
-
-        def deflated(w):
-            w = w - (v @ w) * v
-            w = matvec(w) + s * w
-            return w - (v @ w) * v
-
-        x = np.random.default_rng(1).random(n) + 0.1
-        lam2 = _lanczos(deflated, x / math.sqrt(x @ x), None, max(tol, 1e-9) * normF, min(max_iter, 5000))[0] - s
-        if abs(lam) - abs(lam2) < 1e-8 * abs(lam):
-            warnings.warn(
-                f"eigengap |lam1|-|lam2| = {abs(lam) - abs(lam2):.3g} below tolerance",
-                DegenerateGapWarning,
-                stacklevel=2,
-            )
-    return lam, v
+    return pairs[tol, max_iter]
 
 
 def _lanczos(matvec, x, ax, bound, max_iter):
     """Top eigenpair of a symmetric operator by thick-restart Lanczos from the unit vector x.
 
-    ``ax`` is A x where the caller holds it, else None; it stands in for the
-    first product, which counts against ``max_iter`` all the same.  A step
+    ``ax`` is A x, which the caller holds; it stands in for the first
+    product, which counts against ``max_iter`` all the same.  A step
     extends the basis V by the three-term recurrence and projects out the
     kept Ritz vectors, so besides its product it costs O(n) whatever the
     basis size.  The Ritz estimate b |s_m| of the top pair of the projected

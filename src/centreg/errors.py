@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the field check that raises ConfigError."""
+"""Exception types shared across the package, and the field check that raises ConfigError."""
 
 import copyreg
 import sys
@@ -88,10 +88,6 @@ class DegenerateSpectrum(CentregError):
 
 class DegenerateVariance(CentregError):
     """Variance estimate in a test statistic's denominator is zero."""
-
-
-class DegenerateGapWarning(UserWarning):
-    """Estimated eigengap below tolerance; leading eigenvector may be unstable."""
 
 
 class OddLength(CentregError):

@@ -62,15 +62,14 @@ ESTIMATOR_KINDS = ("degree", "diffusion", "eigenvector", "regularized-eigenvecto
 # the estimator spec's inference mode next to its centrality fields (SPEC_CHECKS)
 _SPEC_CHECKS = {**SPEC_CHECKS, "mode": (lambda v: v in inference.MODES, f"one of {inference.MODES}")}
 
-# field -> (accepts, expectation) for the optional top-level config fields
-# and the error model's
+# ExperimentConfig field -> (accepts, expectation), checked on construction;
+# sigma is the error model's, so its JSON pointer is /error_model/sigma
 _CONFIG_CHECKS = {
     "n_grid": ([lambda v: type(v) is int and 2 <= v < 2**31], "an integer in [2, 2^31)"),  # int32 ids
     "beta_true": (_is_number, "a finite number"),
     "beta0_grid": ([_is_number], "a finite number"),
     "alpha_grid": ([lambda v: _is_number(v) and inference.ALPHA_MIN < v < 1], "a number in (2^-53, 1)"),
-    "error_model": (lambda v: isinstance(v, dict) and v.get("kind") == "gaussian",
-                    "an object with kind 'gaussian', the one built-in error model"),
+    "sigma": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
     "replications": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "master_seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "fit_no_error": (lambda v: isinstance(v, bool), "true or false"),
@@ -78,7 +77,8 @@ _CONFIG_CHECKS = {
     "eig_max_iter": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "eig_tol": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
 }
-_ERROR_MODEL_CHECKS = {"sigma": (lambda v: _is_number(v) and v > 0, "a finite number > 0")}
+_ERROR_MODEL = {"error_model": (lambda v: isinstance(v, dict) and v.get("kind") == "gaussian",
+                                "an object with kind 'gaussian', the one built-in error model")}
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,16 @@ class ExperimentConfig:
     eig_tol: float = EIG_TOL
 
     def __post_init__(self):
+        """Check every field, as from_json_dict reports it: a bad one raises ConfigError at its JSON pointer."""
+        _checked({name: getattr(self, name) for name in _CONFIG_CHECKS}, _CONFIG_CHECKS,
+                 lambda name: "/error_model/sigma" if name == "sigma" else f"/{name}")
+        self.beta0_grid, self.alpha_grid = [float(x) for x in self.beta0_grid], [float(x) for x in self.alpha_grid]
+        self.sigma = float(self.sigma)
+        try:
+            for n in self.n_grid:
+                self.sparsity.resolve(n)  # fails early if the rule leaves (0, 1]
+        except CentregError as exc:
+            raise ConfigError("/sparsity", str(exc)) from exc
         if not isinstance(self.estimators, list) or not self.estimators:
             raise ConfigError("/estimators", "must be a nonempty list")
         for k, e in enumerate(self.estimators):
@@ -192,37 +202,34 @@ class ExperimentConfig:
             e if isinstance(e, Estimator) else Estimator.from_spec(e, lambda name: f"/estimators/{k}/{name}")
             for k, e in enumerate(self.estimators)
         ]
-        labels = [e.label for e in self.estimators]
-        for k, label in enumerate(labels):
-            if labels.index(label) < k:
-                raise ConfigError(f"/estimators/{k}", f"duplicate label {label!r}, as /estimators/{labels.index(label)}")
+        # a cell's outputs are named by its n, and an estimator's by its label
+        for pointer, what, items in (("/n_grid", "n", self.n_grid),
+                                     ("/estimators", "label", [e.label for e in self.estimators])):
+            for k, item in enumerate(items):
+                if items.index(item) < k:
+                    raise ConfigError(f"{pointer}/{k}", f"duplicate {what} {item!r}, as {pointer}/{items.index(item)}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        """Validate a parsed JSON config; a bad field raises ConfigError at its pointer."""
+        """A parsed JSON config: unknown fields fail and nested objects are read here; construction checks values."""
         if not isinstance(d, dict):
             raise ConfigError("", f"expected a JSON object, got {type(d).__name__}")
         for name in ("graphon", "n_grid"):
             if name not in d:
                 raise ConfigError(f"/{name}", "missing required field")
-        given = _checked(d, _CONFIG_CHECKS, lambda name: f"/{name}", ("graphon", "sparsity", "estimators"))
-        error_model = _checked(given.pop("error_model", {}), _ERROR_MODEL_CHECKS, lambda name: f"/error_model/{name}",
-                               ("kind",))
-        for name in ("beta0_grid", "alpha_grid"):
-            if name in given:
-                given[name] = [float(x) for x in given[name]]
+        given = {k: v for k, v in d.items() if k != "error_model"}
+        error_model = _checked(d, _ERROR_MODEL, lambda name: f"/{name}",
+                               [f.name for f in fields(cls) if f.name != "sigma"]).get("error_model", {})
+        _checked(error_model, {}, lambda name: f"/error_model/{name}", ("kind", "sigma"))
         try:
-            graphon = Graphon.from_json_dict(d["graphon"])
+            given["graphon"] = Graphon.from_json_dict(d["graphon"])
         except CentregError as exc:
             raise ConfigError("/graphon", str(exc)) from exc
         try:
-            sparsity = SparsityRule.from_descriptor(d.get("sparsity", {"kind": "constant", "p": 0.5}))
-            for n in given["n_grid"]:
-                sparsity.resolve(n)  # fails early if the rule leaves (0, 1]
+            given["sparsity"] = SparsityRule.from_descriptor(d.get("sparsity", {"kind": "constant", "p": 0.5}))
         except CentregError as exc:
             raise ConfigError("/sparsity", str(exc)) from exc
-        return cls(graphon=graphon, sparsity=sparsity, estimators=d.get("estimators", [{"kind": "degree"}]),
-                   sigma=float(error_model.get("sigma", 1.0)), **given)
+        return cls(**given, sigma=error_model.get("sigma", 1.0))
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -382,7 +389,9 @@ def run_cell(
     labels = [e.label for e in cfg.estimators]
     nthreads = threads if threads is not None else cfg.threads
     if nthreads <= 0:
-        nthreads = int(os.environ.get("CENTREG_THREADS", "1"))
+        raw = os.environ.get("CENTREG_THREADS", "1")
+        nthreads = int(raw) if raw.isdecimal() else raw  # a string fails the check, which names it
+        _checked({"threads": nthreads}, _CONFIG_CHECKS, lambda name: "CENTREG_THREADS")
     # _replicate is looked up at call time, where perfbench/tracing.py wraps it; the partial pickles
     replicate = functools.partial(_replicate, cfg, n, p, cell_index)
     start = time.perf_counter()

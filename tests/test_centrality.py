@@ -2,7 +2,6 @@
 
 import argparse
 import math
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -26,7 +25,8 @@ from centreg import (
 )
 from centreg.centrality import _BASIS, SPEC_CHECKS
 from centreg.cli import _add_estimator_flags
-from centreg.errors import ConfigError, DegenerateGapWarning, DegenerateSpectrum, EmptyGraph, NoConvergence
+from centreg.errors import ConfigError, DegenerateSpectrum, EmptyGraph, NoConvergence
+from centreg.graph_model import _WalkVectors
 
 K3 = SymmetricSparseMatrix.from_edges(3, [0, 0, 1], [1, 2, 2])
 PATH3 = SymmetricSparseMatrix.from_edges(3, [0, 1], [1, 2])
@@ -137,11 +137,11 @@ def test_leading_eigenpair_near_tied_top_pair():
     assert abs(v @ V[:, -1]) == pytest.approx(1.0, abs=1e-9)
 
 
-class CountingOperator:
-    """Wraps a matrix and counts its matrix-vector products."""
+class CountingOperator(_WalkVectors):
+    """Wraps a matrix and counts its matrix-vector products, the walk vectors' first one included."""
 
     def __init__(self, m):
-        self.m, self.n, self.products = m, m.n, 0
+        self.m, self.n, self.products, self._krylov = m, m.n, 0, [(), {}]
 
     def matvec(self, v):
         self.products += 1
@@ -314,10 +314,11 @@ def test_regularize_plug_in_threshold():
         regularize(K3, reg_mode="plug-in", M=1.5)
 
 
-class NegatedIdentity:
+class NegatedIdentity(_WalkVectors):
     """-I on R^4: every eigenvalue is -1."""
 
-    n = 4
+    def __init__(self):
+        self.n, self._krylov = 4, [(), {}]
 
     def matvec(self, v):
         return -v
@@ -382,26 +383,6 @@ def test_each_spec_field_has_one_check_and_one_flag():
     _add_estimator_flags(parser, "--kind")
     flags = {action.dest for action in parser._actions} - {"help", "kind"}
     assert {f.name for f in fields(Estimator)} - {"kind", "mode"} == set(SPEC_CHECKS) == flags
-
-
-@pytest.mark.parametrize(
-    "edges, n, warns",
-    [
-        (([0, 2], [1, 3]), 4, True),  # two disjoint edges: lambda1 = lambda2 = 1
-        (([0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5]), 6, True),  # two triangles: a repeated lambda1 = 2
-        (([0] * 5, [1, 2, 3, 4, 5]), 6, False),  # star K1,5: -lambda1 is not lambda2
-        (([0, 1, 2], [1, 2, 3]), 4, False),  # path P4: lambda2 = 0.618 < lambda1 = 1.618
-    ],
-    ids=["two-edges", "two-triangles", "star", "path"],
-)
-def test_degenerate_gap_warning_on_tied_spectrum(edges, n, warns):
-    m = SymmetricSparseMatrix.from_edges(n, *edges)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        leading_eigenpair(m, gap_check=True)
-    assert [issubclass(w.category, DegenerateGapWarning) and "eigengap" in str(w.message) for w in caught] == (
-        [True] if warns else []
-    )
 
 
 def test_ols_demeaning_flag():

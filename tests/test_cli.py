@@ -733,6 +733,21 @@ def test_simulate_thread_count(tmp_path, monkeypatch, config_threads, flags, env
         assert (tmp_path / "out" / name).read_bytes() == (serial / name).read_bytes()
 
 
+@pytest.mark.parametrize("env", ["abc", "-2"])
+def test_simulate_rejects_a_bad_thread_variable(tmp_path, monkeypatch, capsys, env):
+    # CENTREG_THREADS is checked as the config's threads and the --threads flag are
+    from centreg.monte_carlo import ConfigError, ExperimentConfig, run_cell
+
+    monkeypatch.setenv("CENTREG_THREADS", env)
+    cfg = {"graphon": {"kind": "constant", "c": 1.0}, "n_grid": [40], "replications": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: CENTREG_THREADS: expected an integer >= 0, got {env!r}\n"
+    with pytest.raises(ConfigError, match="^CENTREG_THREADS: "):
+        run_cell(ExperimentConfig.from_json_dict(cfg), 40)
+
+
 def test_simulate_and_regress_never_import_sparse_linalg(tmp_path):
     # importing scipy.sparse.linalg alone adds about 6.6 MB to peak memory,
     # beyond the benchmark's 5% peak_rss_mb bound; no run needs it

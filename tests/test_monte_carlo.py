@@ -1,6 +1,7 @@
 """Simulation harness: determinism, failure handling, and summaries."""
 
 import copy
+import dataclasses
 import functools
 import inspect
 import json
@@ -175,14 +176,40 @@ def test_config_field_replaced_by_any_json_value(path, value):
 
 
 def test_config_rejects_coercible_values():
-    # a boolean or string is not a number, nor a string a boolean; nor is a solver field out of range
+    # a boolean or string is not a number, nor a string a boolean; nor is a solver field out of range.
+    # Construction checks the values, so a config built directly is rejected at the same pointer
+    direct = dict(graphon=Graphon.constant(1.0), n_grid=[30], sparsity=SparsityRule("constant", 0.3))
     for field, value in [("replications", True), ("fit_no_error", "false"), ("master_seed", "3"),
                          ("beta_true", None), ("threads", None), ("n_grid", [30.0]), ("eig_max_iter", 0),
                          ("eig_max_iter", 2.0), ("eig_max_iter", True), ("eig_tol", 0), ("eig_tol", -1e-10),
-                         ("eig_tol", "1e-10")]:
+                         ("eig_tol", "1e-10"), ("eig_tol", -1.0), ("replications", 0), ("alpha_grid", [2.0]),
+                         ("threads", -3), ("beta0_grid", [])]:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_json_dict({**_VALID, field: value})
         assert err.value.pointer.startswith("/" + field)
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**{**direct, field: value})
+        assert built.value.pointer == err.value.pointer
+    for sigma in (0, -1.0, "1", True):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_json_dict({**_VALID, "error_model": {"kind": "gaussian", "sigma": sigma}})
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**direct, sigma=sigma)
+        assert err.value.pointer == built.value.pointer == "/error_model/sigma"
+    # the benchmark's worker replaces the master seed per batch, and a replaced field is checked too
+    cfg = ExperimentConfig(**direct)
+    assert dataclasses.replace(cfg, master_seed=7).master_seed == 7
+    with pytest.raises(ConfigError, match="^/master_seed: "):
+        dataclasses.replace(cfg, master_seed=-1)
+
+
+def test_config_rejects_a_repeated_n():
+    # each cell's outputs are named by its n, so a repeated n would overwrite the first cell's
+    with pytest.raises(ConfigError, match=r"^/n_grid/1: duplicate n 30, as /n_grid/0$"):
+        ExperimentConfig.from_json_dict({**_VALID, "n_grid": [30, 30]})
+    with pytest.raises(ConfigError) as err:
+        small_config(n_grid=[50, 60, 50])
+    assert err.value.pointer == "/n_grid/2"
 
 
 def test_config_rejects_an_unknown_field():
