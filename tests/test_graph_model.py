@@ -1,5 +1,6 @@
 """Graphon construction, latent sampling, and adjacency generation."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -370,6 +371,21 @@ def test_thinning_passes_leave_the_draw_unchanged(monkeypatch):
     assert whole.n_edges > 1000
     for name in ("indptr", "cols"):
         assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+
+
+def test_observe_draws_are_pinned():
+    # every draw bit for bit, over one-pair, several-pair, thinned and empty
+    # bins: a change to how observe lays out its CSR must not move one entry
+    digest = hashlib.sha256()
+    for g in (Graphon.constant(1.0), SBM3, RANK2):
+        for n in (2, 5, 24, 300):
+            for p in (1.0, n**-0.5, 1.0 / n):
+                for seed in range(3):
+                    m = observe(build_true_adjacency(g, sample_latent(n, seed), p), seed + 100)
+                    for arr in (m.indptr, m.cols, m.data):
+                        digest.update(str(arr.dtype).encode())
+                        digest.update(arr.tobytes())
+    assert digest.hexdigest() == "5c1c3fcab342651aabe6eb75c78f0c2692ce018a21292e0dc46d55bdbd15a014"
 
 
 def test_node_on_a_cut_lands_in_the_bin_its_features_give():
