@@ -10,7 +10,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
-        cfg.master_seed = args.seed
+        cfg = replace(cfg, master_seed=args.seed)  # __post_init__ checks the new seed
     Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before any replication runs
 
     result = run_experiment(cfg, threads=args.threads)

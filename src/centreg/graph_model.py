@@ -7,7 +7,8 @@ observation with upper-triangle entries drawn Bernoulli(A_ij).
 Every graphon is f(u, v) = phi(u) M phi(v)' for r node features phi and an
 r x r core M, so A stays implicit as the n x r feature matrix and p_n M.
 The observation is sampled edge by edge over bins of latent types, so one
-draw costs time and memory proportional to n plus the edge count.
+draw costs time and memory proportional to n plus the edge count, save for
+one stable sort of the entries' rows where a bin's pairs interleave them.
 """
 
 from __future__ import annotations
@@ -516,57 +517,60 @@ def observe(a: FactoredMatrix, seed: int) -> SymmetricSparseMatrix:
     (thinning: Lewis & Shedler, Naval Res. Logist. Q. 26, 1979), a pass per
     ``_THIN_CHUNK`` candidates on one stream spawned off the candidates'
     seed, so the passes do not change the draw; pairs on which A is
-    constant, as for constant and SBM graphons, keep them all.  Per-row
-    counts then place every pair's entries into the CSR, with no sort.
+    constant, as for constant and SBM graphons, keep them all.  A bin that
+    drew several pairs interleaves their rows; a stable sort of the row ids,
+    which keeps each row's pairs in turn, puts them in CSR order.
     """
     ss = np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     st, bound, varies = a.starts.tolist(), np.clip(a.pair_hi, 0.0, 1.0).tolist(), (a.pair_lo != a.pair_hi).tolist()
     full = [x for x in range(len(st) - 1) if st[x + 1] > st[x]]  # an empty bin draws nothing
-    blocks, pieces = [], []  # (bin x, its pairs drawn); (x, qbar, A varies, candidates) per pair drawn
-    per_row, cols = [], []  # per pair drawn: candidates in each row of bin x; their columns
+    counts = np.zeros(a.n, dtype=np.int64)  # entries per row
+    pieces = []  # (bin x, qbar, A varies, candidates) per pair drawn
+    per_row, cols = [], [np.empty(0, np.int32)]  # per pair drawn: candidates in each row of bin x; their columns
     for k, x in enumerate(full):
-        nx, drawn = st[x + 1] - st[x], len(pieces)
+        nx = st[x + 1] - st[x]
         for y in full[k:]:
             ny = st[y + 1] - st[y]
             ends = np.cumsum(np.arange(nx - 1.0, -1.0, -1.0)) if x == y else np.arange(ny, nx * ny + 1.0, ny)
             if ends[-1] == 0 or bound[x][y] == 0.0:
                 continue
             pos = _bernoulli_positions(rng, int(ends[-1]), bound[x][y])
-            counts = np.searchsorted(pos, ends)
-            counts[1:] -= counts[:-1].copy()
-            pos -= np.repeat(ends - st[y + 1], counts)  # a row's last number is the bin's last node
-            per_row.append(counts)
+            in_row = np.searchsorted(pos, ends)
+            in_row[1:] -= in_row[:-1].copy()
+            pos -= np.repeat(ends - st[y + 1], in_row)  # a row's last number is the bin's last node
+            counts[st[x]:st[x + 1]] += in_row
+            per_row.append(in_row)
             cols.append(pos.astype(np.int32))
             pieces.append((x, bound[x][y], varies[x][y], len(pos)))
-        if len(pieces) > drawn:
-            blocks.append((x, len(pieces) - drawn))
-    if not pieces:
-        return SymmetricSparseMatrix(a.n, np.zeros(a.n + 1, np.int32), np.empty(0, np.int32), np.empty(0))
-    # one array each, and each pair's arrays freed: a lower peak touches fewer fresh pages
-    per_row, cols = np.concatenate(per_row), np.concatenate(cols)
-    if any(pc[2] for pc in pieces):
+    cols = np.concatenate(cols)  # empty when no pair is drawn; freeing each pair's array lowers the peak
+    bins, thinned = [pc[0] for pc in pieces], any(pc[2] for pc in pieces)
+    interleaved = len(set(bins)) < len(bins)
+    if thinned or interleaved:
+        nodes = np.concatenate([np.arange(st[x], st[x + 1], dtype=np.int32) for x in bins])
+        rows = np.repeat(nodes, np.concatenate(per_row))
+    if thinned:
         thin = np.random.default_rng(ss.spawn(1)[0])
-        nodes = np.arange(a.n)
         keep = np.ones(len(cols), dtype=bool)
         sizes = [pc[3] for pc in pieces]
         c_off = np.cumsum([0] + sizes)  # each pair's first candidate, and the end
-        r_off = np.cumsum([0] + [st[pc[0] + 1] - st[pc[0]] for pc in pieces])  # each pair's first row count
         first = 0
         while first < len(pieces):  # passes of about _THIN_CHUNK candidates bound the temporaries' memory
             last = max(first + 1, int(np.searchsorted(c_off, c_off[first] + _THIN_CHUNK, side="right")) - 1)
             group, c0, c1 = pieces[first:last], c_off[first], c_off[last]
-            rows = np.concatenate([nodes[st[pc[0]]:st[pc[0] + 1]] for pc in group])
-            rows = np.repeat(rows, per_row[r_off[first]:r_off[last]])
             qbar = np.repeat([pc[1] for pc in group], sizes[first:last])
-            thinned = thin.random(c1 - c0) * qbar < a.pair_values(rows, cols[c0:c1])
-            keep[c0:c1] = thinned | ~np.repeat([pc[2] for pc in group], sizes[first:last])  # constant A keeps all
+            kept = thin.random(c1 - c0) * qbar < a.pair_values(rows[c0:c1], cols[c0:c1])
+            keep[c0:c1] = kept | ~np.repeat([pc[2] for pc in group], sizes[first:last])  # constant A keeps all
             first = last
-        kept = np.concatenate(([0], np.cumsum(keep)))  # candidates kept before each one
-        upto = np.cumsum(per_row)
-        per_row = kept[upto] - kept[upto - per_row]
-        cols = cols[keep]
-    return _place(a.n, st, blocks, per_row, cols)
+        rows, cols = rows[keep], cols[keep]
+        counts = np.bincount(rows, minlength=a.n)
+    if interleaved:
+        cols = cols[np.argsort(rows, kind="stable")]
+    if len(cols) > _MAX_ENTRIES:
+        raise InvalidSize(f"{len(cols)} entries exceed {_MAX_ENTRIES}, the most an int32 indptr can address")
+    indptr = np.zeros(a.n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return SymmetricSparseMatrix(a.n, indptr, cols, np.ones(len(cols)))
 
 
 def _bernoulli_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
@@ -596,39 +600,3 @@ def _bernoulli_positions(rng: np.random.Generator, size: int, q: float) -> np.nd
         last = steps[-1]
     pos = batches[0] if len(batches) == 1 else np.concatenate(batches)
     return pos[:np.searchsorted(pos, size)]
-
-
-def _place(n: int, st: list, blocks: list, per_row: np.ndarray, cols: np.ndarray) -> SymmetricSparseMatrix:
-    """The CSR of entries given bin pair by bin pair, each pair's in row-major order.
-
-    ``per_row`` counts the entries of each row of bin x in pairs (x, y),
-    y = x, x + 1, ..., and ``blocks`` gives each bin x with its number of
-    pairs.  A row takes its entries from its bin's pairs in turn, so the
-    CSR is the pairs' shares of the rows, read row by row: each share is a
-    run of ``cols`` that one gather moves into place.
-    """
-    counts = np.zeros(n, dtype=np.int64)
-    firsts = np.cumsum(per_row) - per_row  # where each pair's share of a row starts in cols
-    shares, starts = [], []  # the shares' sizes and starts in CSR order: row by row, then pair by pair
-    off = 0
-    for x, pairs in blocks:
-        lo, hi = st[x], st[x + 1]
-        size = pairs * (hi - lo)
-        block = per_row[off:off + size].reshape(pairs, hi - lo)
-        counts[lo:hi] = block.sum(axis=0)
-        shares.append(block.T.ravel())
-        starts.append(firsts[off:off + size].reshape(pairs, hi - lo).T.ravel())
-        off += size
-    if counts.sum() > _MAX_ENTRIES:
-        raise InvalidSize(f"{counts.sum()} entries exceed {_MAX_ENTRIES}, the most an int32 indptr can address")
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    if all(pairs == 1 for _, pairs in blocks):  # the pairs' order is the CSR's
-        placed = cols
-    else:
-        shares, starts = np.concatenate(shares), np.concatenate(starts)
-        src = np.repeat((starts - (np.cumsum(shares) - shares)).astype(np.int32), shares)
-        src += np.arange(len(cols), dtype=np.int32)  # each entry's place in cols
-        placed = np.take(cols, src)
-        del src  # freed before the values are allocated, to keep the peak low
-    return SymmetricSparseMatrix(n, indptr, placed, np.ones(len(cols)))

@@ -20,7 +20,6 @@ All coefficient arithmetic is exact (Python ints).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -47,8 +46,6 @@ __all__ = [
 
 WALK_LENGTH_CAP = 14
 DERIVE_B_CAP = 5
-
-_derive_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -251,9 +248,7 @@ def derive_g(t: int) -> GPolynomial:
         raise BudgetExceeded(f"g(t) needs t >= 1, got {t}")
     if t > WALK_LENGTH_CAP:
         raise BudgetExceeded(f"g({t}) exceeds the derivation budget cap {WALK_LENGTH_CAP}")
-    with _derive_lock:
-        coeffs = _derive_g_cached(t)
-    return GPolynomial(t=t, coeffs=dict(coeffs))
+    return GPolynomial(t=t, coeffs=dict(_derive_g_cached(t)))
 
 
 @lru_cache(maxsize=None)

@@ -560,6 +560,7 @@ def test_seed_reproducibility(tmp_path):
     for name in ("a", "b"):
         out_dir = tmp_path / name
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "123"]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["master_seed"] == 123
         outs.append((out_dir / "size.csv").read_bytes())
     assert outs[0] == outs[1]
 
