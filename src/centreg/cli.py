@@ -8,12 +8,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import inference
 # the four centralities are not called here but kept as names of this module:
@@ -28,13 +25,13 @@ from .centrality import (  # noqa: F401
     eigenvector_centrality,
     regularized_eigenvector_centrality,
 )
-from .errors import CentregError, _checked, _is_number
-from .graph_model import SymmetricSparseMatrix
+from .errors import CentregError, IdMismatch, _checked, _is_number
 from .io import binary_matrix_from_files, read_outcomes, write_table
 from .monte_carlo import (
     ESTIMATOR_KINDS,
     Estimator,
     ExperimentConfig,
+    _json_number,
     run_experiment,
     write_outputs,
 )
@@ -80,7 +77,7 @@ _FLAG_CHECKS = {  # numeric flags -> (accepts, expectation), checked by ``main``
     "seed": (lambda v: v >= 0, "an integer >= 0"),
     "threads": (lambda v: v >= 0, "an integer >= 0"),
     "max": (lambda v: v >= 1, "an integer >= 1"),
-    "n": (lambda v: v >= 2, "an integer >= 2"),
+    "n": (lambda v: v >= 0, "an integer >= 0"),  # under two nodes: the loader's error, as for regress
 }
 
 
@@ -161,15 +158,16 @@ def _emit(out, text: str) -> None:
 
 def _endpoints(iv) -> list:
     """[lo, hi] with an unbounded end written as null (JSON has no infinity)."""
-    return [x if math.isfinite(x) else None for x in (iv.lo, iv.hi)]
+    return [_json_number(iv.lo), _json_number(iv.hi)]
 
 
 def _cmd_regress(args) -> int:
     est = _estimator(args)
     ids, y = read_outcomes(args.outcomes)
-    order = np.argsort(ids)
-    ids, y = ids[order], y[order]
-    a_hat = binary_matrix_from_files(args.edges, ids)
+    if len(ids) and not 0 <= ids.min() <= ids.max() < len(ids):  # unique ids, so then exactly 0..n-1
+        raise IdMismatch(f"{args.outcomes}: outcome ids must be exactly 0..n-1")
+    y = y[ids.argsort()]  # in id order
+    a_hat = binary_matrix_from_files(args.edges, len(ids))
     c_hat = est.centrality(a_hat)
     fit = est.fit(y, a_hat, c_hat)
 
@@ -206,20 +204,7 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
-    from .io import read_edge_list
-
-    est = _estimator(args)
-    rows, cols = read_edge_list(args.edges)
-    n = args.n if args.n is not None else (int(max(rows.max(), cols.max())) + 1 if len(rows) else 0)
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if len(cols) and cols.max() >= n:
-        raise ValueError(f"{args.edges}: edge endpoint {cols.max()} is not below --n {n}")
-    try:
-        vec = est.centrality(SymmetricSparseMatrix.from_edges(n, rows, cols))
-    except MemoryError:
-        print(f"error: {args.edges}: not enough memory for node count {n}", file=sys.stderr)
-        return EXIT_USAGE
+    vec = _estimator(args).centrality(binary_matrix_from_files(args.edges, args.n))
     if args.format == "json":
         payload = {"recipe": vec.recipe, "values": [float(v) for v in vec.values]}
         if vec.lambda1 is not None:

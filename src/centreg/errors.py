@@ -56,7 +56,7 @@ def _checked(d: dict, checks: dict, where: Callable[[str], str], known=None) -> 
 
 
 class InvalidSize(CentregError):
-    """Node count too small for the requested operation."""
+    """Node count outside what the requested operation can take."""
 
 
 class InvalidSparsity(CentregError):
@@ -139,4 +139,4 @@ class NonFiniteOutcome(CentregError):
 
 
 class IdMismatch(CentregError):
-    """Outcome ids do not cover the edge list's node set."""
+    """An outcome id or edge endpoint outside the node set 0..n-1."""

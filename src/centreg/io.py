@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy._core._multiarray_umath import _load_from_filelike  # pinned by the tests
 
-from .errors import DuplicateEdge, IdMismatch, InvalidGraphon, NonFiniteOutcome
+from .errors import DuplicateEdge, IdMismatch, InvalidGraphon, InvalidSize, NonFiniteOutcome
 from .graph_model import SymmetricSparseMatrix
 
 __all__ = [
@@ -214,20 +214,22 @@ def read_outcomes(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     return ids, y
 
 
-def binary_matrix_from_files(edges_path: PathLike, outcome_ids: Sequence[int]) -> SymmetricSparseMatrix:
-    """Assemble the observed adjacency; outcome ids define the node set.
+def binary_matrix_from_files(edges_path: PathLike, n: Optional[int] = None) -> SymmetricSparseMatrix:
+    """The observed adjacency Ahat of an edge list on nodes 0..n-1, n the largest id + 1 by default.
 
-    Ids must be exactly 0..n-1 (0-based, contiguous).  Every edge endpoint
-    must be listed among the outcomes; isolated nodes are allowed as long
-    as they carry an outcome row.
+    Fewer than two nodes (InvalidSize), an edge endpoint at or above n
+    (IdMismatch) and an n whose CSR arrays cannot be allocated (InvalidSize)
+    each raise an error that names the edge file.  Nodes without an edge are
+    isolated.
     """
-    ids = np.sort(np.asarray(outcome_ids, dtype=np.int64))
-    n = len(ids)
-    if n < 2:
-        raise IdMismatch("need at least two outcome rows")
-    if not np.array_equal(ids, np.arange(n)):
-        raise IdMismatch("outcome ids must be exactly 0..n-1")
     rows, cols = read_edge_list(edges_path)  # rows <= cols
+    if n is None:
+        n = int(cols.max()) + 1 if len(cols) else 0
+    if n < 2:
+        raise InvalidSize(f"{edges_path}: need at least two nodes")
     if len(cols) and cols.max() >= n:
-        raise IdMismatch(f"edge endpoint {cols.max()} has no outcome row (n={n})")
-    return SymmetricSparseMatrix.from_edges(n, rows, cols)
+        raise IdMismatch(f"{edges_path}: edge endpoint {cols.max()} is not below node count {n}")
+    try:
+        return SymmetricSparseMatrix.from_edges(n, rows, cols)
+    except MemoryError:
+        raise InvalidSize(f"{edges_path}: not enough memory for node count {n}") from None

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -296,6 +296,8 @@ class ExperimentResult:
                 }
                 for c in self.cells
             ],
+            "resolved_p": {str(c.n): c.p for c in self.cells},
+            "environment": _environment(self.cells),
         }
 
 
@@ -385,6 +387,7 @@ def run_cell(
     threads: Optional[int] = None,
 ) -> CellResult:
     """Run all replications of one (n, p) cell; failures never abort the cell."""
+    cfg = replace(cfg)  # __post_init__ checks again any field assigned since cfg was built
     p = cfg.sparsity.resolve(n)
     labels = [e.label for e in cfg.estimators]
     nthreads = threads if threads is not None else cfg.threads
@@ -533,10 +536,7 @@ def write_outputs(
             write_table(path, ["replication", *_DIST_KEYS], rows)
             written.append(str(path))
 
-    manifest = result.manifest()
-    manifest["resolved_p"] = {str(c.n): c.p for c in result.cells}
-    manifest["environment"] = _environment(result.cells)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, allow_nan=False))
+    (out_dir / "manifest.json").write_text(json.dumps(result.manifest(), indent=1, allow_nan=False))
     written.append(str(out_dir / "manifest.json"))
 
     if dump_graph:

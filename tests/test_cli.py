@@ -203,6 +203,14 @@ def test_regress_missing_outcome_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("ids", [(0, 1, 3), (-1, 0, 1)], ids=["gap", "negative"])
+def test_regress_outcome_ids_not_0_to_n_minus_1_exit_two(tmp_path, capsys, ids):
+    edges, outcomes = write_k3(tmp_path)
+    outcomes.write_text("id,y\n" + "".join(f"{i},1\n" for i in ids))
+    assert main(["regress", "--edges", str(edges), "--outcomes", str(outcomes)]) == 2
+    assert capsys.readouterr().err == f"error: {outcomes}: outcome ids must be exactly 0..n-1\n"
+
+
 def test_regress_duplicate_edge_exit_two(tmp_path):
     edges = tmp_path / "e.csv"
     edges.write_text("i,j\n0,1\n1,0\n")
@@ -239,11 +247,11 @@ def test_id_beyond_int64_exit_two(tmp_path, capsys, command, bad):
     "edge,flags,message",
     [
         ("1000000000000000,1", [], "node count 1000000000000001 exceeds"),
-        ("1000000000000000,1", ["--n", "3"], "edges.csv: edge endpoint 1000000000000000 is not below --n 3"),
+        ("1000000000000000,1", ["--n", "3"], "edges.csv: edge endpoint 1000000000000000 is not below node count 3"),
         ("9223372036854775807,1", [], "node count 9223372036854775808 exceeds"),
-        ("9223372036854775807,1", ["--n", "3"], "edges.csv: edge endpoint 9223372036854775807 is not below --n 3"),
+        ("9223372036854775807,1", ["--n", "3"], "edges.csv: edge endpoint 9223372036854775807 is not below node count 3"),
         ("1,2", ["--n", "1000000000000000"], "node count 1000000000000000 exceeds"),
-        ("5,1", ["--n", "3"], "edges.csv: edge endpoint 5 is not below --n 3"),
+        ("5,1", ["--n", "3"], "edges.csv: edge endpoint 5 is not below node count 3"),
     ],
 )
 def test_centrality_huge_node_count_exit_two(tmp_path, capsys, edge, flags, message):
@@ -266,7 +274,7 @@ def test_centrality_header_only_edge_list_exit_two(tmp_path, capsys):
     code = main(["centrality", "--edges", str(edges)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: need at least two nodes\n"
+    assert captured.err == f"error: {edges}: need at least two nodes\n"
 
 
 def test_centrality_out_of_memory_exit_two(tmp_path, capsys, monkeypatch):
@@ -285,6 +293,49 @@ def test_centrality_out_of_memory_exit_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {edges}: not enough memory for node count 2147483647\n"
+
+
+def test_regress_and_centrality_read_one_edge_file_alike(tmp_path, monkeypatch):
+    # node 4 has no edge; regress takes n from its five outcome rows, centrality from --n
+    from centreg.monte_carlo import Estimator
+
+    edges, outcomes = tmp_path / "e.csv", tmp_path / "y.csv"
+    edges.write_text("i,j\n2,0\n1,3\n0,1\n")
+    outcomes.write_text("id,y\n3,1\n0,2\n4,0.5\n2,3\n1,1\n")
+    fitted, real_fit = [], Estimator.fit
+
+    def fit(self, y, a_hat, c_hat):
+        fitted.append(c_hat.values.tolist())
+        return real_fit(self, y, a_hat, c_hat)
+
+    monkeypatch.setattr(Estimator, "fit", fit)
+    assert main(["regress", "--edges", str(edges), "--outcomes", str(outcomes), "--out", str(tmp_path / "f.json")]) == 0
+    out = tmp_path / "d.csv"
+    assert main(["centrality", "--edges", str(edges), "--n", "5", "--kind", "degree", "--out", str(out)]) == 0
+    assert fitted == [[float(r["value"]) for r in csv.DictReader(out.open())]] == [[2.0, 2.0, 1.0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "body,n,message",
+    [
+        ("0,1\n5,1\n", 3, "edge endpoint 5 is not below node count 3"),
+        ("", 0, "need at least two nodes"),
+        ("", 1, "need at least two nodes"),
+    ],
+    ids=["endpoint-not-below-n", "header-only", "single-node"],
+)
+def test_regress_and_centrality_reject_a_bad_edge_file_alike(tmp_path, capsys, body, n, message):
+    # the same edge file at the same node count: n outcome rows for regress, --n (or max id + 1) for centrality
+    edges, outcomes = tmp_path / "e.csv", tmp_path / "y.csv"
+    edges.write_text("i,j\n" + body)
+    outcomes.write_text("id,y\n" + "".join(f"{i},{i}\n" for i in range(n)))
+    errs = []
+    for argv in (["regress", "--outcomes", str(outcomes)], ["centrality", *(["--n", str(n)] if n else [])]):
+        assert main([*argv, "--edges", str(edges)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1] == f"error: {edges}: {message}\n"
 
 
 def test_regress_has_no_format_flag(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tracemalloc
 from functools import partial
 
@@ -13,7 +14,7 @@ from numpy._core import _multiarray_umath
 
 from centreg import Graphon, SymmetricSparseMatrix
 from centreg import io
-from centreg.errors import DuplicateEdge, IdMismatch, InvalidGraphon, NonFiniteOutcome
+from centreg.errors import DuplicateEdge, IdMismatch, InvalidGraphon, InvalidSize, NonFiniteOutcome
 from centreg.io import (
     _HASH_MULT,
     _read_table,
@@ -87,14 +88,13 @@ def test_outcomes_repeated_id(tmp_path):
 def test_binary_matrix_from_files_id_checks(tmp_path):
     edges = tmp_path / "e.csv"
     edges.write_text("i,j\n0,1\n1,2\n")
-    m = binary_matrix_from_files(edges, [0, 1, 2, 3])  # node 3 isolated but listed
-    assert m.n == 4
-    with pytest.raises(IdMismatch):
-        binary_matrix_from_files(edges, [0, 1])  # edge endpoint 2 has no outcome
-    with pytest.raises(IdMismatch):
-        binary_matrix_from_files(edges, [0, 1, 3])  # ids not contiguous
-    with pytest.raises(IdMismatch, match="^need at least two outcome rows$"):
-        binary_matrix_from_files(edges, [0])
+    assert binary_matrix_from_files(edges).n == 3  # the largest id + 1
+    m = binary_matrix_from_files(edges, 4)  # node 3 isolated
+    assert m.n == 4 and m.n_edges == 2
+    with pytest.raises(IdMismatch, match=f"^{re.escape(str(edges))}: edge endpoint 2 is not below node count 2$"):
+        binary_matrix_from_files(edges, 2)
+    with pytest.raises(InvalidSize, match=f"^{re.escape(str(edges))}: need at least two nodes$"):
+        binary_matrix_from_files(edges, 1)
 
 
 def test_weighted_matrix_round_trip(tmp_path):

@@ -212,6 +212,26 @@ def test_config_rejects_a_repeated_n():
     assert err.value.pointer == "/n_grid/2"
 
 
+def test_run_cell_checks_fields_assigned_after_construction():
+    # the config is a plain dataclass, so a field may be assigned after __post_init__ ran
+    cfg = small_config(replications=2)
+    cfg.eig_max_iter = 30000  # the benchmark's worker assigns this one
+    assert run_cell(cfg, 30).replications == 2
+    cfg.replications = 0
+    cfg.eig_tol = -1.0
+    with pytest.raises(ConfigError, match="^/replications: "):
+        run_cell(cfg, 30)
+
+
+def test_manifest_keys_in_order(tmp_path):
+    result = run_experiment(small_config(replications=2))
+    write_outputs(result, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest) == ["master_seed", "replications", "cells", "resolved_p", "environment"]
+    assert manifest == json.loads(json.dumps(result.manifest()))
+    assert manifest["resolved_p"] == {"50": 0.2}
+
+
 def test_config_rejects_an_unknown_field():
     # a misspelled field would otherwise leave its default (1000 replications) in place
     with pytest.raises(ConfigError, match="^/replicatoins: unknown field$") as err:
