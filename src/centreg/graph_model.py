@@ -182,9 +182,9 @@ class SymmetricSparseMatrix(_WalkVectors):
     Entries run over the pairs i < j sorted by i, then j.  ``node_weights``
     and ``threshold`` are set only on the output of ``centrality.regularize``.
     The constructor trusts its arrays, which the product hands to scipy's C
-    kernels unchecked; ``from_edges`` and ``from_dense`` bring any edge list
-    to this form.  The arrays are read-only once built, so instances are
-    safe to share across threads.
+    kernels unchecked; ``from_edges`` builds the binary matrix of an edge
+    list, and ``from_dense`` the matrix of a dense array's values.  The arrays
+    are read-only once built, so instances are safe to share across threads.
     """
 
     def __init__(self, n, indptr, cols, data, node_weights=None, threshold=None):
@@ -197,18 +197,16 @@ class SymmetricSparseMatrix(_WalkVectors):
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymmetricSparseMatrix":
-        """Every nonzero above the diagonal is an entry."""
+        """Every nonzero above the diagonal is an entry, holding its value as float64."""
         dense = np.asarray(dense)
-        i, j = np.nonzero(np.triu(dense, k=1))
-        return cls.from_edges(dense.shape[0], i, j, dense[i, j])
+        i, j = np.nonzero(np.triu(dense, k=1))  # row-major: the keys i * n + j come sorted and unique
+        return _from_keys(dense.shape[0], i * dense.shape[0] + j, dense[i, j].astype(np.float64))
 
     @classmethod
-    def from_edges(cls, n: int, rows: Sequence[int], cols: Sequence[int], weights=None) -> "SymmetricSparseMatrix":
-        """Pairs in either orientation; self-loops are dropped and repeats merged.
+    def from_edges(cls, n: int, rows: Sequence[int], cols: Sequence[int]) -> "SymmetricSparseMatrix":
+        """The binary matrix of pairs in either orientation; self-loops are dropped and repeats merged.
 
-        ``weights`` gives each pair's value (default 1): of repeats the last
-        wins, and a pair whose value is 0 is dropped.  Endpoints must lie in
-        [0, n) (``ValueError``) and n below 2^31 (``InvalidSize``).
+        Endpoints must lie in [0, n) (``ValueError``) and n below 2^31 (``InvalidSize``).
         """
         n = int(n)
         if n >= 2**31:
@@ -224,12 +222,6 @@ class SymmetricSparseMatrix(_WalkVectors):
         keys = lo
         keys *= n
         keys += hi
-        if weights is not None:
-            order = np.argsort(keys, kind="stable")
-            keys, data = keys[order], np.asarray(weights, dtype=np.float64)[pair][order]
-            last = np.diff(keys, append=n * n) != 0  # keys lie below n * n
-            last &= data != 0.0
-            return _from_keys(n, keys[last], data[last])
         keys.sort()
         repeat = keys[1:] == keys[:-1]
         if repeat.any():

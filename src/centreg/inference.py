@@ -132,22 +132,14 @@ class IntervalUnion:
 # fitting
 
 
-def ols(
-    y: Sequence[float],
-    c: Union[CentralityVector, np.ndarray],
-    mode: str = "no-error",
-    demean: bool = False,
-) -> RegressionFit:
+def ols(y: Sequence[float], c: Union[CentralityVector, np.ndarray], mode: str = "no-error") -> RegressionFit:
     """Slope through the origin: beta_hat = y'C / C'C, with robust V0.
 
-    ``demean`` subtracts the sample means of y and C first.  The bias and
-    variance theory in this package is developed for the no-intercept
-    regression, so demeaning is allowed in the no-error mode alone.
+    There is no intercept: the bias and variance theory in this package is
+    developed for the regression through the origin.
     """
     if mode not in MODES:
         raise ConfigMismatch(f"unknown inference mode {mode!r}")
-    if demean and mode != "no-error":
-        raise ConfigMismatch(f"demean=True needs the no-error mode: B_hat and V_hat assume no intercept, got {mode!r}")
     y = np.asarray(y, dtype=np.float64)
     values = np.asarray(c, dtype=np.float64)
     if y.shape != values.shape:
@@ -155,9 +147,6 @@ def ols(
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise NonFiniteCentrality(f"centrality {bad[0]} is {values[bad[0]]}, not finite")
-    if demean:
-        y = y - y.mean()
-        values = values - values.mean()
     ssq = float(values @ values)
     if ssq <= 0.0:
         raise ZeroRegressor("centrality vector is identically zero")

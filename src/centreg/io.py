@@ -1,4 +1,4 @@
-"""CSV interchange: edge lists, weighted matrices, outcomes."""
+"""CSV interchange: edge lists and outcomes; an edge list loads as the binary Ahat."""
 
 from __future__ import annotations
 
@@ -13,14 +13,12 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy._core._multiarray_umath import _load_from_filelike  # pinned by the tests
 
-from .errors import DuplicateEdge, IdMismatch, InvalidGraphon, InvalidSize, NonFiniteOutcome
+from .errors import DuplicateEdge, IdMismatch, InvalidSize, NonFiniteOutcome
 from .graph_model import SymmetricSparseMatrix
 
 __all__ = [
     "read_edge_list",
     "write_edge_list",
-    "read_weighted_matrix",
-    "write_weighted_matrix",
     "write_table",
     "read_outcomes",
     "binary_matrix_from_files",
@@ -176,29 +174,6 @@ def read_edge_list(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
 def write_edge_list(m: SymmetricSparseMatrix, path: PathLike) -> None:
     rows, cols = m.edge_arrays()
     write_table(path, ("i", "j"), zip(rows.tolist(), cols.tolist()))
-
-
-def read_weighted_matrix(path: PathLike, n: int) -> SymmetricSparseMatrix:
-    """Read a weighted adjacency from rows ``i,j,w``, in O(rows) memory.
-
-    Ids must lie in [0, n) (IdMismatch) and weights in [0, 1] (InvalidGraphon),
-    each error naming its row.  The last row for a pair wins; self-loops and
-    zero weights leave no entry.
-    """
-    table, line = _read_table(path, ("i", "j", "w"), (np.int64, np.int64, np.float64))
-    i, j, w = table["i"], table["j"], table["w"]
-    bad_id, bad_w = (i < 0) | (i >= n) | (j < 0) | (j >= n), ~((w >= 0.0) & (w <= 1.0))  # nan fails both compares
-    k = _first(bad_id | bad_w)
-    if k is not None and bad_id[k]:
-        raise IdMismatch(f"{path}:{line(k)}: id outside [0, {n})")
-    if k is not None:
-        raise InvalidGraphon(f"{path}:{line(k)}: weight {float(w[k])} outside [0, 1]")
-    return SymmetricSparseMatrix.from_edges(n, i, j, w)
-
-
-def write_weighted_matrix(m: SymmetricSparseMatrix, path: PathLike) -> None:
-    i, j = m.edge_arrays()
-    write_table(path, ("i", "j", "w"), zip(i.tolist(), j.tolist(), map(repr, m.data.tolist())))
 
 
 def read_outcomes(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:

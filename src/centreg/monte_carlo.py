@@ -3,7 +3,9 @@
 Each replication draws latent types, the true adjacency A, the noisy
 observation Ahat, and regression noise from independent streams derived
 from (master_seed, cell_index, replication); results are therefore
-bit-identical regardless of how replications are scheduled across workers.
+bit-identical however replications are scheduled across workers, as long
+as the BLAS thread count is fixed: OpenBLAS splits its sums across its
+threads, so the last bits of an eigenvector move with that count.
 Within a replication all estimators share the same draws, mirroring the
 simulation design the tables are built on: outcomes are generated from
 centralities computed on A, while estimation uses Ahat.

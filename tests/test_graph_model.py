@@ -466,6 +466,11 @@ def test_from_edges_normalizes_like_from_dense():
     v = rng.standard_normal(n)
     assert np.array_equal(got.matvec(v), _scipy_full(n, rows, cols) @ v)
     assert np.array_equal(got.row_sums(), dense.sum(axis=1))
+    # a weighted matrix holding zeros keeps every nonzero value, and no zero
+    upper = np.triu(np.where(rng.random((n, n)) < 0.3, rng.random((n, n)), 0.0), k=1)
+    weighted = SymmetricSparseMatrix.from_dense(upper + upper.T)
+    assert np.array_equal(weighted.toarray(), upper + upper.T)
+    _assert_same_upper(weighted, sp.csr_matrix(upper))
 
 
 def _unflagged(m):

@@ -91,17 +91,6 @@ def test_ols_orthogonal_outcome():
     assert fit.beta_hat == pytest.approx(0.0)
 
 
-@pytest.mark.parametrize("mode", ["noisy-degree", "noisy-diffusion", "noisy-eigenvector-case-a",
-                                  "noisy-eigenvector-case-b", "noisy-eigenvector-corollary-5"])
-def test_ols_rejects_demeaning_outside_the_no_error_mode(mode):
-    # B_hat and V_hat are derived for the regression through the origin: on one
-    # draw at n = 500, p = n^-1/2, demeaning took the degree B_hat from 0.043 to 1.05
-    c = degree(SymmetricSparseMatrix.from_edges(4, [0, 0, 1, 2], [1, 2, 2, 3]))
-    y = 3.0 + 2.0 * c.values  # test_ols_demeaning_flag covers the no-error fit
-    with pytest.raises(ConfigMismatch, match="demean=True needs the no-error mode"):
-        ols(y, c, mode, demean=True)
-
-
 def test_ols_zero_regressor():
     with pytest.raises(ZeroRegressor):
         ols(np.ones(3), np.zeros(3))

@@ -14,16 +14,14 @@ from numpy._core import _multiarray_umath
 
 from centreg import Graphon, SymmetricSparseMatrix
 from centreg import io
-from centreg.errors import DuplicateEdge, IdMismatch, InvalidGraphon, InvalidSize, NonFiniteOutcome
+from centreg.errors import DuplicateEdge, IdMismatch, InvalidSize, NonFiniteOutcome
 from centreg.io import (
     _HASH_MULT,
     _read_table,
     binary_matrix_from_files,
     read_edge_list,
     read_outcomes,
-    read_weighted_matrix,
     write_edge_list,
-    write_weighted_matrix,
 )
 
 
@@ -97,17 +95,6 @@ def test_binary_matrix_from_files_id_checks(tmp_path):
         binary_matrix_from_files(edges, 1)
 
 
-def test_weighted_matrix_round_trip(tmp_path):
-    dense = np.zeros((4, 4))
-    dense[0, 1] = dense[1, 0] = 0.25
-    dense[2, 3] = dense[3, 2] = 0.75
-    m = SymmetricSparseMatrix.from_dense(dense)
-    path = tmp_path / "w.csv"
-    write_weighted_matrix(m, path)
-    back = read_weighted_matrix(path, 4)
-    assert np.array_equal(back.toarray(), dense)
-
-
 def test_graphon_json_round_trip():
     for g in (Graphon.constant(0.7), Graphon.sbm([0.4, 0.6], [[0.9, 0.1], [0.1, 0.5]]), Graphon.rank_r([0.5, 0.15])):
         back = Graphon.from_json_dict(json.loads(json.dumps(g.to_json_dict())))
@@ -129,10 +116,6 @@ def _outcomes(path):
     return read_outcomes(path)
 
 
-def _weighted(path):
-    return read_weighted_matrix(path, 4)
-
-
 @pytest.mark.parametrize(
     "read,text,error,where",
     [
@@ -151,14 +134,6 @@ def _weighted(path):
         (_outcomes, "id,y\n0,1\n\n1,nan\n", NonFiniteOutcome, "f.csv:4: outcome nan"),
         (_outcomes, "id,y\n0,1\n1,-Infinity\n", NonFiniteOutcome, "f.csv:3: outcome -inf"),
         (_outcomes, "id,y\n0,1\n1,2\n\n0,3\n", IdMismatch, "f.csv:5: repeated outcome id 0"),
-        (_weighted, "i,j\n0,1,0.5\n", ValueError, "f.csv: expected header 'i,j,w'"),
-        (_weighted, "i,j,w\n0,1,0.5\n1,2\n", ValueError, "f.csv:3: malformed"),
-        (_weighted, "i,j,w\n0,1,0.5\n1,4,1\n", IdMismatch, "f.csv:3: id outside [0, 4)"),
-        (_weighted, "i,j,w\n0,1,0.5\n\n-1,2,1\n", IdMismatch, "f.csv:4: id outside [0, 4)"),
-        (_weighted, "i,j,w\n0,1,0.5\n\n1,2,nan\n", InvalidGraphon, "f.csv:4: weight nan outside [0, 1]"),
-        (_weighted, "i,j,w\n0,1,inf\n", InvalidGraphon, "f.csv:2: weight inf outside [0, 1]"),
-        (_weighted, "i,j,w\n0,1,0.5\n2,3,2.0\n1,2,0.5\n", InvalidGraphon, "f.csv:3: weight 2.0 outside [0, 1]"),
-        (_weighted, "i,j,w\n0,1,-0.25\n0,1,0.5\n", InvalidGraphon, "f.csv:2: weight -0.25 outside [0, 1]"),
     ],
 )
 def test_single_defect_names_its_line(tmp_path, read, text, error, where):
@@ -199,32 +174,6 @@ def test_quoted_header_and_cells_and_extra_columns(tmp_path):
     path.write_text('"I","j" ,note\n"0",1,x\r\n\t\n 5 ,2,y\n')
     rows, cols = read_edge_list(path)
     assert rows.tolist() == [0, 2] and cols.tolist() == [1, 5]
-
-
-def test_weighted_matrix_last_row_wins(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("i,j,w\n0,1,0.25\n1,0,0.5\n2,2,0.75\n2,3,0.125\n")
-    back = read_weighted_matrix(path, 4).toarray()
-    assert back[0, 1] == back[1, 0] == 0.5
-    assert back[2, 3] == back[3, 2] == 0.125
-    assert np.all(np.diag(back) == 0.0)
-
-
-def test_weighted_matrix_memory_is_linear_in_rows(tmp_path):
-    # 250 000 rows on 50 000 nodes: the n x n array of a dense reader would be 20 GB
-    n, rows = 50_000, 250_000
-    rng = np.random.default_rng(5)
-    i, j, w = rng.integers(0, n, rows), rng.integers(0, n, rows), rng.random(rows)
-    path = tmp_path / "w.csv"
-    path.write_text("i,j,w\n" + "".join(f"{a},{b},{c!r}\n" for a, b, c in zip(i.tolist(), j.tolist(), w.tolist())))
-    tracemalloc.start()
-    try:
-        m = read_weighted_matrix(path, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100e6, peak
-    assert m.n == n and 0 < m.n_edges <= rows
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +280,6 @@ def test_outcomes_round_trip_property(tmp_path_factory, data):
     assert got_ids.dtype == np.int64 and got_y.dtype == np.float64
     assert got_ids.tolist() == ids
     assert np.array_equal(got_y, np.asarray(ys, dtype=np.float64))
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 12), data=st.data())
-def test_weighted_matrix_round_trip_property(tmp_path_factory, n, data):
-    w = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-                           min_size=n * n, max_size=n * n))
-    upper = np.triu(np.asarray(w, dtype=np.float64).reshape(n, n), 1)
-    dense = upper + upper.T
-    path = tmp_path_factory.mktemp("weights") / "w.csv"
-    write_weighted_matrix(SymmetricSparseMatrix.from_dense(dense), path)
-    back = read_weighted_matrix(path, n).toarray()
-    assert np.array_equal(back, dense)
 
 
 # ---------------------------------------------------------------------------
